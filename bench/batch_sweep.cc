@@ -1,14 +1,15 @@
-// PR 10 perf ledger: static split vs fleet scheduler across the full batch.
+// PR 10 perf ledger: the fleet scheduler across the full batch.
 //
-// Runs all registered drivers through core::RunBatch three times -- the PR 8
-// static outer x inner thread split, the fleet with stealing disabled, and
-// the fleet with deterministic work stealing -- and reports the batch
-// makespan of each mode. Makespans are deterministic virtual placements over
-// the RECORDED per-task work units (executed translation blocks,
-// machine-independent; see core/fleet.h), so the numbers reproduce bit for
-// bit on any host: wall-clock on a 1-core CI box proves nothing about a
-// scheduler. The merged checkpoints are byte-identical across all three
-// modes (pinned by tests/dist_test.cc); only placement changes.
+// Runs all registered drivers through core::RunBatch twice -- the fleet with
+// stealing disabled and the fleet with deterministic work stealing -- and
+// reports the batch makespan of each mode. Makespans are deterministic
+// virtual placements over the RECORDED per-task work units (executed
+// translation blocks, machine-independent; see core/fleet.h), so the numbers
+// reproduce bit for bit on any host. The static outer x inner thread split
+// the fleet replaced is no longer run; it survives only as a virtual model
+// over the same records (FleetBatchStats::static_makespan, the "static
+// model" column). The merged checkpoints are byte-identical across modes
+// (pinned by tests/dist_test.cc); only placement changes.
 //
 // Flags:
 //   --json=PATH    machine-readable results (BENCH_pr10.json in CI)
@@ -34,7 +35,6 @@ struct DriverRow {
 struct ModeResult {
   std::string label;
   bool ok = false;
-  bool fleet_used = false;
   revnic::core::FleetBatchStats fleet;
   std::vector<DriverRow> drivers;
 };
@@ -47,13 +47,9 @@ ModeResult RunMode(const char* label, uint64_t max_work, unsigned fleet_lanes,
 
   core::ExercisePlan plan;
   plan.sub_shards = 4;
-  if (fleet_lanes >= 1) {
-    plan.fleet = fleet_lanes;
-    plan.steal = steal;
-    plan.threads = 0;  // defer sizing: RunBatch forces fleet jobs parallel-shaped
-  } else {
-    plan.threads = 2;  // the PR 8 static split reference shape
-  }
+  plan.fleet = fleet_lanes;
+  plan.steal = steal;
+  plan.threads = 0;  // defer sizing to the batch template
 
   std::vector<core::BatchJob> jobs;
   for (const drivers::TargetInfo& t : drivers::AllTargets()) {
@@ -66,12 +62,9 @@ ModeResult RunMode(const char* label, uint64_t max_work, unsigned fleet_lanes,
     jobs.push_back(std::move(job));
   }
   core::BatchOptions options;
-  if (fleet_lanes >= 1) {
-    options.plan = plan;
-  }
+  options.plan = plan;
   core::BatchResult batch = core::RunBatch(jobs, options);
-  mode.ok = batch.AllOk();
-  mode.fleet_used = batch.fleet_used;
+  mode.ok = batch.AllOk() && batch.fleet_used;
   mode.fleet = batch.fleet;
   for (const core::BatchJobResult& job : batch.jobs) {
     if (!job.ok) {
@@ -108,19 +101,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::PrintHeader("Batch sweep: static split vs fleet scheduler", "PR 10 ledger");
+  bench::PrintHeader("Batch sweep: fleet scheduler", "PR 10 ledger");
   printf("drivers: all registered, max-work=%llu, fleet=%u "
          "(makespans are deterministic virtual placements over recorded work "
          "units)\n\n",
          (unsigned long long)max_work, fleet_lanes);
 
   std::vector<ModeResult> modes;
-  modes.push_back(RunMode("static split (PR 8)", max_work, 0, false));
   modes.push_back(RunMode("fleet no-steal", max_work, fleet_lanes, false));
   modes.push_back(RunMode("fleet steal", max_work, fleet_lanes, true));
 
   bool all_ok = true;
-  printf("%-22s %10s %10s %10s %10s %8s %8s\n", "mode", "makespan", "static",
+  printf("%-22s %10s %13s %10s %10s %8s %8s\n", "mode", "makespan", "static model",
          "no-steal", "steal", "tasks", "v-steals");
   for (const ModeResult& m : modes) {
     all_ok = all_ok && m.ok;
@@ -128,15 +120,7 @@ int main(int argc, char** argv) {
       printf("%-22s %10s\n", m.label.c_str(), "FAILED");
       continue;
     }
-    if (!m.fleet_used) {
-      // Static mode never enters the fleet; its virtual makespan is the
-      // static model the fleet runs compute from the SAME task records
-      // (identical bytes => identical per-task work), printed on their rows.
-      printf("%-22s %10s %10s %10s %10s %8s %8s\n", m.label.c_str(), "-", "-", "-",
-             "-", "-", "-");
-      continue;
-    }
-    printf("%-22s %10llu %10llu %10llu %10llu %8u %8u\n", m.label.c_str(),
+    printf("%-22s %10llu %13llu %10llu %10llu %8u %8u\n", m.label.c_str(),
            (unsigned long long)m.fleet.makespan,
            (unsigned long long)m.fleet.static_makespan,
            (unsigned long long)m.fleet.no_steal_makespan,
@@ -145,10 +129,10 @@ int main(int argc, char** argv) {
   }
 
   const ModeResult& steal_mode = modes.back();
-  if (steal_mode.ok && steal_mode.fleet_used) {
+  if (steal_mode.ok) {
     const core::FleetBatchStats& f = steal_mode.fleet;
     printf("\nfleet=%u, spine floor %llu, total fan-out work %llu; steal vs "
-           "static: %llu vs %llu (%.1f%% shorter)\n",
+           "static model: %llu vs %llu (%.1f%% shorter)\n",
            f.workers, (unsigned long long)f.max_spine_work,
            (unsigned long long)f.total_task_work, (unsigned long long)f.steal_makespan,
            (unsigned long long)f.static_makespan,
@@ -181,13 +165,13 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < modes.size(); ++i) {
       const ModeResult& m = modes[i];
       fprintf(f,
-              "%s\n    {\"label\": \"%s\", \"ok\": %s, \"fleet_used\": %s,\n"
-              "     \"makespan\": %llu, \"static_makespan\": %llu, "
+              "%s\n    {\"label\": \"%s\", \"ok\": %s,\n"
+              "     \"makespan\": %llu, \"static_model_makespan\": %llu, "
               "\"no_steal_makespan\": %llu, \"steal_makespan\": %llu,\n"
               "     \"tasks\": %u, \"virtual_steals\": %u, \"real_steals\": %u, "
               "\"max_spine_work\": %llu, \"total_task_work\": %llu}",
               i == 0 ? "" : ",", m.label.c_str(), m.ok ? "true" : "false",
-              m.fleet_used ? "true" : "false", (unsigned long long)m.fleet.makespan,
+              (unsigned long long)m.fleet.makespan,
               (unsigned long long)m.fleet.static_makespan,
               (unsigned long long)m.fleet.no_steal_makespan,
               (unsigned long long)m.fleet.steal_makespan, m.fleet.tasks,

@@ -4,14 +4,15 @@
 // (translation blocks executed) at a fixed rate, since absolute speed is a
 // property of the host machine, not of the algorithm.
 //
-// All four registered drivers run concurrently through core::RunBatch (each
-// job owns its symbolic substrate, so the curves are identical to sequential
-// runs); the timeline comes back per job.
+// All registered drivers run concurrently through core::RunBatch (each job
+// owns its symbolic substrate, so the curves are identical to standalone
+// runs); the timeline comes back per job. Parallel runs share one batch
+// fleet: every driver's fan-out tasks go to the same lanes.
 //
 // Flags (assembled into one core::ExercisePlan per job):
 //   --exercise-threads=N   intra-driver parallel exercising (the PR 3
-//                          tentpole): each driver's exercise stage runs on N
-//                          workers. 1 (default) = legacy sequential engine.
+//                          tentpole) on an N-lane batch fleet. 1 (default)
+//                          = legacy sequential engine.
 //   --sub-shards=K         split each step's exploration into K deterministic
 //                          sub-partitions of the enumerated pending pool (the
 //                          PR 8 tentpole) -- shorter critical path, byte-
@@ -21,11 +22,10 @@
 //                          (RDP1 over socketpairs); byte-identical to the
 //                          in-process modes, with in-process failover on any
 //                          worker failure. 0 (default) = in-process.
-//   --fleet=N              replace the static outer x inner split with one
-//                          batch-global N-lane fleet scheduler (the PR 10
-//                          tentpole): all drivers' fan-out tasks share the
-//                          lanes, longest-estimated-chain first. Byte-
-//                          identical to the static split for every N.
+//   --fleet=N              size the batch fleet (the PR 10 tentpole) to N
+//                          lanes instead of the thread count; with threads
+//                          at 1 the drivers run parallel-class on it.
+//                          Byte-identical for every N.
 //   --no-steal             keep fleet tasks on their home lanes (no work
 //                          stealing); byte-identical either way.
 //   --spine-replay         use the PR 3 fan-out strategy (every worker
@@ -46,7 +46,6 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <thread>
 
 #include "bench/bench_common.h"
 #include "hw/faults.h"
@@ -114,9 +113,9 @@ int main(int argc, char** argv) {
     job.config.pci = drivers::DriverPci(t.id);
     job.config.sample_every = 100;  // fine-grained timeline
     job.config.plan = plan;
-    if (plan.fleet >= 1) {
-      // Fleet mode: defer sizing to the batch template so the job joins the
-      // shared scheduler (RunBatch forces the inherited plan parallel-shaped).
+    if (plan.fleet >= 1 && plan.threads == 1) {
+      // --fleet alone: run the parallel class on the fleet (threads = 0 is
+      // parallel on every host; the lanes come from plan.fleet).
       job.config.plan.threads = 0;
     }
     if (log_sink != nullptr) {
@@ -124,28 +123,15 @@ int main(int argc, char** argv) {
     }
     jobs.push_back(std::move(job));
   }
-  // The plan stays explicit per job (the exercised tree must not depend on
-  // the host's core count -- parity/determinism is the claim); the outer
-  // batch pool is capped instead so outer x inner stays within the hardware
-  // budget.
-  core::BatchOptions options;
-  if (plan.threads > 1) {
-    unsigned hw = std::thread::hardware_concurrency();
-    options.concurrency = std::max(1u, (hw == 0 ? 2 : hw) / plan.threads);
-  }
-  if (plan.fleet >= 1) {
-    core::ExercisePlan tpl = plan;
-    if (tpl.threads <= 1) {
-      tpl.threads = 0;  // no explicit budget; RunBatch sizes the inner split
-    }
-    options.plan = tpl;
-  }
+  // The plan stays explicit per job, so the output class never depends on
+  // the host's core count -- parity/determinism is the claim. RunBatch sizes
+  // its one fleet from the jobs' plans.
   auto wall_start = std::chrono::steady_clock::now();
-  core::BatchResult batch = core::RunBatch(jobs, options);
+  core::BatchResult batch = core::RunBatch(jobs);
   double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  const bool parallel = plan.threads > 1 || plan.sub_shards > 0 || plan.worker_processes > 0;
-  printf("(batch: %zu drivers on %u worker threads, exercise-threads=%u, sub-shards=%u, "
+  const bool parallel = batch.fleet_used;
+  printf("(batch: %zu drivers on %u job threads, exercise-threads=%u, sub-shards=%u, "
          "dist-workers=%u, handoff=%s, wall %.1fs)\n",
          batch.jobs.size(), batch.concurrency, plan.threads, plan.sub_shards,
          plan.worker_processes,
@@ -156,7 +142,7 @@ int main(int argc, char** argv) {
          wall_s);
   if (batch.fleet_used) {
     printf("(fleet: workers=%u steal=%s tasks=%u real-steals=%u makespan=%llu "
-           "static-split=%llu)\n",
+           "static-split-model=%llu)\n",
            batch.fleet.workers, batch.fleet.steal ? "on" : "off", batch.fleet.tasks,
            batch.fleet.real_steals, (unsigned long long)batch.fleet.makespan,
            (unsigned long long)batch.fleet.static_makespan);

@@ -41,8 +41,8 @@ void PrintUsage(const char* argv0) {
          "                       driver_<target>.c per backend (stage emit)\n"
          "  --emit-target <os>   emission backend: windows | linux | ucos2 |\n"
          "                       kitos | all (repeatable; default: windows)\n"
-         "  --exercise-threads <n>  parallel exercise workers (1 = sequential,\n"
-         "                       0 = hardware; deterministic for any n >= 2)\n"
+         "  --exercise-threads <n>  parallel exercise lanes (1 = sequential,\n"
+         "                       0 = hardware; byte-identical for any n != 1)\n"
          "  --sub-shards <k>     split each exercise step across k deterministic\n"
          "                       sub-partitions (0 = whole-step fan-out;\n"
          "                       byte-identical for every k >= 1)\n"
@@ -51,7 +51,7 @@ void PrintUsage(const char* argv0) {
          "                       worker failures fail over in-process)\n"
          "  --fleet <n>          schedule fan-out tasks on an n-lane fleet\n"
          "                       scheduler (longest-chain-first queue, work\n"
-         "                       stealing; byte-identical to the static split)\n"
+         "                       stealing; byte-identical for every n)\n"
          "  --no-steal           disable cross-lane stealing in the fleet\n"
          "                       (byte-identical either way)\n"
          "  --faults <spec>      deterministic fault injection while exercising:\n"
@@ -115,9 +115,9 @@ int main(int argc, char** argv) {
       plan.worker_processes = static_cast<unsigned>(atoi(value("--dist-workers")));
     } else if (strcmp(argv[i], "--fleet") == 0) {
       plan.fleet = static_cast<unsigned>(atoi(value("--fleet")));
-      if (plan.fleet >= 1 && plan.threads <= 1) {
+      if (plan.fleet >= 1 && plan.threads == 1) {
         // The fleet schedules the parallel architecture's fan-out tasks;
-        // force a parallel-shaped plan (byte-identical for any count >= 2).
+        // force a parallel-class plan (byte-identical for any count != 1).
         plan.threads = 2;
       }
     } else if (strcmp(argv[i], "--no-steal") == 0) {

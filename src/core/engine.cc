@@ -4,7 +4,6 @@
 #include <atomic>
 #include <functional>
 #include <mutex>
-#include <thread>
 #include <tuple>
 
 #include "core/fanout.h"
@@ -14,7 +13,6 @@
 #include "symex/coverage.h"
 #include "symex/executor.h"
 #include "symex/snapshot.h"
-#include "symex/workqueue.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -105,7 +103,7 @@ StepKnobs SpineStepKnobs(const EngineConfig& c) {
 // reaches via its survivor chain. Sub-shard tasks keep the config's knobs:
 // each enumerated root gets the full per-step gating to itself, so the
 // doubling would multiply, not recover, work. Computed from the config alone
-// so in-process dispatchers and forked dist workers derive identical knobs.
+// so in-process fleet lanes and forked dist workers derive identical knobs.
 StepKnobs FanoutFullKnobs(const EngineConfig& c, uint32_t sub_shards) {
   StepKnobs k = StepKnobs::Of(c);
   if (sub_shards == 0) {
@@ -448,8 +446,7 @@ struct Engine::Impl {
         break;
       }
       std::unique_ptr<ExecutionState> cur = pool.SelectNext();
-      // Operator diagnostics: REVNIC_HEARTBEAT=1 streams exerciser progress.
-      if (getenv("REVNIC_HEARTBEAT") != nullptr && stats.work % 50 == 0) {
+      if (heartbeat && stats.work % 50 == 0) {
         fprintf(stderr,
                 "[hb] step=%s work=%llu pool=%zu pc=0x%x constraints=%zu solver-hits=%llu\n",
                 step.name.c_str(), (unsigned long long)stats.work, pool.NumRunnable(),
@@ -1213,7 +1210,7 @@ struct Engine::Impl {
   // builds the replica substrate(s), hands off the chain state (snapshot
   // restore, or spine-prefix replay when `snapshot` is empty or the restore
   // fails), explores, and returns the sliced segment slot(s). This is the
-  // ONE task body: in-process dispatcher threads call it directly and forked
+  // ONE task body: in-process fleet lanes call it directly and forked
   // dist workers call it on the deserialized work item, so the two modes are
   // byte-identical by construction. `live`/`gwork`/`gfaults` are the
   // coordinator's monitoring hooks (null in a worker process -- monitoring
@@ -1319,21 +1316,22 @@ struct Engine::Impl {
     return out;
   }
 
-  // ---- parallel exercising (resolved plan: threads >= 2, sub-shards, or
-  // worker processes) ----
+  // ---- parallel exercising (ParallelClass(plan)) ----
   //
   // Spine + fan-out: one fast sequential pass chains a completing path
   // through every step; each step's full-budget exploration then runs as an
-  // independent task on the worker pool. Every task owns a full substrate
-  // replica (ExprContext/solver/DBT/WinSim), deterministically replays the
-  // spine prefix it needs, explores its one step, and returns a segment.
+  // independent task on a FleetScheduler -- the batch's shared fleet when
+  // RunBatch injected one, else a private single-job fleet. Every task owns
+  // a full substrate replica (ExprContext/solver/DBT/WinSim),
+  // deterministically replays the spine prefix it needs, explores its one
+  // step, and returns a segment.
   // Segments merge in step order -- never in completion order -- with state
   // ids and sequence numbers rebased per segment, so the merged result is
   // byte-identical for every thread count and schedule.
   // `spine` is the engine's own (already constructed) Impl: it runs the
   // spine pass in place, so the driver load + static analysis its ctor paid
   // are not wasted; only the fan-out replicas build fresh substrates.
-  static EngineResult RunParallel(Impl& spine, unsigned threads) {
+  static EngineResult RunParallel(Impl& spine) {
     struct Shared {
       std::atomic<bool> cancel{false};
       std::atomic<uint64_t> work{0};
@@ -1408,10 +1406,6 @@ struct Engine::Impl {
     // Fan-out task list: one task per (step, sub-shard). Each task returns
     // its slot(s); the canonical merge below lays them out by (step,
     // ordinal), independent of completion order.
-    struct TaskItem {
-      size_t step;
-      uint32_t shard;
-    };
     const uint32_t shards_per_step = sub_shards == 0 ? 1 : sub_shards;
     const size_t total_tasks = steps_total * shards_per_step;
     std::vector<std::vector<FanoutSlot>> step_slots(steps_total);
@@ -1429,12 +1423,11 @@ struct Engine::Impl {
     uint64_t snap_shipped = 0;
     uint64_t snap_reused = 0;
     std::vector<uint64_t> task_works(total_tasks, 0);
-    // Fleet scheduling: a RunBatch-injected shared scheduler wins; otherwise
-    // plan.fleet >= 1 asks for a private single-job fleet (built below, after
-    // the worker pool forks).
+    // A RunBatch-injected shared fleet wins; otherwise the run builds a
+    // private single-job fleet (below, after the worker pool forks).
     FleetScheduler* fleet = config.fleet;
     if (!merged.cancelled) {
-      // Multi-process mode: fork the worker pool BEFORE the dispatcher
+      // Multi-process mode: fork the worker pool BEFORE the fleet's worker
       // threads start (forking a threaded process is fragile; the spine ran
       // on this thread, so this is the quietest point of the run -- though
       // callers like RunBatch may hold outer threads, which is why every
@@ -1482,14 +1475,19 @@ struct Engine::Impl {
           wpool.reset();  // every fork/handshake failed; run fully in-process
         }
       }
-      dist::WorkerPool* dpool = fleet != nullptr ? fleet->dist() : wpool.get();
+      // Under a batch fleet, a job that asked for worker processes uses the
+      // batch's shared pool; an in-process job stays in process.
+      dist::WorkerPool* dpool = wpool.get();
+      if (fleet != nullptr && plan.worker_processes >= 1) {
+        dpool = fleet->dist();
+      }
       workers_forked = dpool != nullptr ? dpool->alive() : 0;
-      // Private single-job fleet (engine run with plan.fleet but no batch):
-      // built AFTER the pool forks -- fork-from-threads stays off the menu.
+      // Private single-job fleet (standalone run): built AFTER the pool
+      // forks -- fork-from-threads stays off the menu.
       std::unique_ptr<FleetScheduler> own_fleet;
-      if (fleet == nullptr && plan.fleet >= 1) {
+      if (fleet == nullptr) {
         FleetScheduler::Options fopts;
-        fopts.workers = plan.fleet;
+        fopts.workers = FleetLanes(plan);
         fopts.steal = plan.steal;
         fopts.dist_pool = dpool;
         own_fleet = std::make_unique<FleetScheduler>(fopts);
@@ -1498,12 +1496,11 @@ struct Engine::Impl {
       }
 
       static const std::vector<uint8_t> kNoSnapshot;
-      // The ONE fan-out item body, shared by the classic dispatcher threads
-      // and the fleet task closures: snapshot selection, dist dispatch with
-      // in-process failover, and canonical result recording are identical
-      // either way -- which is the whole byte-identity argument for the
-      // fleet. `scratch` is the caller's reusable serialization buffer
-      // (satellite: one buffer per worker, no per-task realloc churn).
+      // The fan-out item body every fleet task closure runs: snapshot
+      // selection, dist dispatch with in-process failover, and canonical
+      // result recording are independent of the lane (or the job's steal)
+      // that executes it -- the whole byte-identity argument for the
+      // fleet. `scratch` is the worker's reusable serialization buffer.
       auto run_item = [&](size_t step, uint32_t shard,
                           std::vector<uint8_t>* scratch) -> uint64_t {
         FanoutTask task{step, shard, sub_shards};
@@ -1520,7 +1517,7 @@ struct Engine::Impl {
           if (sub_shards == 0 && dpool == nullptr) {
             // Single consumer per step: moving the blob out frees it as
             // the fan-out progresses instead of holding all S of them
-            // until the last dispatcher finishes.
+            // until the last task finishes.
             local_snapshot = std::move(snapshots[step]);
             snapshot = &local_snapshot;
           } else {
@@ -1581,63 +1578,31 @@ struct Engine::Impl {
         return executed;
       };
 
-      if (fleet != nullptr) {
-        // Fleet path: hand every (step, shard) task to the scheduler --
-        // shared across the whole batch or private to this job -- estimated
-        // at its spine step's measured work split across the shards, and
-        // block until they all ran. The scheduler decides placement only;
-        // run_item records results at canonical positions regardless of
-        // which lane (or which job's steal) executed them.
-        fleet->SetJobSpineWork(config.fleet_job, merged.stats.work);
-        std::vector<FleetScheduler::Task> ftasks;
-        ftasks.reserve(total_tasks);
-        for (size_t k = 0; k < steps_total; ++k) {
-          const uint64_t est =
-              k < step_work.size() ? step_work[k] / shards_per_step : 1;
-          for (uint32_t s = 0; s < shards_per_step; ++s) {
-            FleetScheduler::Task t;
-            t.step = k;
-            t.shard = s;
-            t.estimate = est;
-            t.run = [&run_item, k, s](FleetScheduler::WorkerContext& wc) {
-              return run_item(k, s, &wc.scratch);
-            };
-            ftasks.push_back(std::move(t));
-          }
-        }
-        fleet->RunJobTasks(config.fleet_job, std::move(ftasks));
-        fleet_workers = fleet->workers();
-        fleet_steals = fleet->JobRealSteals(config.fleet_job);
-      } else {
-        symex::WorkQueue<TaskItem> queue;
-        for (size_t k = 0; k < steps_total; ++k) {
-          for (uint32_t s = 0; s < shards_per_step; ++s) {
-            queue.Push({k, s});
-          }
-        }
-        queue.Close();
-        // Dispatchers block while their task runs on a dist worker, so the
-        // multi-process mode needs at least worker_processes of them to keep
-        // every worker busy. Scheduling only -- the merged bytes don't care.
-        unsigned dispatchers =
-            std::max(threads, wpool != nullptr ? plan.worker_processes : 0u);
-        dispatchers = std::max<unsigned>(
-            1, std::min<size_t>(dispatchers, total_tasks));
-        std::vector<std::thread> pool;
-        pool.reserve(dispatchers);
-        for (unsigned t = 0; t < dispatchers; ++t) {
-          pool.emplace_back([&] {
-            std::vector<uint8_t> scratch;  // one serialization buffer per thread
-            TaskItem item;
-            while (queue.PopBlocking(&item)) {
-              run_item(item.step, item.shard, &scratch);
-            }
-          });
-        }
-        for (std::thread& t : pool) {
-          t.join();
+      // Hand every (step, shard) task to the fleet, estimated at its spine
+      // step's measured work split across the shards, and block until they
+      // all ran. The scheduler decides placement only; run_item records
+      // results at canonical positions regardless of which lane (or which
+      // job's steal) executed them.
+      fleet->SetJobSpineWork(config.fleet_job, merged.stats.work);
+      std::vector<FleetScheduler::Task> ftasks;
+      ftasks.reserve(total_tasks);
+      for (size_t k = 0; k < steps_total; ++k) {
+        const uint64_t est =
+            k < step_work.size() ? step_work[k] / shards_per_step : 1;
+        for (uint32_t s = 0; s < shards_per_step; ++s) {
+          FleetScheduler::Task t;
+          t.step = k;
+          t.shard = s;
+          t.estimate = est;
+          t.run = [&run_item, k, s](FleetScheduler::WorkerContext& wc) {
+            return run_item(k, s, &wc.scratch);
+          };
+          ftasks.push_back(std::move(t));
         }
       }
+      fleet->RunJobTasks(config.fleet_job, std::move(ftasks));
+      fleet_workers = fleet->workers();
+      fleet_steals = fleet->JobRealSteals(config.fleet_job);
       // own_fleet (if any) joins its workers here, then wpool goes out of
       // scope: kShutdown + reap before the merge.
     }
@@ -1817,11 +1782,11 @@ struct Engine::Impl {
       merged.parallel.task_works = std::move(task_works);
       if (!config.quiet_parallel_stats && getenv("REVNIC_PARALLEL_STATS") != nullptr) {
         fprintf(stderr,
-                "[parallel-exercise] mode=%s threads=%u sub-shards=%u workers=%u "
+                "[parallel-exercise] mode=%s sub-shards=%u workers=%u "
                 "fleet=%u steals=%u spine=%llu work, replayed-prefix=%llu, "
                 "enum-overhead=%llu, %u segments (sum=%llu max=%llu), tasks=%zu, "
                 "critical path=%llu (%.2fx vs serial merge), failovers=%u\n",
-                spine_replay ? "spine-replay" : "snapshot-restore", threads, sub_shards,
+                spine_replay ? "spine-replay" : "snapshot-restore", sub_shards,
                 workers_forked, fleet_workers, fleet_steals, (unsigned long long)spine_work,
                 (unsigned long long)sum_replayed, (unsigned long long)sum_enum, begun_slots,
                 (unsigned long long)sum_seg, (unsigned long long)max_seg, total_tasks,
@@ -1866,6 +1831,9 @@ struct Engine::Impl {
   std::map<uint32_t, uint64_t> call_counts;
   uint64_t stats_functions_modeled = 0;
   bool cancel_requested = false;
+  // Operator diagnostics: REVNIC_HEARTBEAT=1 streams exerciser progress.
+  // Read once per run, not per state selection.
+  const bool heartbeat = getenv("REVNIC_HEARTBEAT") != nullptr;
 
   // ---- parallel-exercise plumbing ----
   // Shared coverage map to publish fresh blocks into (merged live progress).
@@ -1909,46 +1877,22 @@ struct Engine::Impl {
   hw::FaultStats fault_mark;
 };
 
-ExercisePlan ResolveExercisePlan(const EngineConfig& config) {
-  // The legacy forwarding shims (exercise_threads, spine_replay_fanout,
-  // EngineConfig::faults) are gone; the plan is authoritative. The old
-  // folding also had an ordering quirk -- a legacy field set alongside a
-  // non-default plan field was silently ignored -- which cannot arise
-  // anymore: there is exactly one spelling per knob.
-  return config.plan;
-}
-
 Engine::Engine(const isa::Image& image, const EngineConfig& config)
     : impl_(std::make_unique<Impl>(image, config)) {}
 
 Engine::~Engine() = default;
 
 EngineResult Engine::Run() {
-  const ExercisePlan& plan = impl_->config.plan;
-  unsigned threads = plan.threads;
-  if (threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 2 : hw;
-  }
-  // plan.fleet deliberately does NOT flip a sequential-shaped plan into the
-  // parallel class: fleet scheduling is placement-only within the parallel
-  // architecture (RunBatch forces fleet jobs parallel-shaped; a sequential
-  // job stays sequential and off the fleet, preserving its output class).
-  if (threads <= 1 && plan.sub_shards == 0 && plan.worker_processes == 0) {
+  if (!ParallelClass(impl_->config.plan)) {
     return impl_->Run();  // the legacy sequential exerciser, byte-for-byte
   }
-  return Impl::RunParallel(*impl_, std::max(1u, threads));
+  return Impl::RunParallel(*impl_);
 }
 
 FanoutTaskResult Engine::ExecuteFanoutTask(const isa::Image& image, const EngineConfig& config,
                                            const FanoutTask& task,
                                            const std::vector<uint8_t>& snapshot) {
   return Impl::RunFanoutTask(image, config, task, snapshot, nullptr, nullptr, nullptr);
-}
-
-EngineResult ReverseEngineer(const isa::Image& image, const EngineConfig& config) {
-  Engine engine(image, config);
-  return engine.Run();
 }
 
 }  // namespace revnic::core

@@ -72,13 +72,14 @@ struct EngineConfig {
   symex::StatePool::Options pool;
   symex::Solver::Options solver;
   uint64_t seed = 1;
-  // How the exercise stage is parallelized and perturbed: dispatcher
-  // threads, intra-step sub-shards, fan-out strategy, worker processes, and
-  // the deterministic fault plan -- one struct (see core/exercise_plan.h).
-  // plan.threads == 1 with everything else at its default runs the legacy
-  // sequential exerciser, byte-for-byte. For a fixed seed the merged result
-  // is byte-identical across thread counts, sub-shard counts >= 1, worker
-  // processes, and both fan-out strategies, clean and under faults (the
+  // How the exercise stage is parallelized and perturbed: output class and
+  // fleet lanes, intra-step sub-shards, fan-out strategy, worker processes,
+  // and the deterministic fault plan -- one struct (see
+  // core/exercise_plan.h). plan.threads == 1 with everything else at its
+  // default runs the legacy sequential exerciser, byte-for-byte. For a fixed
+  // seed the merged result is byte-identical across lane counts, sub-shard
+  // counts >= 1, worker processes, and both fan-out strategies, clean and
+  // under faults (the
   // fault schedule is a pure function of plan.faults; the cursor rides in
   // RSS1 snapshots). plan.faults participates in the checkpoint config
   // fingerprint. The pre-PR 9 shims (EngineConfig::exercise_threads,
@@ -106,12 +107,11 @@ struct EngineConfig {
   // polled concurrently from every worker (make it thread-safe; the first
   // observed true sticks and drains the pool).
   std::function<bool()> cancel;
-  // Batch-global fleet scheduling (PR 10). When RunBatch injects a shared
-  // FleetScheduler here, the engine submits its fan-out tasks to it (tagged
-  // fleet_job) instead of spawning its own dispatcher threads; when null and
-  // plan.fleet >= 1, the engine builds a private single-job fleet. Placement
-  // only -- never part of the checkpoint config fingerprint, results stay
-  // byte-identical with or without it.
+  // The fleet a parallel-class run submits its fan-out tasks to (tagged
+  // fleet_job). RunBatch injects its shared batch fleet here; when null the
+  // engine builds a private single-job fleet with FleetLanes(plan) lanes.
+  // Placement only -- never part of the checkpoint config fingerprint,
+  // results stay byte-identical either way.
   FleetScheduler* fleet = nullptr;
   uint32_t fleet_job = 0;
   // Suppress the engine's own REVNIC_PARALLEL_STATS stderr block; RunBatch
@@ -158,11 +158,11 @@ struct EngineStats {
 };
 
 // Parallel/distributed exercising diagnostics, populated whenever the staged
-// parallel architecture runs (resolved plan: threads >= 2, sub_shards >= 1,
-// or worker_processes >= 1). All figures are deterministic work units, not
-// wall-clock; REVNIC_PARALLEL_STATS=1 prints them to stderr. Runtime
-// diagnostic -- not serialized into checkpoints (merged checkpoint bytes stay
-// plan-shape independent within the guarantee grid).
+// parallel architecture runs (ParallelClass(plan)). All figures are
+// deterministic work units, not wall-clock; REVNIC_PARALLEL_STATS=1 prints
+// them to stderr. Runtime diagnostic -- not serialized into checkpoints
+// (merged checkpoint bytes stay plan-shape independent within the guarantee
+// grid).
 struct ParallelExerciseStats {
   uint64_t spine_work = 0;          // sequential spine pass, merged units
   uint64_t max_task_chain = 0;      // heaviest fan-out task (all its replicas)
@@ -175,8 +175,8 @@ struct ParallelExerciseStats {
   uint32_t sub_shards = 0;          // resolved plan.sub_shards
   uint32_t worker_processes = 0;    // workers the coordinator actually forked
   uint32_t failovers = 0;           // shard tasks that fell back in-process
-  // Fleet-scheduler figures (zero when no fleet ran this job).
-  uint32_t fleet_workers = 0;       // shared-pool lanes the job's tasks used
+  // Fleet-scheduler figures.
+  uint32_t fleet_workers = 0;       // lanes of the fleet the job's tasks used
   uint32_t fleet_steals = 0;        // tasks this job ran off their home lane
   // Snapshot-handoff byte accounting (multi-process mode; zero in-process).
   uint64_t handoff_bytes = 0;            // kWork payload bytes sent
@@ -243,7 +243,7 @@ class Engine {
   // Runs the whole script; returns the wiretap output and statistics.
   EngineResult Run();
 
-  // Runs one fan-out task exactly as the in-process dispatcher would:
+  // Runs one fan-out task exactly as an in-process fleet lane would:
   // restore the RSS1 snapshot (or replay the spine prefix), probe the step,
   // and run the owned sub-shard roots. Stateless with respect to any Engine
   // instance -- this is the entry point RunBatch's shared multi-driver
@@ -257,15 +257,6 @@ class Engine {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-// Convenience wrapper.
-EngineResult ReverseEngineer(const isa::Image& image, const EngineConfig& config);
-
-// The effective ExercisePlan for a config. Since PR 9 removed the legacy
-// forwarding shims there is nothing left to fold: the plan IS
-// config.plan, returned as-is so the engine, RunBatch, and the
-// CheckpointStore config fingerprint all key off one accessor.
-ExercisePlan ResolveExercisePlan(const EngineConfig& config);
 
 }  // namespace revnic::core
 

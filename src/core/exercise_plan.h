@@ -8,7 +8,7 @@
 // scatter, every dimension now lives in this one struct:
 //
 //   core::ExercisePlan plan;
-//   plan.threads = 4;            // dispatcher threads
+//   plan.threads = 4;            // parallel class, 4 fleet lanes
 //   plan.sub_shards = 4;         // split heavy steps into K pool partitions
 //   plan.worker_processes = 2;   // hand shard tasks to forked workers (RDP1)
 //   plan.fan_out = core::FanOut::kSnapshotRestore;
@@ -19,13 +19,21 @@
 // of overlap and were removed in PR 9; this struct is now the only spelling
 // (migration table in src/core/README.md).
 //
-// Every plan with the same seed produces byte-identical merged results --
-// across thread counts, sub-shard counts >= 1, worker-process counts, and
-// both fan-out strategies, clean and under faults. The determinism argument
+// A plan selects one of three output classes -- sequential, whole-step
+// parallel (sub_shards == 0) and sub-sharded (sub_shards >= 1) -- through
+// ParallelClass() below, the one predicate the engine, RunBatch and the
+// checkpoint-store fingerprint share. Within a class every plan with the
+// same seed produces byte-identical merged results -- across lane counts,
+// sub-shard counts >= 1, worker-process counts, and both fan-out
+// strategies, clean and under faults. Every parallel-class fan-out task
+// runs on a core::FleetScheduler (core/fleet.h). The determinism argument
 // lives in src/symex/README.md; src/dist/README.md covers the wire protocol
 // and failover semantics of the multi-process mode.
 #ifndef REVNIC_CORE_EXERCISE_PLAN_H_
 #define REVNIC_CORE_EXERCISE_PLAN_H_
+
+#include <algorithm>
+#include <thread>
 
 #include "hw/faults.h"
 
@@ -44,11 +52,12 @@ enum class FanOut {
 };
 
 struct ExercisePlan {
-  // Dispatcher threads for the fan-out phase. 1 (default) = the legacy
-  // sequential exerciser, byte-for-byte -- unless sub_shards or
-  // worker_processes engage the parallel architecture below. 0 = size for
-  // the hardware (and, under RunBatch with a batch-level plan, defer to the
-  // batch's split).
+  // 1 (default) = the legacy sequential exerciser, byte-for-byte -- unless
+  // sub_shards or worker_processes engage the parallel architecture below.
+  // Any other value selects the parallel class and, unless `fleet` is set,
+  // the fan-out lane count; 0 = size the lanes for the hardware (and, under
+  // RunBatch with a batch-level plan, inherit the batch template). The
+  // class never depends on the host: 0 is parallel even on one core.
   unsigned threads = 1;
   // Intra-step sub-sharding: 0 (default) fans out whole steps (one task per
   // script step, the PR 3/4 architecture). K >= 1 splits each step's
@@ -74,23 +83,41 @@ struct ExercisePlan {
   // read-back corruption, DMA stall/bus-error poisoning, perturbed scripted
   // IRQs). Disabled by default. See src/hw/README.md.
   hw::FaultPlan faults;
-  // Batch-global fleet scheduling (PR 10). 0 (default) = the PR 8 static
-  // split: each RunBatch job fans out on its own private dispatcher
-  // threads. N >= 1 on a RunBatch template = one core::FleetScheduler with
-  // N workers shared by every job's fan-out tasks (cross-driver
-  // scheduling); on a standalone engine config, the run's own fan-out goes
-  // through a private single-job fleet (same code path -- what
-  // driver_inspector --fleet uses). Placement and timing only: merged
-  // bytes are independent of fleet (and steal), so neither knob enters the
-  // checkpoint config fingerprint.
+  // Fleet lanes for the fan-out tasks; see FleetLanes(). 0 (default) =
+  // size from `threads`. On a RunBatch template it sizes the one fleet
+  // every parallel-class job of the batch shares (cross-driver
+  // scheduling); on a standalone engine config, the run's private
+  // single-job fleet. Placement and timing only: merged bytes are
+  // independent of fleet (and steal), so neither knob enters the
+  // checkpoint config fingerprint, and fleet alone never makes a
+  // sequential plan parallel.
   unsigned fleet = 0;
-  // Cross-driver work stealing (fleet >= 1 only): true (default) lets an
-  // idle fleet worker take the longest-estimated queued task from any
-  // job's lane; false pins every task to the lane it was placed on at
-  // submission. Scheduling only -- byte-identical either way (pinned by
-  // tests/dist_test.cc).
+  // Cross-driver work stealing: true (default) lets an idle fleet worker
+  // take the longest-estimated queued task from any job's lane; false pins
+  // every task to the lane it was placed on at submission. Scheduling only
+  // -- byte-identical either way (pinned by tests/dist_test.cc).
   bool steal = true;
 };
+
+// The output class: true for the parallel architecture (spine + fan-out),
+// false for the legacy sequential exerciser. threads == 0 is parallel on
+// every host, so the class -- and the checkpoint bytes -- are
+// machine-independent.
+inline bool ParallelClass(const ExercisePlan& plan) {
+  return plan.threads != 1 || plan.sub_shards >= 1 || plan.worker_processes >= 1;
+}
+
+// Fleet lanes a parallel-class plan asks for: plan.fleet if set, else
+// plan.threads (0 = hardware concurrency), and never fewer than
+// worker_processes -- a lane blocks while its task runs on a worker
+// process, so fewer lanes would leave workers idle.
+inline unsigned FleetLanes(const ExercisePlan& plan) {
+  unsigned lanes = plan.fleet != 0 ? plan.fleet : plan.threads;
+  if (lanes == 0) {
+    lanes = std::max(1u, std::thread::hardware_concurrency());
+  }
+  return std::max(lanes, plan.worker_processes);
+}
 
 }  // namespace revnic::core
 

@@ -1,7 +1,7 @@
 // Fan-out task descriptors + their RDP1 payload encodings (PR 8).
 //
 // Under the staged parallel exerciser a fan-out task is one (script step,
-// sub-shard) pair. The in-process dispatcher and the forked dist workers run
+// sub-shard) pair. The in-process fleet lanes and the forked dist workers run
 // the exact same task entry point (core::Engine's RunFanoutTask) on the same
 // inputs; this header defines the task/result structs and the byte encodings
 // that carry them across the RDP1 socket (src/dist/wire.h). The result
@@ -63,8 +63,7 @@ struct FanoutTaskResult {
 // spine-replay strategy; the worker re-executes the prefix instead.
 //
 // SerializeFanoutWorkInto writes into *out in place (cleared, capacity
-// kept): the fan-out path keeps ONE such buffer per dispatcher/fleet
-// worker, so steady-state handoff does no per-task reallocation.
+// kept): the fan-out path keeps ONE such buffer per fleet worker, so steady-state handoff does no per-task reallocation.
 void SerializeFanoutWorkInto(uint32_t job, const FanoutTask& task,
                              const std::string& context_key,
                              const std::vector<uint8_t>& snapshot,

@@ -1,27 +1,28 @@
-// FleetScheduler: one worker pool shared by a whole RunBatch (PR 10).
+// FleetScheduler: the one scheduler for parallel exercising's fan-out tasks.
 //
-// Before this, every RunBatch job owned a private static slice of the
-// machine (outer x inner thread split): a driver that finished early left
-// its threads idle while the heaviest driver's tail ran alone, and sub-shard
-// skew (splitmix64 root assignment) leaves some (step, shard) tasks 2-3x
-// heavier than others. The fleet replaces the split with one batch-global
-// scheduler: every job submits its (step, shard) fan-out tasks here, tasks
-// queue per-lane in longest-estimated-chain-first order, and -- with
-// stealing on -- an idle worker takes the best queued task of ANY job.
+// A parallel-class engine run splits into a spine plus independent
+// (step, shard) fan-out tasks; every such task runs on a fleet. RunBatch
+// builds ONE fleet shared by all of its parallel-class jobs (cross-driver
+// scheduling); a standalone Engine run builds a private single-job fleet.
+// Tasks queue per lane in longest-estimated-chain-first order and -- with
+// stealing on -- an idle worker takes the best queued task of ANY job, so a
+// driver that finishes early never leaves its lanes idle while the heaviest
+// driver's tail runs alone, and sub-shard skew (splitmix64 root assignment
+// leaves some tasks 2-3x heavier than others) evens out.
 //
 // Determinism. Scheduling changes placement and timing, never results:
 // every fan-out task is a pure function of its RSS1 snapshot, and the
 // engine's canonical merge walks fixed (step, slot-ordinal) positions, so
 // merged checkpoints are byte-identical for every fleet size, stealing
 // on/off, in-process and multi-process (tests/dist_test.cc pins the grid).
-// Because wall-clock on the 1-core CI box proves nothing, the reported
-// batch makespan is a deterministic virtual placement computed after the
-// run from the RECORDED per-task work units (executed translation blocks,
-// machine-independent): LPT over actual work for the stealing fleet,
-// estimate-greedy home placement for the non-stealing fleet, and the best
-// outer x inner split of the same records for the PR 8 baseline. Live
-// dispatch follows the same policies dynamically; its actual interleaving
-// is monitoring-only (FleetBatchStats::real_steals).
+// The reported batch makespan is a deterministic virtual placement computed
+// after the run from the RECORDED per-task work units (executed translation
+// blocks, machine-independent): LPT over actual work for the stealing
+// fleet, estimate-greedy home placement for the non-stealing fleet, and, as
+// a model of the outer x inner thread split the fleet replaced (no longer
+// run), the best such split of the same records. Live dispatch follows the
+// same policies dynamically; its actual interleaving is monitoring-only
+// (FleetBatchStats::real_steals).
 //
 // Estimates come from recorded per-task work units: the engine seeds each
 // task with its spine step's measured work (recorded during the spine
@@ -67,7 +68,7 @@ struct FleetBatchStats {
   uint64_t total_task_work = 0;   // summed fan-out work units
   uint64_t max_spine_work = 0;    // heaviest job spine
   uint64_t makespan = 0;          // configured mode (steal or no-steal model)
-  uint64_t static_makespan = 0;   // best PR 8 outer x inner split, same records
+  uint64_t static_makespan = 0;   // model: best outer x inner split, same records
   uint64_t no_steal_makespan = 0; // estimate-greedy home placement
   uint64_t steal_makespan = 0;    // LPT over actual per-task work
   uint32_t virtual_steals = 0;    // tasks the LPT model places off-home

@@ -20,11 +20,8 @@ namespace {
 constexpr uint32_t kCheckpointMagic = 0x31504352;  // "RCP1"
 // Version history: 1 = PR 2 layout; 2 = v1 + optional final-state snapshot
 // section; 3 = v2 + per-sample fault counts in the timeline and a FaultStats
-// block after the substrate counters. The loader accepts all three (the
-// ROADMAP's version-lock note asked for a backward-compat shim on format
-// changes); pre-v3 blobs load with zeroed fault counters.
-constexpr uint32_t kCheckpointVersionV1 = 1;
-constexpr uint32_t kCheckpointVersionV2 = 2;
+// block after the substrate counters. Only version 3 is written or read; a
+// v1/v2 blob fails closed with "unsupported checkpoint version".
 constexpr uint32_t kCheckpointVersion = 3;
 
 void PutU32Set(trace::ByteWriter& w, const std::set<uint32_t>& s) {
@@ -225,21 +222,21 @@ bool Session::WriteOutputs(const std::string& dir, std::string* error) {
 
 // ---- checkpoint format ----
 //
-// "RCP1" | version | label | TraceBundle | entries | coverage | timeline |
-// engine/solver/executor/substrate counters | (v3) fault counters | call
-// counts | apis | flags | (v2+) optional final-state "RSS1" snapshot.
-// v3 timeline samples are 24 bytes (work, covered, faults); earlier are 16.
+// "RCP1" | version 3 | label | TraceBundle | entries | coverage | timeline |
+// engine/solver/executor/substrate counters | fault counters | call counts |
+// apis | flags | optional final-state "RSS1" snapshot. Timeline samples are
+// 24 bytes (work, covered, faults).
 // Everything the downstream stages and run reports consume; downstream
 // output depends only on the bundle + entry table, so resume reproduces
 // straight-through results byte-for-byte.
 
-std::vector<uint8_t> Session::SaveCheckpoint(bool legacy_v1) const {
+std::vector<uint8_t> Session::SaveCheckpoint() const {
   if (stage_ < Stage::kExercised) {
     return {};  // nothing to checkpoint; LoadCheckpoint rejects the empty blob
   }
   trace::ByteWriter w;
   w.U32(kCheckpointMagic);
-  w.U32(legacy_v1 ? kCheckpointVersionV1 : kCheckpointVersion);
+  w.U32(kCheckpointVersion);
   w.Str(label_);
   trace::SerializeTo(engine_.bundle, &w);
 
@@ -257,9 +254,7 @@ std::vector<uint8_t> Session::SaveCheckpoint(bool legacy_v1) const {
   for (const CoverageSample& s : engine_.timeline) {
     w.U64(s.work);
     w.U64(s.covered_blocks);
-    if (!legacy_v1) {
-      w.U64(s.faults);
-    }
+    w.U64(s.faults);
   }
 
   const EngineStats& es = engine_.stats;
@@ -283,15 +278,13 @@ std::vector<uint8_t> Session::SaveCheckpoint(bool legacy_v1) const {
                      sc.dbt_cache_hits, sc.dbt_cache_misses}) {
     w.U64(v);
   }
-  if (!legacy_v1) {
-    // v3: fault-injection counters (the substrate's fault_decisions /
-    // faults_injected are derived from these at load, not stored twice).
-    const hw::FaultStats& fs = engine_.fault_stats;
-    for (uint64_t v : {fs.decisions, fs.irq_dropped, fs.irq_duplicated, fs.irq_delayed,
-                       fs.dma_read_stalls, fs.dma_write_drops, fs.bus_errors,
-                       fs.reg_corruptions, fs.frames_truncated, fs.frames_oversized}) {
-      w.U64(v);
-    }
+  // Fault-injection counters (the substrate's fault_decisions /
+  // faults_injected are derived from these at load, not stored twice).
+  const hw::FaultStats& fs = engine_.fault_stats;
+  for (uint64_t v : {fs.decisions, fs.irq_dropped, fs.irq_duplicated, fs.irq_delayed,
+                     fs.dma_read_stalls, fs.dma_write_drops, fs.bus_errors, fs.reg_corruptions,
+                     fs.frames_truncated, fs.frames_oversized}) {
+    w.U64(v);
   }
 
   w.U32(static_cast<uint32_t>(engine_.call_counts.size()));
@@ -302,12 +295,10 @@ std::vector<uint8_t> Session::SaveCheckpoint(bool legacy_v1) const {
   w.U64(engine_.functions_modeled);
   PutU32Set(w, engine_.apis_used);
   w.U8(engine_.cancelled ? 1 : 0);
-  if (!legacy_v1) {
-    w.U8(engine_.final_snapshot.empty() ? 0 : 1);
-    if (!engine_.final_snapshot.empty()) {
-      w.U32(static_cast<uint32_t>(engine_.final_snapshot.size()));
-      w.Raw(engine_.final_snapshot.data(), engine_.final_snapshot.size());
-    }
+  w.U8(engine_.final_snapshot.empty() ? 0 : 1);
+  if (!engine_.final_snapshot.empty()) {
+    w.U32(static_cast<uint32_t>(engine_.final_snapshot.size()));
+    w.Raw(engine_.final_snapshot.data(), engine_.final_snapshot.size());
   }
   return w.Take();
 }
@@ -323,8 +314,7 @@ std::unique_ptr<Session> Session::LoadCheckpoint(const std::vector<uint8_t>& byt
   if (!r.U32(&magic) || magic != kCheckpointMagic) {
     return fail("bad checkpoint magic");
   }
-  if (!r.U32(&version) || (version != kCheckpointVersionV1 &&
-                           version != kCheckpointVersionV2 && version != kCheckpointVersion)) {
+  if (!r.U32(&version) || version != kCheckpointVersion) {
     return fail("unsupported checkpoint version");
   }
   std::unique_ptr<Session> s(new Session());
@@ -361,18 +351,13 @@ std::unique_ptr<Session> Session::LoadCheckpoint(const std::vector<uint8_t>& byt
   if (!r.U32(&n)) {
     return fail("truncated timeline");
   }
-  // 16 bytes per sample through v2; v3 appends the per-sample fault count.
-  size_t sample_bytes = version >= kCheckpointVersion ? 24 : 16;
-  if (n > r.remaining() / sample_bytes) {
+  if (n > r.remaining() / 24) {  // 24 bytes per serialized sample
     return fail("implausible timeline count");
   }
   e.timeline.resize(n);
   for (CoverageSample& sample : e.timeline) {
     uint64_t covered;
-    if (!r.U64(&sample.work) || !r.U64(&covered)) {
-      return fail("truncated coverage sample");
-    }
-    if (version >= kCheckpointVersion && !r.U64(&sample.faults)) {
+    if (!r.U64(&sample.work) || !r.U64(&covered) || !r.U64(&sample.faults)) {
       return fail("truncated coverage sample");
     }
     sample.covered_blocks = static_cast<size_t>(covered);
@@ -399,20 +384,18 @@ std::unique_ptr<Session> Session::LoadCheckpoint(const std::vector<uint8_t>& byt
       return fail("truncated counters");
     }
   }
-  if (version >= kCheckpointVersion) {
-    hw::FaultStats& fs = e.fault_stats;
-    for (uint64_t* v : {&fs.decisions, &fs.irq_dropped, &fs.irq_duplicated, &fs.irq_delayed,
-                        &fs.dma_read_stalls, &fs.dma_write_drops, &fs.bus_errors,
-                        &fs.reg_corruptions, &fs.frames_truncated, &fs.frames_oversized}) {
-      if (!r.U64(v)) {
-        return fail("truncated fault stats");
-      }
+  hw::FaultStats& fs = e.fault_stats;
+  for (uint64_t* v : {&fs.decisions, &fs.irq_dropped, &fs.irq_duplicated, &fs.irq_delayed,
+                      &fs.dma_read_stalls, &fs.dma_write_drops, &fs.bus_errors,
+                      &fs.reg_corruptions, &fs.frames_truncated, &fs.frames_oversized}) {
+    if (!r.U64(v)) {
+      return fail("truncated fault stats");
     }
-    // Invariant maintained by the engine: the substrate's fault fields are
-    // projections of FaultStats, so they are derived here instead of stored.
-    sc.fault_decisions = fs.decisions;
-    sc.faults_injected = fs.TotalInjected();
   }
+  // Invariant maintained by the engine: the substrate's fault fields are
+  // projections of FaultStats, so they are derived here instead of stored.
+  sc.fault_decisions = fs.decisions;
+  sc.faults_injected = fs.TotalInjected();
 
   if (!r.U32(&n)) {
     return fail("truncated call counts");
@@ -430,20 +413,18 @@ std::unique_ptr<Session> Session::LoadCheckpoint(const std::vector<uint8_t>& byt
     return fail("truncated checkpoint tail");
   }
   e.cancelled = cancelled != 0;
-  if (version >= kCheckpointVersionV2) {
-    uint8_t has_snapshot;
-    if (!r.U8(&has_snapshot)) {
-      return fail("truncated snapshot flag");
+  uint8_t has_snapshot;
+  if (!r.U8(&has_snapshot)) {
+    return fail("truncated snapshot flag");
+  }
+  if (has_snapshot != 0) {
+    uint32_t size;
+    if (!r.U32(&size) || size != r.remaining()) {
+      return fail("bad snapshot section size");
     }
-    if (has_snapshot != 0) {
-      uint32_t size;
-      if (!r.U32(&size) || size != r.remaining()) {
-        return fail("bad snapshot section size");
-      }
-      e.final_snapshot.resize(size);
-      if (!r.Raw(e.final_snapshot.data(), size)) {
-        return fail("truncated snapshot section");
-      }
+    e.final_snapshot.resize(size);
+    if (!r.Raw(e.final_snapshot.data(), size)) {
+      return fail("truncated snapshot section");
     }
   }
   if (r.remaining() != 0) {
@@ -496,18 +477,18 @@ std::unique_ptr<Session> Session::LoadCheckpointFile(const std::string& path,
 namespace {
 
 // One aggregated REVNIC_PARALLEL_STATS block for the whole batch (the
-// engine's per-job print is suppressed by quiet_parallel_stats): per-driver
-// rows in input order, then fleet totals with the deterministic virtual
-// makespans (core/fleet.h).
+// engine's per-job print is suppressed by quiet_parallel_stats): one row per
+// fleet job in input order, then fleet totals with the deterministic virtual
+// makespans (core/fleet.h). An all-sequential batch prints nothing.
 void PrintBatchParallelStats(const BatchResult& batch) {
-  uint64_t total_tasks = 0;
-  uint64_t total_steals = 0;
-  uint64_t total_failovers = 0;
+  if (!batch.fleet_used) {
+    return;
+  }
   for (const BatchJobResult& j : batch.jobs) {
     const ParallelExerciseStats& p = j.result.engine.parallel;
-    total_tasks += p.tasks;
-    total_steals += p.fleet_steals;
-    total_failovers += p.failovers;
+    if (p.tasks == 0) {
+      continue;  // a sequential job, off the fleet
+    }
     fprintf(stderr,
             "[batch-parallel] job=%s spine=%llu tasks=%u critical=%llu "
             "steals=%u failovers=%u handoff=%lluB reused=%lluB\n",
@@ -516,21 +497,15 @@ void PrintBatchParallelStats(const BatchResult& batch) {
             (unsigned long long)p.handoff_bytes,
             (unsigned long long)p.snapshot_bytes_reused);
   }
-  if (batch.fleet_used) {
-    const FleetBatchStats& f = batch.fleet;
-    fprintf(stderr,
-            "[batch-parallel] fleet workers=%u steal=%s tasks=%u steals=%u "
-            "(virtual=%u) failovers=%u makespan=%llu "
-            "(static=%llu no-steal=%llu steal=%llu spine-floor=%llu)\n",
-            f.workers, f.steal ? "on" : "off", f.tasks, f.real_steals, f.virtual_steals,
-            f.failovers, (unsigned long long)f.makespan,
-            (unsigned long long)f.static_makespan, (unsigned long long)f.no_steal_makespan,
-            (unsigned long long)f.steal_makespan, (unsigned long long)f.max_spine_work);
-  } else {
-    fprintf(stderr, "[batch-parallel] static split: tasks=%llu steals=%llu failovers=%llu\n",
-            (unsigned long long)total_tasks, (unsigned long long)total_steals,
-            (unsigned long long)total_failovers);
-  }
+  const FleetBatchStats& f = batch.fleet;
+  fprintf(stderr,
+          "[batch-parallel] fleet workers=%u steal=%s tasks=%u steals=%u "
+          "(virtual=%u) failovers=%u makespan=%llu "
+          "(virtual models: static=%llu no-steal=%llu steal=%llu spine-floor=%llu)\n",
+          f.workers, f.steal ? "on" : "off", f.tasks, f.real_steals, f.virtual_steals,
+          f.failovers, (unsigned long long)f.makespan, (unsigned long long)f.static_makespan,
+          (unsigned long long)f.no_steal_makespan, (unsigned long long)f.steal_makespan,
+          (unsigned long long)f.max_spine_work);
 }
 
 }  // namespace
@@ -541,65 +516,57 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
   if (jobs.empty()) {
     return batch;
   }
-  // Fleet mode (PR 10): one shared scheduler (and one shared worker pool)
-  // for the whole batch instead of a static per-job thread slice.
-  const bool fleet_mode = options.plan && options.plan->fleet >= 1;
+  // Effective per-job configs, resolved up front: the shared worker pool
+  // forks before any batch thread starts, and the forked handler needs the
+  // final job table (image + resolved config per job). Jobs that deferred
+  // their sizing (plan.threads == 0) inherit the template's plan but keep
+  // their own fault plan: deferring the sizing must not silently swap which
+  // faults a job runs under. Every parallel-class job joins the batch fleet.
+  std::vector<EngineConfig> eff(jobs.size());
+  unsigned job_lanes = 0;
+  unsigned worker_processes = 0;
+  bool steal = true;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    eff[i] = jobs[i].config;
+    EngineConfig& cfg = eff[i];
+    if (options.plan && cfg.plan.threads == 0) {
+      hw::FaultPlan job_faults = cfg.plan.faults;
+      cfg.plan = *options.plan;
+      if (job_faults.Enabled()) {
+        cfg.plan.faults = job_faults;
+      }
+    }
+    if (ParallelClass(cfg.plan)) {
+      job_lanes = std::max(job_lanes, FleetLanes(cfg.plan));
+      worker_processes = std::max(worker_processes, cfg.plan.worker_processes);
+      steal = steal && cfg.plan.steal;
+    }
+  }
+  const bool fleet_mode = job_lanes != 0;
+
   unsigned concurrency = options.concurrency;
-  if (concurrency == 0) {
+  if (concurrency == 0 && fleet_mode) {
+    // Job threads mostly sleep inside RunJobTasks while the fleet executes;
+    // one thread per job keeps every spine overlapped with the fan-out.
+    concurrency = static_cast<unsigned>(jobs.size());
+  } else if (concurrency == 0) {
     unsigned hw = std::thread::hardware_concurrency();
     concurrency = hw == 0 ? 2 : hw;
   }
   // An explicit request is honored even beyond the core count (workers just
   // timeslice); there is never a point in more workers than jobs.
   concurrency = std::min(concurrency, static_cast<unsigned>(jobs.size()));
-  if (fleet_mode) {
-    // Job threads mostly sleep inside RunJobTasks while the fleet executes;
-    // one thread per job keeps every spine overlapped with the fan-out.
-    concurrency = static_cast<unsigned>(jobs.size());
-  }
   batch.concurrency = concurrency;
-  // Outer x inner thread split: jobs that deferred their exercise-stage
-  // sizing (plan.threads == 0) inherit the batch plan template with the
-  // global budget shared evenly across the outer workers.
-  const unsigned budget = options.plan ? options.plan->threads : 0;
-  unsigned inner_threads = budget == 0 ? 0 : std::max(1u, budget / concurrency);
 
-  // Effective per-job configs, resolved up front: fleet mode forks the
-  // shared worker pool before any batch thread starts, and the forked
-  // handler needs the final job table (image + resolved config per job).
-  std::vector<EngineConfig> eff(jobs.size());
-  std::vector<bool> on_fleet(jobs.size(), false);
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    eff[i] = jobs[i].config;
-    EngineConfig& cfg = eff[i];
-    if (cfg.plan.threads == 0 && (inner_threads != 0 || fleet_mode)) {
-      // Inherit the template's parallelism shape, but keep the job's own
-      // fault plan: deferring the thread split must not silently swap
-      // which faults a job runs under (the pre-PR 9 folding did exactly
-      // that when the template carried faults). Under fleet scheduling the
-      // inherited plan is forced parallel-shaped (threads >= 2) so the job
-      // takes the engine's parallel path -- which the byte-identity
-      // guarantee already pins equal to every other parallel shape --
-      // regardless of how small the divided budget is.
-      hw::FaultPlan job_faults = cfg.plan.faults;
-      cfg.plan = *options.plan;
-      cfg.plan.threads = fleet_mode ? std::max(2u, inner_threads) : inner_threads;
-      if (job_faults.Enabled()) {
-        cfg.plan.faults = job_faults;
-      }
-      on_fleet[i] = fleet_mode;
-    }
-  }
-
-  // Shared RDP1 worker pool, forked while this process is still
-  // single-threaded (the quietest fork point RunBatch has; the job table
-  // crosses into the children via fork, so only snapshots ever cross the
-  // wire). Work items carry their batch job index -- one pool serves every
-  // driver.
+  // Shared RDP1 worker pool, sized to the largest worker_processes any fleet
+  // job asked for and forked while this process is still single-threaded
+  // (the quietest fork point RunBatch has; the job table crosses into the
+  // children via fork, so only snapshots ever cross the wire). Work items
+  // carry their batch job index -- one pool serves every driver.
   std::unique_ptr<dist::WorkerPool> pool;
   std::unique_ptr<FleetScheduler> fleet;
   if (fleet_mode) {
-    if (options.plan->worker_processes >= 1) {
+    if (worker_processes >= 1) {
       struct ChildJob {
         const isa::Image* image;
         EngineConfig cfg;
@@ -615,7 +582,7 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
         table->push_back({jobs[i].image, std::move(child_cfg)});
       }
       dist::WorkerPool::Options wopts;
-      wopts.workers = options.plan->worker_processes;
+      wopts.workers = worker_processes;
       pool = std::make_unique<dist::WorkerPool>(
           wopts, [table](const dist::ContextCache& contexts, const std::vector<uint8_t>& work,
                          std::vector<uint8_t>* reply, std::string* err) {
@@ -648,9 +615,11 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
         pool.reset();  // every fork/handshake failed; fleet runs in-process
       }
     }
+    // Lanes and stealing come from the fleet jobs' effective plans (a job
+    // that deferred its sizing already carries the template's).
     FleetScheduler::Options fopts;
-    fopts.workers = options.plan->fleet;
-    fopts.steal = options.plan->steal;
+    fopts.workers = job_lanes;
+    fopts.steal = steal;
     fopts.dist_pool = pool.get();
     fleet = std::make_unique<FleetScheduler>(fopts);
     for (size_t i = 0; i < jobs.size(); ++i) {
@@ -671,7 +640,7 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
         EngineConfig cfg = eff[i];
         // RunBatch reports one aggregated stats block after the join.
         cfg.quiet_parallel_stats = true;
-        if (fleet != nullptr && on_fleet[i]) {
+        if (ParallelClass(cfg.plan)) {
           cfg.fleet = fleet.get();
           cfg.fleet_job = static_cast<uint32_t>(i);
         }
@@ -717,14 +686,6 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
     PrintBatchParallelStats(batch);
   }
   return batch;
-}
-
-BatchResult RunBatch(const std::vector<BatchJob>& jobs, unsigned concurrency,
-                     const std::function<void(const BatchJobResult&)>& on_job_done) {
-  BatchOptions options;
-  options.concurrency = concurrency;
-  options.on_job_done = on_job_done;
-  return RunBatch(jobs, options);
 }
 
 std::function<void(const CoverageSample&)> MakeCoverageJsonlLogger(JsonlWriter* sink,
@@ -776,18 +737,15 @@ std::string ConfigFingerprint(const EngineConfig& c) {
   mix(c.cancel ? 1 : 0);
   // Presence of the final-state snapshot changes the checkpoint bytes.
   mix(c.capture_final_snapshot ? 1 : 0);
-  // Sharding/worker/fault configuration is folded through the *resolved*
-  // plan, so the legacy-field and plan spellings of the same run share a key
-  // (and a plan-only fault spec cannot alias a fault-free run). The fault
-  // plan reshapes the explored tree; rates are mixed as raw IEEE-754 bits --
-  // any representational change is a schedule change. plan.fan_out
-  // deliberately is NOT mixed: both handoff strategies produce
+  // The fault plan reshapes the explored tree; rates are mixed as raw
+  // IEEE-754 bits -- any representational change is a schedule change.
+  // plan.fan_out deliberately is NOT mixed: both handoff strategies produce
   // byte-identical results (tests/snapshot_test.cc), so their checkpoints
-  // are interchangeable. Ditto worker_processes beyond the parallel class,
-  // and PR 10's plan.fleet / plan.steal (placement-only; pinned
+  // are interchangeable. Ditto threads and worker_processes beyond the
+  // parallel class, and plan.fleet / plan.steal (placement-only; pinned
   // byte-identical by tests/dist_test.cc) -- but sub_shards changes the
   // merged slot layout, so its exact value is output-relevant.
-  const ExercisePlan plan = ResolveExercisePlan(c);
+  const ExercisePlan& plan = c.plan;
   mix(plan.faults.seed);
   for (double rate : plan.faults.rates) {
     uint64_t bits;
@@ -797,18 +755,11 @@ std::string ConfigFingerprint(const EngineConfig& c) {
   }
   mix(plan.sub_shards);
   // Parallel exercising changes the explored tree, so the architecture is
-  // output-relevant -- but every thread count >= 2 (and any worker-process
-  // count) produces byte-identical results, so the key only distinguishes
-  // the sequential engine from the parallel one, resolving 0 the same way
-  // Engine::Run does.
-  unsigned threads = plan.threads;
-  if (threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 2 : hw;
-  }
-  const bool parallel =
-      threads >= 2 || plan.sub_shards >= 1 || plan.worker_processes >= 1;
-  mix(parallel ? 2 : 1);
+  // output-relevant -- but every lane count (and any worker-process count)
+  // produces byte-identical results, so the key only distinguishes the
+  // sequential engine from the parallel one, through the same predicate
+  // Engine::Run uses.
+  mix(ParallelClass(plan) ? 2 : 1);
   // Container sizes are mixed before their elements so adjacent
   // variable-length fields cannot alias each other's streams.
   mix(c.skip_apis.size());

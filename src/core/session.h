@@ -17,13 +17,12 @@
 // output persists as a serialized blob that a fresh Session loads to re-run
 // only the downstream stages, byte-identically.
 //
-// RunBatch() drives N driver images concurrently on a thread pool; each job
-// gets its own Session (and therefore its own ExprContext/solver/DBT -- the
-// substrate has no shared mutable state), and cache counters are aggregated
-// across jobs.
+// RunBatch() drives N driver images concurrently; each job gets its own
+// Session (and therefore its own ExprContext/solver/DBT -- the substrate has
+// no shared mutable state), every parallel-class job's fan-out runs on one
+// shared FleetScheduler, and cache counters are aggregated across jobs.
 //
-// The legacy entry points RunPipeline()/ReverseEngineer() survive as thin
-// wrappers over Session; see README.md for the migration table.
+// README.md has the migration table for the removed one-shot entry points.
 #ifndef REVNIC_CORE_SESSION_H_
 #define REVNIC_CORE_SESSION_H_
 
@@ -135,12 +134,11 @@ class Session {
   // returns an empty blob (which LoadCheckpoint rejects) and
   // SaveCheckpointFile() fails with an error.
   //
-  // Format "RCP1" version 2: version 1 (PR 2) plus an optional trailing
-  // snapshot section carrying the engine's final chain state (the "RSS1"
-  // blob from EngineResult::final_snapshot). The loader accepts both
-  // versions; pass `legacy_v1 = true` to emit the exact version-1 byte
-  // stream (no snapshot section) for consumers pinned to the old format.
-  std::vector<uint8_t> SaveCheckpoint(bool legacy_v1 = false) const;
+  // Format "RCP1" version 3, with an optional trailing snapshot section
+  // carrying the engine's final chain state (the "RSS1" blob from
+  // EngineResult::final_snapshot). Version 1 and 2 blobs are rejected with
+  // "unsupported checkpoint version".
+  std::vector<uint8_t> SaveCheckpoint() const;
   bool SaveCheckpointFile(const std::string& path, std::string* error) const;
   // A fresh Session at Stage::kExercised, reconstructed from a checkpoint.
   // Downstream stages produce byte-identical output vs the original session.
@@ -190,9 +188,9 @@ struct BatchJobResult {
 struct BatchResult {
   std::vector<BatchJobResult> jobs;  // input order
   perf::SubstrateCounters aggregate; // cache counters summed across jobs
-  unsigned concurrency = 0;          // worker threads actually used
-  // Fleet-scheduler batch stats (PR 10): populated when the template plan
-  // asked for fleet scheduling (plan.fleet >= 1). Every makespan is a
+  unsigned concurrency = 0;          // job threads actually used
+  // Fleet-scheduler batch stats: populated when any job ran parallel-class
+  // (an all-sequential batch starts no fleet). Every makespan is a
   // deterministic virtual placement over recorded work units -- see
   // core/fleet.h. Zero/false otherwise.
   bool fleet_used = false;
@@ -208,45 +206,36 @@ struct BatchResult {
 };
 
 struct BatchOptions {
-  // Outer, driver-level workers (0 = one per job, capped at hardware
-  // concurrency).
+  // Job threads, never more than jobs. 0 = one per job capped at hardware
+  // concurrency, or one per job uncapped when the batch has a fleet (those
+  // threads run the spines and otherwise wait on the fleet). An explicit
+  // value is honored in both cases, e.g. 1 to bound peak memory.
   unsigned concurrency = 0;
-  // Batch-wide ExercisePlan template. Its `threads` is the global budget
-  // shared between the outer batch dimension and each job's inner exercise
-  // stage: every job whose own plan left threads at 0 ("size for me")
-  // inherits this plan with threads = max(1, threads / outer_workers), so
-  // outer x inner never oversubscribes the budget. The template's
-  // sub-shards / fan-out / worker-process settings pass through to those
-  // jobs unchanged, but a deferring job's own *fault* plan survives the
-  // inheritance -- faults are a semantic choice, not a sizing one. Jobs
-  // with an explicit thread count keep their whole plan untouched. (The
-  // deprecated threads-only `thread_budget` spelling was removed in PR 9;
-  // see the migration table in src/core/README.md.)
+  // Batch-wide ExercisePlan template. Every job whose own plan left
+  // threads at 0 ("size for me") inherits this plan, except that a
+  // deferring job's own *fault* plan survives the inheritance -- faults are
+  // a semantic choice, not a sizing one. Jobs with an explicit thread count
+  // keep their whole plan untouched.
   //
-  // Fleet scheduling (PR 10): a template with plan.fleet >= 1 replaces the
-  // static outer x inner split with ONE shared FleetScheduler (plan.fleet
-  // worker lanes, plan.steal stealing) plus ONE shared RDP1 worker pool when
-  // plan.worker_processes >= 1, forked before any batch thread starts. Jobs
-  // that deferred their sizing (plan.threads == 0) join the fleet (their
-  // inherited plan gets threads = max(2, budget/outer) so they take the
-  // parallel engine path); jobs with an explicit plan run exactly as
-  // before, off the fleet. Scheduling is placement-only -- merged bytes are
-  // pinned identical across fleet sizes, stealing on/off, and process
-  // counts -- and RunBatch prints one aggregated REVNIC_PARALLEL_STATS
-  // block for the whole batch instead of one per job.
+  // Every parallel-class job (ParallelClass of its effective plan) joins
+  // ONE shared FleetScheduler: the largest FleetLanes() and the common
+  // stealing mode of those jobs' effective plans. When any such job
+  // asks for worker processes, ONE shared RDP1 worker pool sized to the
+  // largest request is forked before any batch thread starts. Scheduling is
+  // placement-only -- merged bytes equal standalone runs' across fleet
+  // sizes, stealing on/off, and process counts -- and RunBatch prints one
+  // aggregated REVNIC_PARALLEL_STATS block for the whole batch instead of
+  // one per job.
   std::optional<ExercisePlan> plan;
   // Invoked once per finished job, serialized by an internal mutex.
   std::function<void(const BatchJobResult&)> on_job_done;
 };
 
-// Runs every job through a full Session on a worker pool. Jobs are isolated
+// Runs every job through a full Session on the job threads. Jobs are isolated
 // -- each owns its ExprContext/solver/DBT -- so results are identical to
 // per-driver standalone runs (and, per the engine's determinism guarantee,
 // independent of every concurrency setting here).
-BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& options);
-// Compatibility wrapper: outer-level parallelism only.
-BatchResult RunBatch(const std::vector<BatchJob>& jobs, unsigned concurrency = 0,
-                     const std::function<void(const BatchJobResult&)>& on_job_done = nullptr);
+BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& options = {});
 
 // An on_coverage callback that streams every sample as one JSONL object --
 // {"driver":<label>,"work":N,"covered":N} -- into `sink` (which the caller

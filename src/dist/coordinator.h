@@ -90,7 +90,7 @@ class WorkerPool {
   };
 
   // Forks the workers immediately (fork the pool while the process is still
-  // single-threaded -- in the engine, before dispatcher threads start) and
+  // single-threaded -- before the fleet's worker threads start) and
   // runs an eager kHello handshake with each; workers that fail it are
   // marked dead up front.
   WorkerPool(const Options& options, Handler handler);

@@ -1,7 +1,5 @@
 #include "synth/cfg.h"
 
-#include "synth/passes.h"
-
 namespace revnic::synth {
 
 const char* FunctionTypeName(FunctionType type) {
@@ -40,18 +38,6 @@ size_t RecoveredModule::NumMixed() const {
     }
   }
   return n;
-}
-
-// Legacy entry point: the recovery passes only, no verifier interposition --
-// byte-for-byte the old monolithic BuildModule behavior. The staged
-// pipeline (core::Session) calls RunSynthesisPipeline directly and turns
-// both cleanup and verification on.
-RecoveredModule BuildModule(const trace::TraceBundle& bundle,
-                            const std::vector<os::EntryPoint>& entries, SynthStats* stats) {
-  PipelineOptions options;
-  options.cleanup = false;
-  options.verify_between = false;
-  return RunSynthesisPipeline(bundle, entries, options, stats, nullptr);
 }
 
 }  // namespace revnic::synth

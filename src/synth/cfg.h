@@ -44,14 +44,6 @@ struct SynthStats {
   std::vector<ir::PassStats> passes;
 };
 
-// Rebuilds the driver's state machine from the wiretap output. `entries`
-// provides the role metadata recorded at registration time. Runs the
-// recovery passes only (no cleanup) -- the legacy entry point; the staged
-// pipeline (core::Session) calls RunSynthesisPipeline below.
-RecoveredModule BuildModule(const trace::TraceBundle& bundle,
-                            const std::vector<os::EntryPoint>& entries,
-                            SynthStats* stats = nullptr);
-
 // ---- pass-pipeline entry point (synth/passes.cc) ----
 
 struct PipelineOptions {

@@ -36,7 +36,7 @@ struct PlanSpec {
   core::FanOut fan_out = core::FanOut::kSnapshotRestore;
   unsigned workers = 0;
   const char* faults = nullptr;
-  unsigned fleet = 0;  // PR 10: private single-job fleet (0 = classic split)
+  unsigned fleet = 0;  // private single-job fleet lanes (0 = from threads)
   bool steal = true;
 };
 
@@ -307,8 +307,8 @@ TEST(DistExercise, WorkerCrashFailsOverToIdenticalBytes) {
 TEST(DistExercise, FleetGridByteIdenticalAcrossAllDrivers) {
   // Fixed seed => byte-identical merged checkpoints for every fleet size and
   // stealing mode, clean and faulted, on every registered driver. The
-  // baseline is the PR 8 static split of the SAME parallel-shaped plan; the
-  // fleet only changes placement.
+  // baseline is the SAME parallel-shaped plan with lanes sized from
+  // threads; the fleet size only changes placement.
   for (DriverId id : drivers::kAllDrivers) {
     std::vector<uint8_t> clean = PlanBlob(id, {2, 2}, 30'000);
     ASSERT_FALSE(clean.empty()) << drivers::DriverName(id);
@@ -377,40 +377,28 @@ TEST(DistExercise, FleetWorkerKilledMidStealFailsOverToIdenticalBytes) {
 TEST(DistExercise, FleetBatchMakespanDeterministicAcrossRuns) {
   // RunBatch under one shared fleet: same seed + same plan => the virtual
   // makespans (computed from recorded work units, not wall clock) agree bit
-  // for bit across runs, and every job's emitted source matches the static
-  // split's -- scheduling is placement-only end to end.
-  auto run_batch = [](bool fleet_mode) {
-    core::ExercisePlan plan;
-    plan.sub_shards = 2;
-    if (fleet_mode) {
-      plan.fleet = 4;
-      plan.threads = 0;  // defer sizing to the batch template
-    } else {
-      plan.threads = 2;
-    }
-    std::vector<core::BatchJob> jobs;
-    for (const drivers::TargetInfo& t : drivers::AllTargets()) {
-      core::BatchJob job;
-      job.name = t.name;
-      job.image = &drivers::DriverImage(t.id);
-      job.config = SmallConfig(t.id, 20'000);
-      job.config.plan = plan;
-      jobs.push_back(std::move(job));
-    }
-    core::BatchOptions options;
-    if (fleet_mode) {
-      options.plan = plan;
-    }
-    return core::RunBatch(jobs, options);
-  };
-  core::BatchResult fleet_a = run_batch(true);
-  core::BatchResult fleet_b = run_batch(true);
-  core::BatchResult static_split = run_batch(false);
+  // for bit across runs, and every job's emitted source matches a
+  // standalone run's -- scheduling is placement-only end to end.
+  core::ExercisePlan plan;
+  plan.sub_shards = 2;
+  plan.fleet = 4;
+  plan.threads = 0;  // defer sizing to the batch template
+  std::vector<core::BatchJob> jobs;
+  for (const drivers::TargetInfo& t : drivers::AllTargets()) {
+    core::BatchJob job;
+    job.name = t.name;
+    job.image = &drivers::DriverImage(t.id);
+    job.config = SmallConfig(t.id, 20'000);
+    job.config.plan = plan;
+    jobs.push_back(std::move(job));
+  }
+  core::BatchOptions options;
+  options.plan = plan;
+  core::BatchResult fleet_a = core::RunBatch(jobs, options);
+  core::BatchResult fleet_b = core::RunBatch(jobs, options);
   ASSERT_TRUE(fleet_a.AllOk());
   ASSERT_TRUE(fleet_b.AllOk());
-  ASSERT_TRUE(static_split.AllOk());
   ASSERT_TRUE(fleet_a.fleet_used);
-  EXPECT_FALSE(static_split.fleet_used);
   EXPECT_GT(fleet_a.fleet.tasks, 0u);
   EXPECT_EQ(fleet_a.fleet.workers, 4u);
   EXPECT_EQ(fleet_a.fleet.lane_work.size(), 4u);
@@ -428,38 +416,19 @@ TEST(DistExercise, FleetBatchMakespanDeterministicAcrossRuns) {
   EXPECT_LE(fleet_a.fleet.steal_makespan, fleet_a.fleet.static_makespan);
   EXPECT_GE(fleet_a.fleet.makespan, fleet_a.fleet.max_spine_work);
   // End-to-end identity: every job's emitted driver source is the same
-  // whether its tasks ran on the shared fleet or the static split.
-  ASSERT_EQ(fleet_a.jobs.size(), static_split.jobs.size());
+  // whether its tasks ran on the shared fleet or in a standalone
+  // two-lane run of the same parallel shape.
+  ASSERT_EQ(fleet_a.jobs.size(), jobs.size());
   for (size_t i = 0; i < fleet_a.jobs.size(); ++i) {
-    EXPECT_EQ(fleet_a.jobs[i].result.c_source, static_split.jobs[i].result.c_source)
-        << fleet_a.jobs[i].name;
+    core::EngineConfig cfg = jobs[i].config;
+    cfg.plan.threads = 2;
+    cfg.plan.fleet = 0;
+    core::Session standalone(*jobs[i].image, cfg);
+    ASSERT_TRUE(standalone.Synthesize());
+    EXPECT_EQ(fleet_a.jobs[i].result.c_source, standalone.c_source()) << fleet_a.jobs[i].name;
     EXPECT_EQ(fleet_a.jobs[i].result.c_source, fleet_b.jobs[i].result.c_source)
         << fleet_a.jobs[i].name;
   }
-}
-
-// ---- plan resolution (PR 9: shims removed) ----
-
-TEST(DistExercise, ResolvedPlanIsConfigPlanVerbatim) {
-  core::EngineConfig cfg;
-  cfg.plan.threads = 3;
-  cfg.plan.fan_out = core::FanOut::kSpineReplay;
-  std::string error;
-  ASSERT_TRUE(hw::ParseFaultPlan("7:all=0.01", &cfg.plan.faults, &error)) << error;
-  core::ExercisePlan plan = core::ResolveExercisePlan(cfg);
-  EXPECT_EQ(plan.threads, 3u);
-  EXPECT_EQ(plan.fan_out, core::FanOut::kSpineReplay);
-  EXPECT_TRUE(plan.faults.Enabled());
-
-  // Pre-PR 9, fan_out's default was indistinguishable from "unset", so a
-  // legacy spine_replay_fanout bool could bleed through an explicitly
-  // defaulted plan. With the shims gone, setting the field back to its
-  // default means exactly that.
-  cfg.plan.threads = 2;
-  cfg.plan.fan_out = core::FanOut::kSnapshotRestore;
-  plan = core::ResolveExercisePlan(cfg);
-  EXPECT_EQ(plan.threads, 2u);
-  EXPECT_EQ(plan.fan_out, core::FanOut::kSnapshotRestore);
 }
 
 // ---- the perf contract ----

@@ -25,6 +25,13 @@ core::PipelineResult CachedPipeline(DriverId id) {
   return session->TakeResult();
 }
 
+// A fresh, uncached Session run start to finish.
+core::PipelineResult RunSession(const isa::Image& image, const core::EngineConfig& cfg) {
+  core::Session session(image, cfg);
+  EXPECT_TRUE(session.RunAll());
+  return session.TakeResult();
+}
+
 // ---- §3.2 function models + hot-function report ----
 
 TEST(FunctionModels, HotFunctionReportListsCrc32) {
@@ -57,7 +64,7 @@ TEST(FunctionModels, ModeledFunctionIsSkipped) {
   cfg.pci = drivers::MakeDevice(DriverId::kRtl8029)->pci();
   cfg.function_models.push_back({.entry_pc = hot_pc, .arg_bytes = 4, .symbolic_return = true});
   core::EngineResult second =
-      core::ReverseEngineer(drivers::DriverImage(DriverId::kRtl8029), cfg);
+      core::Engine(drivers::DriverImage(DriverId::kRtl8029), cfg).Run();
   EXPECT_GT(second.functions_modeled, 0u);
   // The modeled function's interior blocks are no longer executed.
   EXPECT_LT(second.CoveragePercent(), 100.0);
@@ -77,8 +84,8 @@ TEST(ModuleDiff, RerunOnSameBinaryIsStable) {
   // produce identical recovered modules (the paper's re-run workflow).
   core::EngineConfig cfg;
   cfg.pci = drivers::MakeDevice(DriverId::kRtl8029)->pci();
-  core::PipelineResult a = core::RunPipeline(drivers::DriverImage(DriverId::kRtl8029), cfg);
-  core::PipelineResult b = core::RunPipeline(drivers::DriverImage(DriverId::kRtl8029), cfg);
+  core::PipelineResult a = RunSession(drivers::DriverImage(DriverId::kRtl8029), cfg);
+  core::PipelineResult b = RunSession(drivers::DriverImage(DriverId::kRtl8029), cfg);
   synth::ModuleDiff diff = synth::DiffModules(a.module, b.module);
   EXPECT_TRUE(diff.Identical()) << synth::FormatDiff(diff);
 }
@@ -96,9 +103,8 @@ TEST(ModuleDiff, PatchedDriverShowsModifiedFunction) {
 
   core::EngineConfig cfg;
   cfg.pci = drivers::MakeDevice(DriverId::kRtl8029)->pci();
-  core::PipelineResult old_run =
-      core::RunPipeline(drivers::DriverImage(DriverId::kRtl8029), cfg);
-  core::PipelineResult new_run = core::RunPipeline(img.image, cfg);
+  core::PipelineResult old_run = RunSession(drivers::DriverImage(DriverId::kRtl8029), cfg);
+  core::PipelineResult new_run = RunSession(img.image, cfg);
   synth::ModuleDiff diff = synth::DiffModules(old_run.module, new_run.module);
   EXPECT_GT(diff.num_modified + diff.num_added + diff.num_removed, 0u);
   // Most of the driver is untouched.

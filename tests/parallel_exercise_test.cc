@@ -1,8 +1,8 @@
-// Parallel exercising (ExercisePlan::threads >= 2): determinism across
+// Parallel exercising (ExercisePlan::threads != 1): determinism across
 // thread counts, exact legacy equivalence at 1 thread, coverage parity and
 // downstream-output parity vs the sequential exerciser, cooperative cancel
 // draining the worker pool, checkpoint interop between parallel and
-// sequential sessions, the RunBatch plan-budget split, and the JSONL
+// sequential sessions, the RunBatch plan template, and the JSONL
 // coverage sink.
 #include <gtest/gtest.h>
 
@@ -208,19 +208,19 @@ TEST(ParallelExercise, BatchPlanBudgetMatchesStandaloneParallelRuns) {
     job.name = drivers::DriverName(id);
     job.image = &drivers::DriverImage(id);
     job.config = SmallConfig(id);
-    job.config.plan.threads = 0;  // defer to the batch's split
+    job.config.plan.threads = 0;  // defer to the batch template
     jobs.push_back(std::move(job));
   }
   core::BatchOptions options;
   options.concurrency = 2;
   core::ExercisePlan budget;
-  budget.threads = 4;  // outer 2 x inner 2
+  budget.threads = 4;  // one 4-lane batch fleet
   options.plan = budget;
   core::BatchResult batch = core::RunBatch(jobs, options);
   ASSERT_TRUE(batch.AllOk());
   EXPECT_EQ(batch.concurrency, 2u);
 
-  // Determinism across thread counts makes the budget split transparent:
+  // Determinism across lane counts makes the shared fleet transparent:
   // each job's output equals a standalone parallel run's.
   for (size_t i = 0; i < jobs.size(); ++i) {
     DriverId id = i == 0 ? DriverId::kRtl8029 : DriverId::kSmc91c111;
@@ -233,7 +233,7 @@ TEST(ParallelExercise, BatchPlanBudgetMatchesStandaloneParallelRuns) {
               standalone.engine().covered_blocks);
   }
 
-  // An explicit per-job setting wins over the budget.
+  // An explicit per-job setting wins over the template.
   jobs[0].config.plan.threads = 1;
   core::BatchResult explicit_batch = core::RunBatch(jobs, options);
   ASSERT_TRUE(explicit_batch.AllOk());
@@ -242,27 +242,8 @@ TEST(ParallelExercise, BatchPlanBudgetMatchesStandaloneParallelRuns) {
   EXPECT_EQ(explicit_batch.jobs[0].result.c_source, seq.c_source());
 }
 
-// ---- ExercisePlan is the only spelling (PR 9 shim removal) ----
-
-TEST(ParallelExercise, ResolveExercisePlanIsIdentity) {
-  // With the legacy shims gone there is nothing to fold: the resolved plan
-  // must be config.plan verbatim, including the fault plan.
-  core::EngineConfig cfg = SmallConfig(DriverId::kRtl8029);
-  cfg.plan.threads = 3;
-  cfg.plan.sub_shards = 2;
-  cfg.plan.fan_out = core::FanOut::kSpineReplay;
-  std::string error;
-  ASSERT_TRUE(hw::ParseFaultPlan("99:all=0.08", &cfg.plan.faults, &error)) << error;
-  core::ExercisePlan resolved = core::ResolveExercisePlan(cfg);
-  EXPECT_EQ(resolved.threads, 3u);
-  EXPECT_EQ(resolved.sub_shards, 2u);
-  EXPECT_EQ(resolved.fan_out, core::FanOut::kSpineReplay);
-  EXPECT_EQ(resolved.faults.seed, cfg.plan.faults.seed);
-  EXPECT_TRUE(resolved.faults.Enabled());
-}
-
 TEST(ParallelExercise, BatchTemplateInheritancePreservesJobFaultPlan) {
-  // PR 9 fold-order fix: a job that defers its thread split
+  // PR 9 fold-order fix: a job that defers its sizing
   // (plan.threads == 0) but carries its own enabled fault plan must keep
   // those faults when it inherits the batch template's parallelism shape.
   // Before the fix the template's whole plan replaced the job's, silently
@@ -272,7 +253,7 @@ TEST(ParallelExercise, BatchTemplateInheritancePreservesJobFaultPlan) {
     job.name = drivers::DriverName(DriverId::kRtl8029);
     job.image = &drivers::DriverImage(DriverId::kRtl8029);
     job.config = SmallConfig(DriverId::kRtl8029);
-    job.config.plan.threads = 0;  // defer to the batch's split
+    job.config.plan.threads = 0;  // defer to the batch template
     std::string error;
     EXPECT_TRUE(hw::ParseFaultPlan("99:all=0.08", &job.config.plan.faults, &error)) << error;
     return job;
@@ -289,7 +270,7 @@ TEST(ParallelExercise, BatchTemplateInheritancePreservesJobFaultPlan) {
   EXPECT_GT(batch.jobs[0].result.engine.fault_stats.TotalInjected(), 0u);
 
   // And the bytes match the standalone spelling of the inherited shape:
-  // the job's faults with the template's thread split.
+  // the job's faults with the template's parallel shape.
   core::EngineConfig cfg = SmallConfig(DriverId::kRtl8029);
   cfg.plan.threads = 2;
   std::string error;

@@ -213,40 +213,5 @@ INSTANTIATE_TEST_SUITE_P(AllDrivers, PipelineTest, ::testing::ValuesIn(Registere
                            return drivers::DriverName(info.param);
                          });
 
-// The legacy wrapper must route through the same pass pipeline and emission
-// backends as Session -- no second synthesis path. Pinned by comparing the
-// full multi-target output byte-for-byte and the per-pass stats trail.
-TEST(PipelineWrapper, RunPipelineMatchesSessionAcrossTargets) {
-  const DriverId id = DriverId::kRtl8029;
-  core::EngineConfig cfg;
-  cfg.pci = drivers::DriverPci(id);
-  cfg.max_work = 60'000;
-  core::EmitOptions emit;
-  emit.targets.assign(std::begin(os::kAllTargetOses), std::end(os::kAllTargetOses));
-
-  core::PipelineResult wrapped = core::RunPipeline(drivers::DriverImage(id), cfg, emit);
-  core::Session session(drivers::DriverImage(id), cfg);
-  ASSERT_TRUE(session.set_emit_options(emit));
-  ASSERT_TRUE(session.RunAll());
-
-  ASSERT_EQ(wrapped.emitted.size(), 4u);
-  for (os::TargetOs target : os::kAllTargetOses) {
-    ASSERT_EQ(session.emitted().count(target), 1u);
-    EXPECT_EQ(wrapped.emitted.at(target), session.emitted().at(target))
-        << os::TargetOsName(target);
-  }
-  EXPECT_EQ(wrapped.c_source, session.c_source());
-  EXPECT_EQ(wrapped.c_source, wrapped.emitted.at(os::TargetOs::kWindows));
-  // Both ran the pass pipeline (cleanup on by default): same per-pass trail.
-  ASSERT_EQ(wrapped.synth_stats.passes.size(), session.synth_stats().passes.size());
-  ASSERT_EQ(wrapped.synth_stats.passes.size(), 14u);
-  for (size_t i = 0; i < wrapped.synth_stats.passes.size(); ++i) {
-    EXPECT_EQ(wrapped.synth_stats.passes[i].name, session.synth_stats().passes[i].name);
-    EXPECT_EQ(wrapped.synth_stats.passes[i].items, session.synth_stats().passes[i].items);
-  }
-  // And the cleanup artifacts made it into the wrapper's module.
-  EXPECT_FALSE(wrapped.module.emit_plans.empty());
-}
-
 }  // namespace
 }  // namespace revnic

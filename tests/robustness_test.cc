@@ -258,7 +258,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzzTest, ::testing::Range<uint64_t>(1
 TEST(CheckpointRobustness, WrongVersionRejected) {
   std::vector<uint8_t> blob = TinySession().SaveCheckpoint();
   ASSERT_GE(blob.size(), 8u);
-  blob[4] = 99;  // unknown version (readers accept 1 through 3)
+  blob[4] = 99;  // unknown version (the reader accepts only 3)
   std::string error;
   EXPECT_EQ(core::Session::LoadCheckpoint(blob, &error), nullptr);
   EXPECT_EQ(error, "unsupported checkpoint version");
@@ -433,7 +433,7 @@ TEST(EngineRobustness, DriverForWrongDeviceFailsGracefully) {
   cfg.pci = hw::Rtl8139Config();  // wrong device for this driver
   cfg.max_work = 20'000;
   core::EngineResult r =
-      core::ReverseEngineer(drivers::DriverImage(drivers::DriverId::kRtl8029), cfg);
+      core::Engine(drivers::DriverImage(drivers::DriverId::kRtl8029), cfg).Run();
   // DriverEntry + the failing init path still produce coverage.
   EXPECT_GT(r.covered_blocks.size(), 0u);
   // The vendor-check failure path logs an error (unless skipped, it is the
@@ -449,7 +449,7 @@ TEST(EngineRobustness, GarbageImageDoesNotCrashEngine) {
   core::EngineConfig cfg;
   cfg.pci = hw::Rtl8029Config();
   cfg.max_work = 1'000;
-  core::EngineResult r = core::ReverseEngineer(garbage, cfg);
+  core::EngineResult r = core::Engine(garbage, cfg).Run();
   EXPECT_EQ(r.covered_blocks.size(), 0u);
 }
 
@@ -458,7 +458,7 @@ TEST(EngineRobustness, ZeroWorkBudget) {
   cfg.pci = hw::Rtl8029Config();
   cfg.max_work = 0;
   core::EngineResult r =
-      core::ReverseEngineer(drivers::DriverImage(drivers::DriverId::kRtl8029), cfg);
+      core::Engine(drivers::DriverImage(drivers::DriverId::kRtl8029), cfg).Run();
   EXPECT_EQ(r.stats.work, 0u);
 }
 

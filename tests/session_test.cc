@@ -194,16 +194,20 @@ TEST(Session, LoadCheckpointRejectsCorruption) {
   }
   std::vector<uint8_t> garbage(64, 0xAB);
   EXPECT_EQ(core::Session::LoadCheckpoint(garbage, &err), nullptr);
-  // Trailing bytes after a well-formed checkpoint are rejected too. (In the
-  // v2 layout the trailing snapshot section declares its exact size, so the
-  // padding trips the size check; a v1 blob hits the generic trailing check.)
+  // Trailing bytes after a well-formed checkpoint are rejected too. (The
+  // trailing snapshot section declares its exact size, so padding trips the
+  // size check; a blob without that section hits the generic trailing check.)
   std::vector<uint8_t> padded = bytes;
   padded.push_back(0x00);
   EXPECT_EQ(core::Session::LoadCheckpoint(padded, &err), nullptr);
   EXPECT_EQ(err, "bad snapshot section size");
-  std::vector<uint8_t> padded_v1 = s.SaveCheckpoint(/*legacy_v1=*/true);
-  padded_v1.push_back(0x00);
-  EXPECT_EQ(core::Session::LoadCheckpoint(padded_v1, &err), nullptr);
+  core::EngineConfig no_snapshot_cfg = SmallConfig(DriverId::kRtl8029);
+  no_snapshot_cfg.capture_final_snapshot = false;
+  core::Session no_snapshot(drivers::DriverImage(DriverId::kRtl8029), no_snapshot_cfg);
+  ASSERT_TRUE(no_snapshot.Exercise());
+  std::vector<uint8_t> padded_no_snapshot = no_snapshot.SaveCheckpoint();
+  padded_no_snapshot.push_back(0x00);
+  EXPECT_EQ(core::Session::LoadCheckpoint(padded_no_snapshot, &err), nullptr);
   EXPECT_EQ(err, "trailing bytes after checkpoint");
 }
 
@@ -298,6 +302,37 @@ TEST(Session, CheckpointStoreEvictionNeverChangesResumedBytes) {
   store.SetBudgetBytes(old_budget);
 }
 
+TEST(Session, AutoThreadsIsTheParallelClassOnEveryHost) {
+  // plan.threads = 0 ("size for the hardware") selects the parallel output
+  // class regardless of the host's core count: its checkpoint bytes equal
+  // an explicit two-lane run's, and the checkpoint store keys both to one
+  // entry (a second Resume adds no bytes), while the sequential class gets
+  // its own.
+  const isa::Image& image = drivers::DriverImage(DriverId::kRtl8029);
+  core::EngineConfig auto_cfg = SmallConfig(DriverId::kRtl8029, 30'000);
+  auto_cfg.plan.threads = 0;
+  core::EngineConfig two_cfg = auto_cfg;
+  two_cfg.plan.threads = 2;
+  core::EngineConfig seq_cfg = auto_cfg;
+  seq_cfg.plan.threads = 1;
+
+  core::Session auto_run(image, auto_cfg);
+  core::Session two_run(image, two_cfg);
+  ASSERT_TRUE(auto_run.Exercise());
+  ASSERT_TRUE(two_run.Exercise());
+  EXPECT_EQ(auto_run.SaveCheckpoint(), two_run.SaveCheckpoint());
+
+  core::CheckpointStore store;
+  auto from_auto = store.Resume("session_test/auto", image, auto_cfg);
+  const size_t one_entry = store.CachedBytes();
+  ASSERT_GT(one_entry, 0u);
+  auto from_two = store.Resume("session_test/auto", image, two_cfg);
+  EXPECT_EQ(store.CachedBytes(), one_entry);
+  EXPECT_EQ(from_two->SaveCheckpoint(), from_auto->SaveCheckpoint());
+  store.Resume("session_test/auto", image, seq_cfg);
+  EXPECT_GT(store.CachedBytes(), one_entry);
+}
+
 TEST(Registry, DriverImageCacheEvictionIsBoundedAndTransparent) {
   // Copy one image's bytes before tightening (references handed out by
   // DriverImage can be invalidated by later calls once eviction is live).
@@ -338,10 +373,10 @@ TEST(Session, BatchOverRegistryMatchesSequentialRuns) {
   ASSERT_GE(jobs.size(), 4u);
 
   std::vector<std::string> done_names;
-  core::BatchResult batch = core::RunBatch(jobs, /*concurrency=*/2,
-                                           [&](const core::BatchJobResult& j) {
-                                             done_names.push_back(j.name);
-                                           });
+  core::BatchOptions options;
+  options.concurrency = 2;
+  options.on_job_done = [&](const core::BatchJobResult& j) { done_names.push_back(j.name); };
+  core::BatchResult batch = core::RunBatch(jobs, options);
   EXPECT_GE(batch.concurrency, 2u);
   ASSERT_TRUE(batch.AllOk());
   ASSERT_EQ(batch.jobs.size(), jobs.size());
@@ -358,9 +393,10 @@ TEST(Session, BatchOverRegistryMatchesSequentialRuns) {
 
     // Per-session isolation makes the concurrent run identical to a
     // sequential one.
-    core::PipelineResult seq = core::RunPipeline(*jobs[i].image, jobs[i].config);
-    EXPECT_EQ(job.result.c_source, seq.c_source) << job.name;
-    EXPECT_EQ(job.result.engine.covered_blocks, seq.engine.covered_blocks) << job.name;
+    core::Session seq(*jobs[i].image, jobs[i].config);
+    ASSERT_TRUE(seq.RunAll());
+    EXPECT_EQ(job.result.c_source, seq.c_source()) << job.name;
+    EXPECT_EQ(job.result.engine.covered_blocks, seq.engine().covered_blocks) << job.name;
   }
   EXPECT_EQ(batch.aggregate.solver_queries, aggregate_queries);
   EXPECT_GT(batch.aggregate.solver_cache_hits, 0u);
@@ -369,7 +405,9 @@ TEST(Session, BatchOverRegistryMatchesSequentialRuns) {
 TEST(Session, BatchReportsBadJob) {
   std::vector<core::BatchJob> jobs(1);
   jobs[0].name = "no-image";
-  core::BatchResult batch = core::RunBatch(jobs, 1);
+  core::BatchOptions options;
+  options.concurrency = 1;
+  core::BatchResult batch = core::RunBatch(jobs, options);
   ASSERT_EQ(batch.jobs.size(), 1u);
   EXPECT_FALSE(batch.jobs[0].ok);
   EXPECT_FALSE(batch.AllOk());
@@ -389,18 +427,6 @@ TEST(Registry, ListsAllDriversAndFindsByName) {
     EXPECT_EQ(found->id, t.id);
   }
   EXPECT_EQ(drivers::FindTarget("e1000"), nullptr);
-}
-
-// ---- legacy wrappers ----
-
-TEST(Session, LegacyRunPipelineMatchesSessionOutput) {
-  core::EngineConfig cfg = SmallConfig(DriverId::kSmc91c111);
-  core::PipelineResult legacy = core::RunPipeline(drivers::DriverImage(DriverId::kSmc91c111), cfg);
-  core::Session s(drivers::DriverImage(DriverId::kSmc91c111), cfg);
-  ASSERT_TRUE(s.RunAll());
-  EXPECT_EQ(legacy.c_source, s.c_source());
-  EXPECT_EQ(legacy.runtime_header, s.runtime_header());
-  EXPECT_EQ(legacy.engine.stats.work, s.engine().stats.work);
 }
 
 }  // namespace

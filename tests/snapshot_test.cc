@@ -172,23 +172,26 @@ TEST(SnapshotHandoff, CheckpointCarriesRestorableFinalSnapshot) {
   EXPECT_TRUE(symex::ReadSolverSection(reader, &solver, &error)) << error;
 }
 
-TEST(SnapshotHandoff, LegacyV1CheckpointsStillLoad) {
+TEST(SnapshotHandoff, PreV3CheckpointsFailClosed) {
   core::EngineConfig cfg = SmallConfig(DriverId::kRtl8029, 20'000);
   core::Session s(drivers::DriverImage(DriverId::kRtl8029), cfg);
   ASSERT_TRUE(s.Exercise());
-  ASSERT_TRUE(s.Emit());
 
-  // The v1 writer emits the exact PR 2 layout (no snapshot section); the v2
-  // reader accepts it and downstream output is unchanged.
-  std::vector<uint8_t> v1 = s.SaveCheckpoint(/*legacy_v1=*/true);
-  std::vector<uint8_t> v2 = s.SaveCheckpoint();
-  EXPECT_LT(v1.size(), v2.size());
+  // "RCP1" | u32 version (little-endian) | ...: only version 3 is read. A
+  // blob claiming v1 (no snapshot section) or v2 (no fault counters) is
+  // rejected up front instead of being parsed under the v3 layout.
+  std::vector<uint8_t> v3 = s.SaveCheckpoint();
+  ASSERT_GE(v3.size(), 8u);
+  ASSERT_EQ(v3[4], 3u);
+  for (uint8_t version : {1, 2}) {
+    std::vector<uint8_t> old = v3;
+    old[4] = version;
+    std::string error;
+    EXPECT_EQ(core::Session::LoadCheckpoint(old, &error), nullptr) << int(version);
+    EXPECT_EQ(error, "unsupported checkpoint version") << int(version);
+  }
   std::string error;
-  std::unique_ptr<core::Session> resumed = core::Session::LoadCheckpoint(v1, &error);
-  ASSERT_NE(resumed, nullptr) << error;
-  EXPECT_TRUE(resumed->engine().final_snapshot.empty());
-  ASSERT_TRUE(resumed->Emit());
-  EXPECT_EQ(resumed->c_source(), s.c_source());
+  EXPECT_NE(core::Session::LoadCheckpoint(v3, &error), nullptr) << error;
 }
 
 TEST(SnapshotHandoff, DisablingCaptureYieldsSnapshotFreeCheckpoint) {

@@ -162,7 +162,7 @@ TEST(Analysis, LivenessKeepsTerminatorCondTemp) {
 // ---- cleanup passes on hand-built modules ----
 
 // A context over a hand-built bundle: entry block at 0x400000. The caller
-// populates the bundle's blocks; recovery runs via BuildModule semantics
+// populates the bundle's blocks; recovery runs the recovery passes only
 // (RunSynthesisPipeline without cleanup).
 struct Fixture {
   trace::TraceBundle bundle;

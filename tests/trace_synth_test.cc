@@ -10,6 +10,12 @@
 namespace revnic {
 namespace {
 
+// Recovery passes only: no cleanup, no verifier interposition.
+synth::RecoveredModule Recover(const trace::TraceBundle& b, synth::SynthStats* stats = nullptr) {
+  return synth::RunSynthesisPipeline(b, {}, {.cleanup = false, .verify_between = false}, stats,
+                                     nullptr);
+}
+
 trace::TraceBundle TinyBundle() {
   // Two blocks: entry block calls a helper; helper returns.
   trace::TraceBundle b;
@@ -108,7 +114,7 @@ TEST(TraceSerialize, RejectsTruncation) {
 TEST(SynthCfg, FunctionBoundariesFromCallReturn) {
   trace::TraceBundle b = TinyBundle();
   synth::SynthStats stats;
-  synth::RecoveredModule m = synth::BuildModule(b, {}, &stats);
+  synth::RecoveredModule m = Recover(b, &stats);
   // Entry (0x400000) and helper (0x400040) are separate functions.
   EXPECT_EQ(m.functions.size(), 2u);
   ASSERT_NE(m.FunctionAt(0x400000), nullptr);
@@ -146,7 +152,7 @@ TEST(SynthCfg, SplitsTranslationBlocksAtObservedTargets) {
   jumper.target = 0x400008;
   b.blocks.emplace(jumper.guest_pc, jumper);
 
-  synth::RecoveredModule m = synth::BuildModule(b, {});
+  synth::RecoveredModule m = Recover(b);
   // tb must be split at 0x400008.
   ASSERT_TRUE(m.blocks.count(0x400000));
   ASSERT_TRUE(m.blocks.count(0x400008));
@@ -175,7 +181,7 @@ TEST(SynthCfg, FlagsUnexploredBranchTargets) {
   blk.fallthrough = 0x400008;  // never traced either
   b.blocks.emplace(blk.guest_pc, blk);
   synth::SynthStats stats;
-  synth::RecoveredModule m = synth::BuildModule(b, {}, &stats);
+  synth::RecoveredModule m = Recover(b, &stats);
   ASSERT_NE(m.FunctionAt(0x400000), nullptr);
   EXPECT_EQ(m.FunctionAt(0x400000)->unexplored_targets.size(), 2u);
   EXPECT_EQ(stats.coverage_holes, 2u);
@@ -183,7 +189,7 @@ TEST(SynthCfg, FlagsUnexploredBranchTargets) {
 
 TEST(SynthCEmit, EmitsCompilableLookingC) {
   trace::TraceBundle b = TinyBundle();
-  synth::RecoveredModule m = synth::BuildModule(b, {});
+  synth::RecoveredModule m = Recover(b);
   std::string c = synth::EmitC(m);
   EXPECT_NE(c.find("void function_400000"), std::string::npos) << c;
   EXPECT_NE(c.find("function_400040(cpu);"), std::string::npos);  // preserved call
