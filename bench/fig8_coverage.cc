@@ -28,12 +28,6 @@
 //                          Byte-identical for every N.
 //   --no-steal             keep fleet tasks on their home lanes (no work
 //                          stealing); byte-identical either way.
-//   --spine-replay         use the PR 3 fan-out strategy (every worker
-//                          replays the spine prefix, O(S^2) spine work)
-//                          instead of the default snapshot handoff (O(S)).
-//                          Byte-identical results either way; with
-//                          REVNIC_PARALLEL_STATS=1 the two runs show the
-//                          spine-work/critical-path difference (perf ledger).
 //   --coverage-log=PATH    stream every coverage sample as JSONL (one object
 //                          per sample, tagged with the driver name); CI
 //                          archives this as an artifact.
@@ -56,9 +50,7 @@ int main(int argc, char** argv) {
   core::ExercisePlan plan;
   const char* coverage_log = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (strcmp(argv[i], "--spine-replay") == 0) {
-      plan.fan_out = core::FanOut::kSpineReplay;
-    } else if (strncmp(argv[i], "--faults=", 9) == 0) {
+    if (strncmp(argv[i], "--faults=", 9) == 0) {
       std::string error;
       if (!hw::ParseFaultPlan(argv[i] + 9, &plan.faults, &error)) {
         fprintf(stderr, "--faults: %s\n", error.c_str());
@@ -130,16 +122,10 @@ int main(int argc, char** argv) {
   core::BatchResult batch = core::RunBatch(jobs);
   double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-  const bool parallel = batch.fleet_used;
   printf("(batch: %zu drivers on %u job threads, exercise-threads=%u, sub-shards=%u, "
-         "dist-workers=%u, handoff=%s, wall %.1fs)\n",
+         "dist-workers=%u, wall %.1fs)\n",
          batch.jobs.size(), batch.concurrency, plan.threads, plan.sub_shards,
-         plan.worker_processes,
-         parallel
-             ? (plan.fan_out == core::FanOut::kSpineReplay ? "spine-replay"
-                                                           : "snapshot-restore")
-             : "n/a",
-         wall_s);
+         plan.worker_processes, wall_s);
   if (batch.fleet_used) {
     printf("(fleet: workers=%u steal=%s tasks=%u real-steals=%u makespan=%llu "
            "static-split-model=%llu)\n",

@@ -27,7 +27,6 @@ struct SweepRow {
   unsigned threads = 0;
   unsigned sub_shards = 0;
   unsigned workers = 0;
-  revnic::core::FanOut fan_out = revnic::core::FanOut::kSnapshotRestore;
   revnic::core::ParallelExerciseStats stats;
   revnic::bench::WorkHistogram hist;
   uint64_t total_work = 0;
@@ -64,7 +63,6 @@ int main(int argc, char** argv) {
       {"T4 K2 in-process", 4, 2, 0},
       {"T4 K4 in-process", 4, 4, 0},
       {"T4 K8 in-process", 4, 8, 0},
-      {"T4 K4 spine-replay", 4, 4, 0, core::FanOut::kSpineReplay},
       {"T4 K4 workers=1", 4, 4, 1},
       {"T4 K4 workers=2", 4, 4, 2},
       {"T4 K4 workers=4", 4, 4, 4},
@@ -75,7 +73,6 @@ int main(int argc, char** argv) {
     cfg.plan.threads = row.threads;
     cfg.plan.sub_shards = row.sub_shards;
     cfg.plan.worker_processes = row.workers;
-    cfg.plan.fan_out = row.fan_out;
     core::Session s(drivers::DriverImage(target->id), cfg);
     row.ok = s.Exercise();
     if (!row.ok) {
@@ -129,8 +126,7 @@ int main(int argc, char** argv) {
               "%s\n    {\"label\": \"%s\", \"threads\": %u, \"sub_shards\": %u, "
               "\"workers\": %u, \"ok\": %s,\n"
               "     \"critical_path\": %llu, \"spine_work\": %llu, \"max_task_chain\": %llu,\n"
-              "     \"sum_segment_work\": %llu, \"replayed_prefix_work\": %llu, "
-              "\"enum_work\": %llu,\n"
+              "     \"sum_segment_work\": %llu, \"enum_work\": %llu,\n"
               "     \"tasks\": %u, \"slots\": %u, \"failovers\": %u, "
               "\"total_work\": %llu, \"coverage_pct\": %.2f,\n"
               "     \"task_work_min\": %llu, \"task_work_median\": %llu, "
@@ -140,7 +136,6 @@ int main(int argc, char** argv) {
               (unsigned long long)r.stats.spine_work,
               (unsigned long long)r.stats.max_task_chain,
               (unsigned long long)r.stats.sum_segment_work,
-              (unsigned long long)r.stats.replayed_prefix_work,
               (unsigned long long)r.stats.enum_work, r.stats.tasks, r.stats.slots,
               r.stats.failovers, (unsigned long long)r.total_work, r.coverage,
               (unsigned long long)r.hist.min, (unsigned long long)r.hist.median,

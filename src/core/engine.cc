@@ -70,9 +70,9 @@ constexpr uint32_t kIoctlBuf = kScratch + 0x800;
 constexpr uint32_t kIoctlOut = kScratch + 0x7F0;
 
 // The per-step exploration limits RunStep honors. The sequential engine uses
-// the config's values for every step; the parallel engine drives prefix
-// steps with the cheap "spine" knobs and exactly one step per worker with
-// the full ones.
+// the config's values for every step; the parallel engine drives its spine
+// with the cheap "spine" knobs and each fan-out task's one step with the
+// full ones.
 struct StepKnobs {
   uint64_t max_work_per_step;
   unsigned entry_success_cap;
@@ -84,9 +84,9 @@ struct StepKnobs {
 };
 
 // The spine pass wants one completing path per step as fast as possible: it
-// is the survivor chain every fan-out worker replays, so its cost is paid
-// once per worker. Cap per-step work hard and stop as soon as a single
-// success has gone a short window without new coverage.
+// is the survivor chain whose step snapshots every fan-out task restores,
+// and it runs before any task can start. Cap per-step work hard and stop as
+// soon as a single success has gone a short window without new coverage.
 StepKnobs SpineStepKnobs(const EngineConfig& c) {
   StepKnobs k = StepKnobs::Of(c);
   k.max_work_per_step =
@@ -669,7 +669,7 @@ struct Engine::Impl {
   // The executed plan: the script minus disabled IRQ steps, with fault-plan
   // IRQ perturbations applied. Shaping is keyed by the IRQ step's ordinal via
   // the cursor-independent PlanIrqDecision, so every replica -- spine,
-  // snapshot-restore worker, spine-replay worker -- builds the identical
+  // restored fan-out task, lockstep-oracle replica -- builds the identical
   // plan regardless of how far its fault cursor has advanced.
   std::vector<Step> BuildPlan() {
     std::vector<Step> script = BuildScript();
@@ -724,12 +724,12 @@ struct Engine::Impl {
   // ---- chain-state snapshots ("RSS1", symex/snapshot.h) ----
   //
   // A chain snapshot is everything a fresh substrate replica needs to resume
-  // the survivor chain at a step boundary *exactly* as if it had replayed the
-  // spine prefix itself: the symex sections (expr DAG, state, memory pages,
-  // scheduler bookkeeping, solver rng/cache/shelf) plus an engine section
-  // with the wiretap counters (state-id/seq cursors), coverage, engine rng,
-  // the warm DBT pc set, and the OS-substrate (WinSim) and shell-device
-  // state. Byte-determinism matters: the final-state snapshot is embedded in
+  // the survivor chain at a step boundary *exactly* where the source run
+  // stood (VerifyRestoreLockstep checks this step by step): the symex
+  // sections (expr DAG, state, memory pages, scheduler bookkeeping, solver
+  // rng/cache/shelf) plus an engine section with the wiretap counters
+  // (state-id/seq cursors), coverage, engine rng, the warm DBT pc set, and
+  // the OS-substrate (WinSim) and shell-device state. Byte-determinism matters: the final-state snapshot is embedded in
   // "RCP1" checkpoints, which tests compare bit-for-bit.
 
   std::vector<uint8_t> SerializeChainSnapshot(const ExecutionState& state) {
@@ -894,7 +894,7 @@ struct Engine::Impl {
         return fail("truncated warm-pc list");
       }
       // Pre-warm the translation cache: translation is a pure function of
-      // the immutable image, so this reproduces the replay-path cache state
+      // the immutable image, so this reproduces the source run's cache state
       // (and therefore the hit/miss counter deltas) without executing.
       dbt.Translate(pc);
     }
@@ -1025,54 +1025,28 @@ struct Engine::Impl {
     return state;
   }
 
-  EngineResult Run() {
-    StepKnobs knobs = StepKnobs::Of(config);
-    return RunScript(knobs, -1, knobs);
-  }
-
-  // Runs the exercise script. Every step uses `base` knobs except the one at
-  // executed-step index `full_step` (-1 = none), which runs with `full`
-  // knobs as a segment of its own: BeginSegment() marks every accumulator
-  // right before it so BuildResult() reports only that step's contribution
-  // -- the prefix replays the spine run, which the parallel merge already
-  // carries (and leaves the spine's blocks in `covered`, so the no-progress
-  // gating skips re-exploring covered paths, deterministically). The run
-  // stops after the full step: a worker task owns exactly one step.
-  EngineResult RunScript(const StepKnobs& base, int full_step, const StepKnobs& full) {
+  // Runs the exercise script, every step under `knobs`: the sequential
+  // exerciser (config knobs) and the parallel spine (spine knobs).
+  EngineResult RunScript(const StepKnobs& knobs) {
     std::vector<Step> plan = BuildPlan();
     auto state = std::make_unique<ExecutionState>(next_state_id++, &ctx, &mm);
     for (size_t idx = 0; idx < plan.size(); ++idx) {
-      if (step_snapshots != nullptr) {
-        // Spine pass under snapshot handoff: capture the chain state right
-        // before each executed step -- exactly what a replica replaying the
-        // prefix would hold at this point (the replay is deterministic).
-        step_snapshots->push_back(SerializeChainSnapshot(*state));
+      if (before_step) {
+        before_step(*state);
       }
-      bool is_full = full_step >= 0 && idx == static_cast<size_t>(full_step);
-      if (is_full && sub_mode == nullptr) {
-        // Sub-shard tasks begin their segment inside RunStep (probes before
-        // the preamble, root re-runs after the enumeration).
-        BeginSegment();
-      }
-      const uint64_t step_work_base = stats.work;
-      state = RunStep(plan[idx], std::move(state), is_full ? full : base,
-                      is_full ? sub_mode : nullptr);
-      ++steps_run;
-      if (step_work_log != nullptr) {
-        // Spine pass under fleet scheduling: the per-step spine work seeds
-        // each step's fan-out task estimates (queue priority only).
-        step_work_log->push_back(stats.work - step_work_base);
-      }
-      if (is_full) {
-        break;
-      }
+      state = RunStep(plan[idx], std::move(state), knobs);
       if (stats.work >= config.max_work || cancel_requested) {
         break;
       }
     }
-    if (full_step < 0 && config.capture_final_snapshot) {
+    if (config.capture_final_snapshot) {
       final_snapshot_bytes = SerializeChainSnapshot(*state);
     }
+    return FinishRun();
+  }
+
+  // The final timeline sample, then the result.
+  EngineResult FinishRun() {
     timeline.push_back({stats.work, covered.size(), faults.stats().TotalInjected()});
     if (config.on_coverage) {
       config.on_coverage(timeline.back());
@@ -1080,29 +1054,26 @@ struct Engine::Impl {
     return BuildResult();
   }
 
-  // Fan-out worker body under snapshot handoff: the chain state restored
-  // from the spine's step-k snapshot stands in for the replayed prefix, so
-  // the worker runs *only* its own step (as a segment) and merges exactly
-  // like a replaying worker would -- same marks, same slicing, same final
-  // timeline sample.
-  EngineResult RunSegmentFromSnapshot(size_t step_index,
-                                      std::unique_ptr<ExecutionState> state,
-                                      const StepKnobs& full) {
+  // Fan-out replica body: the chain state restored from the spine's step-k
+  // snapshot carries the prefix (including the spine's blocks in `covered`,
+  // so the no-progress gating skips re-exploring covered paths), and the
+  // replica runs *only* its own step as a segment: BeginSegment() marks
+  // every accumulator right before it so BuildResult() reports only that
+  // step's contribution. `sub` engages sub-shard mode (see SubShardMode).
+  EngineResult RunSegmentFromSnapshot(size_t step_index, std::unique_ptr<ExecutionState> state,
+                                      const StepKnobs& full, SubShardMode* sub) {
     std::vector<Step> plan = BuildPlan();
     // Mirror RunScript's gating: a run that exhausted its budget (or was
     // cancelled) before reaching this step never begins the segment.
     if (step_index < plan.size() && stats.work < config.max_work && !CancelRequested()) {
-      if (sub_mode == nullptr) {
+      if (sub == nullptr) {
+        // Sub-shard tasks begin their segment inside RunStep (probes before
+        // the preamble, root re-runs after the enumeration).
         BeginSegment();
       }
-      state = RunStep(plan[step_index], std::move(state), full, sub_mode);
-      ++steps_run;
+      RunStep(plan[step_index], std::move(state), full, sub);
     }
-    timeline.push_back({stats.work, covered.size(), faults.stats().TotalInjected()});
-    if (config.on_coverage) {
-      config.on_coverage(timeline.back());
-    }
-    return BuildResult();
+    return FinishRun();
   }
 
   // Marks every accumulator so BuildResult() can report the upcoming step as
@@ -1207,9 +1178,8 @@ struct Engine::Impl {
   }
 
   // Runs one fan-out task -- a (step, sub-shard) pair -- start to finish:
-  // builds the replica substrate(s), hands off the chain state (snapshot
-  // restore, or spine-prefix replay when `snapshot` is empty or the restore
-  // fails), explores, and returns the sliced segment slot(s). This is the
+  // builds the replica substrate(s), restores the step's RSS1 snapshot into
+  // each, explores, and returns the sliced segment slot(s). This is the
   // ONE task body: in-process fleet lanes call it directly and forked
   // dist workers call it on the deserialized work item, so the two modes are
   // byte-identical by construction. `live`/`gwork`/`gfaults` are the
@@ -1221,61 +1191,35 @@ struct Engine::Impl {
                                         symex::SharedCoverageMap* live,
                                         std::atomic<uint64_t>* gwork,
                                         std::atomic<uint64_t>* gfaults) {
-    const StepKnobs spine_knobs = SpineStepKnobs(cfg);
     const StepKnobs full_knobs = FanoutFullKnobs(cfg, task.sub_shards);
     FanoutTaskResult out;
 
     // One replica, one exploration unit: the whole step (sub == nullptr),
     // the enumeration probe, or one owned root. Work accounting: `executed`
     // is what this replica actually ran (restored prefix totals excluded);
-    // the pre-segment share of it is handoff overhead (spine replay and/or
-    // enumeration re-run), split into the result's replayed/enum buckets by
-    // handoff kind.
+    // its pre-segment share is the enumeration re-run.
     auto run_replica = [&](SubShardMode* sub, EngineResult* result, bool* begun) {
-      bool restored = false;
-      if (!snapshot.empty()) {
-        Impl replica(image, cfg);
-        replica.live_coverage = live;
-        replica.global_work = gwork;
-        replica.global_faults = gfaults;
-        replica.sub_mode = sub;
-        std::string snap_error;
-        std::unique_ptr<ExecutionState> state =
-            replica.RestoreChainSnapshot(snapshot, &snap_error);
-        if (state != nullptr) {
-          const uint64_t base = replica.stats.work;  // restored prefix totals
-          *result = replica.RunSegmentFromSnapshot(static_cast<size_t>(task.step),
-                                                   std::move(state), full_knobs);
-          *begun = replica.segment_begun;
-          const uint64_t executed = replica.stats.work - base;
-          out.task_work += executed;
-          out.enum_work +=
-              replica.segment_begun ? replica.stats_mark.work - base : executed;
-          restored = true;
-        } else {
-          // In-memory snapshots only fail on a substrate bug; fall back to
-          // the replay strategy (byte-identical output) on a fresh replica
-          // rather than dropping the segment. The counter makes the fallback
-          // assertable -- without it a restore regression would silently
-          // revert the O(S) spine guarantee while every byte-parity test
-          // stays green.
-          ++out.restore_failures;
-          RLOG_WARN("step %llu snapshot restore failed (%s); replaying prefix",
-                    (unsigned long long)task.step, snap_error.c_str());
-        }
+      Impl replica(image, cfg);
+      replica.live_coverage = live;
+      replica.global_work = gwork;
+      replica.global_faults = gfaults;
+      std::string snap_error;
+      std::unique_ptr<ExecutionState> state = replica.RestoreChainSnapshot(snapshot, &snap_error);
+      if (state == nullptr) {
+        // The snapshot is the only way to the step's start state: fail
+        // closed. No slot begins, and the counter fails the run.
+        ++out.restore_failures;
+        RLOG_WARN("step %llu snapshot restore failed: %s", (unsigned long long)task.step,
+                  snap_error.c_str());
+        return;
       }
-      if (!restored) {
-        Impl replica(image, cfg);
-        replica.live_coverage = live;
-        replica.global_work = gwork;
-        replica.global_faults = gfaults;
-        replica.sub_mode = sub;
-        *result = replica.RunScript(spine_knobs, static_cast<int>(task.step), full_knobs);
-        *begun = replica.segment_begun;
-        const uint64_t executed = replica.stats.work;
-        out.task_work += executed;
-        out.replayed_work += replica.segment_begun ? replica.stats_mark.work : executed;
-      }
+      const uint64_t base = replica.stats.work;  // restored prefix totals
+      *result = replica.RunSegmentFromSnapshot(static_cast<size_t>(task.step), std::move(state),
+                                               full_knobs, sub);
+      *begun = replica.segment_begun;
+      const uint64_t executed = replica.stats.work - base;
+      out.task_work += executed;
+      out.enum_work += replica.segment_begun ? replica.stats_mark.work - base : executed;
     };
 
     if (task.sub_shards == 0) {
@@ -1316,14 +1260,89 @@ struct Engine::Impl {
     return out;
   }
 
+  // ---- the step-lockstep oracle for RSS1 restore ----
+  //
+  // Per-step marks: the wiretap stream lengths of `b`, then the flow
+  // counters the parallel merge sums per segment (intern hit/miss excluded
+  // -- replica-local, as in the merge). EngineStats, the fault stats and the
+  // cache contents ride in the chain snapshot, which the oracle compares
+  // whole.
+  std::vector<uint64_t> LockstepMarks(const trace::TraceBundle& b) const {
+    const symex::SolverStats& ss = solver.stats();
+    const symex::ExecutorStats& xs = executor.stats();
+    return {b.block_records.size(), b.mem_records.size(), b.api_records.size(),
+            b.events.size(), ss.queries, ss.sat, ss.unsat, ss.unknown, ss.cache_hits,
+            ss.cache_misses, ss.components, ss.shelf_hits, ss.evals, xs.blocks, xs.instrs,
+            xs.forks, xs.concretizations, dbt.cache_hits(), dbt.cache_misses(),
+            stats_functions_modeled};
+  }
+
+  static bool VerifyRestoreLockstep(const isa::Image& image, EngineConfig cfg,
+                                    std::string* error) {
+    cfg.capture_final_snapshot = true;  // the reference state after the last step
+    const StepKnobs knobs = StepKnobs::Of(cfg);
+    Impl run(image, cfg);
+    std::vector<std::vector<uint8_t>> snapshots;
+    std::vector<std::vector<uint64_t>> marks;
+    run.before_step = [&run, &snapshots, &marks](const ExecutionState& state) {
+      snapshots.push_back(run.SerializeChainSnapshot(state));
+      marks.push_back(run.LockstepMarks(run.bundle));
+    };
+    EngineResult whole = run.RunScript(knobs);
+    snapshots.push_back(std::move(whole.final_snapshot));
+    marks.push_back(run.LockstepMarks(whole.bundle));
+    const trace::TraceBundle& ref = whole.bundle;
+    const std::vector<Step> plan = run.BuildPlan();
+
+    for (size_t k = 0; k + 1 < snapshots.size(); ++k) {
+      auto fail = [&](const std::string& what) {
+        *error = StrFormat("lockstep step %zu (%s): %s", k, plan[k].name.c_str(), what.c_str());
+        return false;
+      };
+      Impl replica(image, cfg);
+      std::string restore_error;
+      std::unique_ptr<ExecutionState> state =
+          replica.RestoreChainSnapshot(snapshots[k], &restore_error);
+      if (state == nullptr) {
+        return fail("RSS1 restore failed: " + restore_error);
+      }
+      const std::vector<uint64_t> before = replica.LockstepMarks(replica.bundle);
+      state = replica.RunStep(plan[k], std::move(state), knobs);
+      if (replica.SerializeChainSnapshot(*state) != snapshots[k + 1]) {
+        return fail("re-serialized chain state differs from the uninterrupted run's");
+      }
+      const std::vector<uint64_t> after = replica.LockstepMarks(replica.bundle);
+      for (size_t i = 0; i < after.size(); ++i) {
+        const uint64_t mine = after[i] - before[i];
+        const uint64_t want = marks[k + 1][i] - marks[k][i];
+        if (mine != want) {
+          return fail(StrFormat("step mark %zu is %llu, uninterrupted run %llu", i,
+                                (unsigned long long)mine, (unsigned long long)want));
+        }
+      }
+      // The bundle is not part of the chain state, so the replica's streams
+      // hold exactly step k's records; the marks equal, compare contents.
+      auto same = [](const auto& mine, const auto& whole_stream, uint64_t from) {
+        return std::equal(mine.begin(), mine.end(), whole_stream.begin() + from);
+      };
+      if (!same(replica.bundle.block_records, ref.block_records, marks[k][0]) ||
+          !same(replica.bundle.mem_records, ref.mem_records, marks[k][1]) ||
+          !same(replica.bundle.api_records, ref.api_records, marks[k][2]) ||
+          !same(replica.bundle.events, ref.events, marks[k][3])) {
+        return fail("wiretap records differ from the uninterrupted run's");
+      }
+    }
+    return true;
+  }
+
   // ---- parallel exercising (ParallelClass(plan)) ----
   //
   // Spine + fan-out: one fast sequential pass chains a completing path
   // through every step; each step's full-budget exploration then runs as an
   // independent task on a FleetScheduler -- the batch's shared fleet when
   // RunBatch injected one, else a private single-job fleet. Every task owns
-  // a full substrate replica (ExprContext/solver/DBT/WinSim),
-  // deterministically replays the spine prefix it needs, explores its one
+  // a full substrate replica (ExprContext/solver/DBT/WinSim), restores the
+  // RSS1 snapshot the spine captured at its step boundary, explores its one
   // step, and returns a segment.
   // Segments merge in step order -- never in completion order -- with state
   // ids and sequence numbers rebased per segment, so the merged result is
@@ -1377,31 +1396,30 @@ struct Engine::Impl {
     // the byte-identity guarantee spans process boundaries too.
     const ExercisePlan plan = config.plan;
     const uint32_t sub_shards = plan.sub_shards;
-    const bool spine_replay = plan.fan_out == FanOut::kSpineReplay;
     StepKnobs spine_knobs = SpineStepKnobs(config);
 
     spine.config = cfg;  // wrapped cancel + coverage hooks for the spine run
     spine.live_coverage = &live;
     spine.global_work = &shared.work;
     spine.global_faults = &shared.faults;
-    // Snapshot handoff (the default): the spine pass serializes the chain
-    // state before each step, and each fan-out worker *restores* its start
-    // snapshot instead of re-executing the prefix -- total spine work drops
-    // from O(S^2) (every worker replays up to S-1 steps) to O(S) (the spine
-    // runs once). The restored substrate is bit-exact (expr DAG with
-    // interning, solver rng/cache/shelf, scheduler counters, WinSim/shell,
-    // wiretap cursors, warm DBT set), so the merged result is byte-identical
-    // to the replay strategy's -- pinned by tests/snapshot_test.cc.
+    // Snapshot handoff: the spine pass serializes the chain state before
+    // each step, and each fan-out task *restores* its start snapshot -- the
+    // spine runs once, so total spine work is O(S). The restored substrate
+    // is bit-exact (expr DAG with interning, solver rng/cache/shelf,
+    // scheduler counters, WinSim/shell, wiretap cursors, warm DBT set) --
+    // pinned step by step by VerifyRestoreLockstep. The spine's work at
+    // each boundary seeds the fleet's per-task estimates (queue priority
+    // only).
     std::vector<std::vector<uint8_t>> snapshots;
-    if (!spine_replay) {
-      spine.step_snapshots = &snapshots;
-    }
-    std::vector<uint64_t> step_work;
-    spine.step_work_log = &step_work;
-    EngineResult merged = spine.RunScript(spine_knobs, -1, spine_knobs);
-    spine.step_snapshots = nullptr;
-    spine.step_work_log = nullptr;
-    const size_t steps_total = spine.steps_run;
+    std::vector<uint64_t> boundary_work;
+    spine.before_step = [&spine, &snapshots, &boundary_work](const ExecutionState& state) {
+      snapshots.push_back(spine.SerializeChainSnapshot(state));
+      boundary_work.push_back(spine.stats.work);
+    };
+    EngineResult merged = spine.RunScript(spine_knobs);
+    spine.before_step = nullptr;
+    const size_t steps_total = snapshots.size();
+    boundary_work.push_back(merged.stats.work);
 
     // Fan-out task list: one task per (step, sub-shard). Each task returns
     // its slot(s); the canonical merge below lays them out by (step,
@@ -1412,9 +1430,9 @@ struct Engine::Impl {
     std::vector<uint64_t> root_counts(steps_total, 0);
     std::mutex results_mu;
     uint64_t max_chain = 0;
-    uint64_t sum_replayed = 0;
     uint64_t sum_enum = 0;
     uint64_t restore_failures = 0;
+    size_t first_failed_step = steps_total;
     uint32_t failovers = 0;
     uint32_t workers_forked = 0;
     uint32_t fleet_workers = 0;
@@ -1424,56 +1442,22 @@ struct Engine::Impl {
     uint64_t snap_reused = 0;
     std::vector<uint64_t> task_works(total_tasks, 0);
     // A RunBatch-injected shared fleet wins; otherwise the run builds a
-    // private single-job fleet (below, after the worker pool forks).
+    // private single-job fleet (below, after the worker pool forks) and is
+    // job 0 of it and of its one-entry worker job table.
     FleetScheduler* fleet = config.fleet;
+    const uint32_t job = fleet != nullptr ? config.fleet_job : 0;
     if (!merged.cancelled) {
       // Multi-process mode: fork the worker pool BEFORE the fleet's worker
       // threads start (forking a threaded process is fragile; the spine ran
       // on this thread, so this is the quietest point of the run -- though
       // callers like RunBatch may hold outer threads, which is why every
       // exchange has a deadline and an in-process failover; see
-      // src/dist/README.md). Worker children inherit the resolved config
-      // with the caller's hooks stripped: hooks must not cross the fork, so
-      // workers never observe a cancel -- a cancelled multi-process run
-      // drains without a byte pin, exactly like today's cancelled runs.
+      // src/dist/README.md). Hooks do not cross the fork, so workers never
+      // observe a cancel -- a cancelled multi-process run drains without a
+      // byte pin, exactly like today's cancelled runs.
       std::unique_ptr<dist::WorkerPool> wpool;
       if (fleet == nullptr && plan.worker_processes >= 1) {
-        EngineConfig child_cfg = config;
-        child_cfg.cancel = nullptr;
-        child_cfg.on_coverage = nullptr;
-        child_cfg.fleet = nullptr;
-        dist::WorkerPool::Options wopts;
-        wopts.workers = plan.worker_processes;
-        wpool = std::make_unique<dist::WorkerPool>(
-            wopts, [&image, child_cfg](const dist::ContextCache& contexts,
-                                       const std::vector<uint8_t>& work,
-                                       std::vector<uint8_t>* reply, std::string* err) {
-              FanoutTask task;
-              uint32_t job = 0;
-              std::string key;
-              std::vector<uint8_t> inline_snapshot;
-              if (!DeserializeFanoutWork(work, &job, &task, &key, &inline_snapshot, err)) {
-                return false;
-              }
-              const std::vector<uint8_t>* snapshot = &inline_snapshot;
-              if (inline_snapshot.empty() && !key.empty()) {
-                // Snapshot handoff rides the context cache: shipped at most
-                // once per worker per (job, step), referenced by key here.
-                const std::vector<uint8_t>* cached = contexts.Find(key);
-                if (cached == nullptr) {
-                  *err = "fanout work references uncached context: " + key;
-                  return false;
-                }
-                snapshot = cached;
-              }
-              FanoutTaskResult r =
-                  RunFanoutTask(image, child_cfg, task, *snapshot, nullptr, nullptr, nullptr);
-              *reply = SerializeFanoutResult(r);
-              return true;
-            });
-        if (wpool->alive() == 0) {
-          wpool.reset();  // every fork/handshake failed; run fully in-process
-        }
+        wpool = ForkFanoutWorkers({{&image, config}}, plan.worker_processes);
       }
       // Under a batch fleet, a job that asked for worker processes uses the
       // batch's shared pool; an in-process job stays in process.
@@ -1491,11 +1475,10 @@ struct Engine::Impl {
         fopts.steal = plan.steal;
         fopts.dist_pool = dpool;
         own_fleet = std::make_unique<FleetScheduler>(fopts);
-        own_fleet->SetJobLabel(0, "pc" + std::to_string(image.entry));
+        own_fleet->SetJobLabel(job, "pc" + std::to_string(image.entry));
         fleet = own_fleet.get();
       }
 
-      static const std::vector<uint8_t> kNoSnapshot;
       // The fan-out item body every fleet task closure runs: snapshot
       // selection, dist dispatch with in-process failover, and canonical
       // result recording are independent of the lane (or the job's steal)
@@ -1504,27 +1487,22 @@ struct Engine::Impl {
       auto run_item = [&](size_t step, uint32_t shard,
                           std::vector<uint8_t>* scratch) -> uint64_t {
         FanoutTask task{step, shard, sub_shards};
-        // Either way the task starts step k with the spine coverage of
-        // steps 0..k-1 in its `covered` set, so the no-progress gating
-        // skips re-exploring those paths -- the same baseline the
-        // sequential engine has at step k. (Seeding the *full* spine
-        // coverage instead was measured to cost tail coverage: a step
-        // stops before reaching blocks only later steps touch, breaking
-        // the +/-0.5% parity bar.)
+        // The task starts step k with the spine coverage of steps 0..k-1 in
+        // its restored `covered` set, so the no-progress gating skips
+        // re-exploring those paths -- the same baseline the sequential
+        // engine has at step k. (Seeding the *full* spine coverage instead
+        // was measured to cost tail coverage: a step stops before reaching
+        // blocks only later steps touch, breaking the +/-0.5% parity bar.)
         std::vector<uint8_t> local_snapshot;
-        const std::vector<uint8_t>* snapshot = &kNoSnapshot;
-        if (!spine_replay) {
-          if (sub_shards == 0 && dpool == nullptr) {
-            // Single consumer per step: moving the blob out frees it as
-            // the fan-out progresses instead of holding all S of them
-            // until the last task finishes.
-            local_snapshot = std::move(snapshots[step]);
-            snapshot = &local_snapshot;
-          } else {
-            // The step's K tasks (and the dist failover path) share one
-            // snapshot; the pool stays alive until the fan-out ends.
-            snapshot = &snapshots[step];
-          }
+        const std::vector<uint8_t>* snapshot = &snapshots[step];
+        if (sub_shards == 0 && dpool == nullptr) {
+          // Single consumer per step: moving the blob out frees it as the
+          // fan-out progresses instead of holding all S of them until the
+          // last task finishes. (The step's K tasks and the dist failover
+          // path share one snapshot; the pool stays alive until the
+          // fan-out ends.)
+          local_snapshot = std::move(snapshots[step]);
+          snapshot = &local_snapshot;
         }
         FanoutTaskResult r;
         bool done = false;
@@ -1533,15 +1511,12 @@ struct Engine::Impl {
           // Execute ships it only to a worker that doesn't hold it yet, so
           // the step's other shards -- and stolen tasks on a warm worker --
           // cost just the small kWork frame.
-          std::string key;
-          if (!snapshot->empty()) {
-            key = "j" + std::to_string(config.fleet_job) + "/s" + std::to_string(step);
-          }
-          SerializeFanoutWorkInto(config.fleet_job, task, key, kNoSnapshot, scratch);
+          const std::string key = "j" + std::to_string(job) + "/s" + std::to_string(step);
+          SerializeFanoutWorkInto(job, task, key, scratch);
           std::vector<uint8_t> reply;
           std::string err;
           bool shipped = false;
-          if (dpool->Execute(*scratch, &reply, &err, key, snapshot, &shipped) &&
+          if (dpool->Execute(*scratch, &reply, &err, key, *snapshot, &shipped) &&
               DeserializeFanoutResult(reply, &r, &err)) {
             done = true;
             // Monitoring: fold the worker's executed work into the live
@@ -1571,9 +1546,11 @@ struct Engine::Impl {
           step_slots[step].push_back(std::move(slot));
         }
         max_chain = std::max(max_chain, r.task_work);
-        sum_replayed += r.replayed_work;
         sum_enum += r.enum_work;
         restore_failures += r.restore_failures;
+        if (r.restore_failures != 0) {
+          first_failed_step = std::min(first_failed_step, step);
+        }
         task_works[step * shards_per_step + shard] = r.task_work;
         return executed;
       };
@@ -1583,12 +1560,11 @@ struct Engine::Impl {
       // all ran. The scheduler decides placement only; run_item records
       // results at canonical positions regardless of which lane (or which
       // job's steal) executed them.
-      fleet->SetJobSpineWork(config.fleet_job, merged.stats.work);
+      fleet->SetJobSpineWork(job, merged.stats.work);
       std::vector<FleetScheduler::Task> ftasks;
       ftasks.reserve(total_tasks);
       for (size_t k = 0; k < steps_total; ++k) {
-        const uint64_t est =
-            k < step_work.size() ? step_work[k] / shards_per_step : 1;
+        const uint64_t est = (boundary_work[k + 1] - boundary_work[k]) / shards_per_step;
         for (uint32_t s = 0; s < shards_per_step; ++s) {
           FleetScheduler::Task t;
           t.step = k;
@@ -1600,9 +1576,9 @@ struct Engine::Impl {
           ftasks.push_back(std::move(t));
         }
       }
-      fleet->RunJobTasks(config.fleet_job, std::move(ftasks));
+      fleet->RunJobTasks(job, std::move(ftasks));
       fleet_workers = fleet->workers();
-      fleet_steals = fleet->JobRealSteals(config.fleet_job);
+      fleet_steals = fleet->JobRealSteals(job);
       // own_fleet (if any) joins its workers here, then wpool goes out of
       // scope: kShutdown + reap before the merge.
     }
@@ -1700,12 +1676,11 @@ struct Engine::Impl {
       merged.solver_stats += seg.solver_stats;
       merged.executor_stats += seg.executor_stats;
       merged.fault_stats += seg.fault_stats;
-      // Interning warmth is replica-local and depends on the handoff
-      // strategy: a replayed prefix interns every node of its (dead)
-      // exploration, while a restored snapshot carries only the reachable
-      // DAG. Excluding the segments' intern counters keeps the merged
-      // substrate identical across strategies; the spine's interning
-      // represents the run. Solver/DBT counters stay in -- the restore path
+      // Interning warmth is replica-local: a restored snapshot carries only
+      // the reachable DAG, not the dead nodes the source context interned
+      // along the way. Excluding the segments' intern counters keeps the
+      // merged substrate a function of the plan; the spine's interning
+      // represents the run. Solver/DBT counters stay in -- restore
       // reproduces those caches exactly (cache contents / warm pc set).
       seg.substrate.intern_hits = 0;
       seg.substrate.intern_misses = 0;
@@ -1731,13 +1706,18 @@ struct Engine::Impl {
     }
     merged.entries = std::move(entry_union);
 
-    // A cancel can land while workers are still replaying their prefixes, in
-    // which case no segment begins and the loop above never sees a
-    // seg.cancelled -- the sticky shared flag is the authoritative answer.
+    // A cancel can land before a task begins its segment, in which case the
+    // loop above never sees a seg.cancelled -- the sticky shared flag is the
+    // authoritative answer.
     if (shared.cancel.load(std::memory_order_relaxed)) {
       merged.cancelled = true;
     }
     merged.snapshot_restore_failures = restore_failures;
+    if (restore_failures != 0) {
+      std::vector<Step> steps = spine.BuildPlan();
+      merged.error = StrFormat("fan-out step %zu (%s): RSS1 snapshot restore failed",
+                               first_failed_step, steps[first_failed_step].name.c_str());
+    }
 
     // The wrapped hooks capture this frame's Shared/live map; put the
     // caller's originals back so nothing in the long-lived Impl dangles
@@ -1754,11 +1734,9 @@ struct Engine::Impl {
     }
     // Scaling diagnostics: the per-task work distribution is what bounds
     // parallel scaling (wall ~ spine + max task chain on enough cores).
-    // `spine` is the O(S) shared pass; `replayed-prefix` is the extra
-    // per-task spine work -- O(S^2) total under the replay strategy, 0 under
-    // snapshot handoff; `enum-overhead` is the per-task re-run of the
-    // bounded enumeration phase when sub-sharding. A task's chain is
-    // everything it executed (handoff + enumeration + owned segments), so
+    // `spine` is the O(S) shared pass; `enum-overhead` is the per-task
+    // re-run of the bounded enumeration phase when sub-sharding. A task's
+    // chain is everything it executed (enumeration + owned segments), so
     // the critical path is exact for both fan-out architectures.
     {
       uint64_t spine_work = merged.stats.work - sum_seg;
@@ -1767,7 +1745,6 @@ struct Engine::Impl {
       merged.parallel.max_task_chain = max_chain;
       merged.parallel.critical_path = critical;
       merged.parallel.sum_segment_work = sum_seg;
-      merged.parallel.replayed_prefix_work = sum_replayed;
       merged.parallel.enum_work = sum_enum;
       merged.parallel.tasks = static_cast<uint32_t>(total_tasks);
       merged.parallel.slots = begun_slots;
@@ -1780,15 +1757,15 @@ struct Engine::Impl {
       merged.parallel.snapshot_bytes_shipped = snap_shipped;
       merged.parallel.snapshot_bytes_reused = snap_reused;
       merged.parallel.task_works = std::move(task_works);
-      if (!config.quiet_parallel_stats && getenv("REVNIC_PARALLEL_STATS") != nullptr) {
+      // A shared fleet's owner (RunBatch) prints one batch-level block.
+      if (config.fleet == nullptr && getenv("REVNIC_PARALLEL_STATS") != nullptr) {
         fprintf(stderr,
-                "[parallel-exercise] mode=%s sub-shards=%u workers=%u "
-                "fleet=%u steals=%u spine=%llu work, replayed-prefix=%llu, "
+                "[parallel-exercise] sub-shards=%u workers=%u "
+                "fleet=%u steals=%u spine=%llu work, "
                 "enum-overhead=%llu, %u segments (sum=%llu max=%llu), tasks=%zu, "
                 "critical path=%llu (%.2fx vs serial merge), failovers=%u\n",
-                spine_replay ? "spine-replay" : "snapshot-restore", sub_shards,
-                workers_forked, fleet_workers, fleet_steals, (unsigned long long)spine_work,
-                (unsigned long long)sum_replayed, (unsigned long long)sum_enum, begun_slots,
+                sub_shards, workers_forked, fleet_workers, fleet_steals,
+                (unsigned long long)spine_work, (unsigned long long)sum_enum, begun_slots,
                 (unsigned long long)sum_seg, (unsigned long long)max_seg, total_tasks,
                 (unsigned long long)critical,
                 critical == 0 ? 1.0 : (double)merged.stats.work / (double)critical,
@@ -1844,19 +1821,10 @@ struct Engine::Impl {
   // coverage map) and this replica's already-published total.
   std::atomic<uint64_t>* global_faults = nullptr;
   uint64_t faults_published = 0;
-  // Steps actually executed by RunScript (the parallel driver sizes its
-  // fan-out from the spine's count).
-  size_t steps_run = 0;
-  // When non-null (the spine pass of a snapshot-handoff parallel run),
-  // RunScript serializes the chain state before each executed step.
-  std::vector<std::vector<uint8_t>>* step_snapshots = nullptr;
-  // When non-null, RunScript records each executed step's work delta (fleet
-  // task-estimate seeding).
-  std::vector<uint64_t>* step_work_log = nullptr;
-  // When non-null, this replica's full step runs in sub-shard mode (see
-  // SubShardMode); RunScript/RunSegmentFromSnapshot then leave segment
-  // bracketing to RunStep.
-  SubShardMode* sub_mode = nullptr;
+  // When set, RunScript calls this with the chain state right before each
+  // executed step: the spine captures its handoff snapshots here, the
+  // lockstep oracle its restore points.
+  std::function<void(const ExecutionState&)> before_step;
   // Final chain snapshot captured by RunScript; moved into the result.
   std::vector<uint8_t> final_snapshot_bytes;
   // BeginSegment() marks; see SliceSegment().
@@ -1884,7 +1852,8 @@ Engine::~Engine() = default;
 
 EngineResult Engine::Run() {
   if (!ParallelClass(impl_->config.plan)) {
-    return impl_->Run();  // the legacy sequential exerciser, byte-for-byte
+    // The legacy sequential exerciser, byte-for-byte.
+    return impl_->RunScript(StepKnobs::Of(impl_->config));
   }
   return Impl::RunParallel(*impl_);
 }
@@ -1893,6 +1862,11 @@ FanoutTaskResult Engine::ExecuteFanoutTask(const isa::Image& image, const Engine
                                            const FanoutTask& task,
                                            const std::vector<uint8_t>& snapshot) {
   return Impl::RunFanoutTask(image, config, task, snapshot, nullptr, nullptr, nullptr);
+}
+
+bool Engine::VerifyRestoreLockstep(const isa::Image& image, const EngineConfig& config,
+                                   std::string* error) {
+  return Impl::VerifyRestoreLockstep(image, config, error);
 }
 
 }  // namespace revnic::core

@@ -73,23 +73,20 @@ struct EngineConfig {
   symex::Solver::Options solver;
   uint64_t seed = 1;
   // How the exercise stage is parallelized and perturbed: output class and
-  // fleet lanes, intra-step sub-shards, fan-out strategy, worker processes,
-  // and the deterministic fault plan -- one struct (see
-  // core/exercise_plan.h). plan.threads == 1 with everything else at its
-  // default runs the legacy sequential exerciser, byte-for-byte. For a fixed
-  // seed the merged result is byte-identical across lane counts, sub-shard
-  // counts >= 1, worker processes, and both fan-out strategies, clean and
-  // under faults (the
-  // fault schedule is a pure function of plan.faults; the cursor rides in
-  // RSS1 snapshots). plan.faults participates in the checkpoint config
-  // fingerprint. The pre-PR 9 shims (EngineConfig::exercise_threads,
-  // EngineConfig::spine_replay_fanout, EngineConfig::faults) are gone --
-  // migration table in src/core/README.md.
+  // fleet lanes, intra-step sub-shards, worker processes, and the
+  // deterministic fault plan -- one struct (see core/exercise_plan.h).
+  // plan.threads == 1 with everything else at its default runs the legacy
+  // sequential exerciser, byte-for-byte. For a fixed seed the merged result
+  // is byte-identical across lane counts, sub-shard counts >= 1 and worker
+  // processes, clean and under faults (the fault schedule is a pure function
+  // of plan.faults; the cursor rides in RSS1 snapshots). plan.faults
+  // participates in the checkpoint config fingerprint. Removed knobs and
+  // their replacements: migration table in src/core/README.md.
   ExercisePlan plan;
   // Capture the final chain state as a serialized "RSS1" snapshot in
   // EngineResult::final_snapshot ("RCP1" checkpoints embed it). Under
   // parallel exercising the spine's final state is captured (identical for
-  // every thread count and handoff strategy).
+  // every lane count).
   bool capture_final_snapshot = true;
   // Coverage timeline sampling period (work units).
   uint64_t sample_every = 2048;
@@ -111,12 +108,11 @@ struct EngineConfig {
   // fleet_job). RunBatch injects its shared batch fleet here; when null the
   // engine builds a private single-job fleet with FleetLanes(plan) lanes.
   // Placement only -- never part of the checkpoint config fingerprint,
-  // results stay byte-identical either way.
+  // results stay byte-identical either way. The engine prints its own
+  // REVNIC_PARALLEL_STATS block only on a private fleet; a shared fleet's
+  // owner (RunBatch) prints one batch-level aggregation instead.
   FleetScheduler* fleet = nullptr;
   uint32_t fleet_job = 0;
-  // Suppress the engine's own REVNIC_PARALLEL_STATS stderr block; RunBatch
-  // sets this and prints one batch-level aggregation instead.
-  bool quiet_parallel_stats = false;
 };
 
 struct EngineStats {
@@ -168,7 +164,6 @@ struct ParallelExerciseStats {
   uint64_t max_task_chain = 0;      // heaviest fan-out task (all its replicas)
   uint64_t critical_path = 0;       // spine_work + max_task_chain
   uint64_t sum_segment_work = 0;    // work landing in merged segments
-  uint64_t replayed_prefix_work = 0;  // spine-replay fallback/strategy re-runs
   uint64_t enum_work = 0;           // sub-shard enumeration re-run overhead
   uint32_t tasks = 0;               // fan-out tasks dispatched (steps x shards)
   uint32_t slots = 0;               // merged segment slots (begun)
@@ -215,15 +210,16 @@ struct EngineResult {
   bool cancelled = false;
   // Serialized "RSS1" snapshot of the final chain state (empty when
   // EngineConfig::capture_final_snapshot is off). Deterministic: identical
-  // across thread counts and handoff strategies for a fixed seed.
+  // across lane counts for a fixed seed.
   std::vector<uint8_t> final_snapshot;
-  // Fan-out workers that failed to restore their start snapshot and fell
-  // back to replaying the spine prefix. Always 0 in a healthy run (results
-  // stay byte-identical either way, so only this counter and the
-  // REVNIC_PARALLEL_STATS replayed-prefix figure reveal a restore
-  // regression); tests pin it to 0. Runtime diagnostic -- not serialized
-  // into checkpoints.
+  // Fan-out replicas whose start snapshot failed to restore. A task has no
+  // other way to its start state, so such a task contributes no segment and
+  // the run fails closed: `error` names the first failed step and
+  // Session::Exercise returns false. Always 0 in a healthy run; tests pin
+  // it. Runtime diagnostic -- not serialized into checkpoints.
   uint64_t snapshot_restore_failures = 0;
+  // Empty unless the run failed (see snapshot_restore_failures).
+  std::string error;
   // Parallel/distributed exercising diagnostics (all zero on the sequential
   // path). Runtime diagnostic -- not serialized into checkpoints.
   ParallelExerciseStats parallel;
@@ -244,14 +240,25 @@ class Engine {
   EngineResult Run();
 
   // Runs one fan-out task exactly as an in-process fleet lane would:
-  // restore the RSS1 snapshot (or replay the spine prefix), probe the step,
-  // and run the owned sub-shard roots. Stateless with respect to any Engine
-  // instance -- this is the entry point RunBatch's shared multi-driver
-  // worker-process handler uses, and it is what makes a stolen task
-  // byte-identical to a home-lane one.
+  // restore the step's RSS1 snapshot, probe the step, and run the owned
+  // sub-shard roots. A snapshot that fails to restore yields no begun slot
+  // and counts FanoutTaskResult::restore_failures -- there is no other way
+  // to the start state. Stateless with respect to any Engine instance --
+  // this is the entry point the worker-process handler uses, and it is what
+  // makes a stolen task byte-identical to a home-lane one.
   static FanoutTaskResult ExecuteFanoutTask(const isa::Image& image, const EngineConfig& config,
                                             const FanoutTask& task,
                                             const std::vector<uint8_t>& snapshot);
+
+  // The step-lockstep oracle for RSS1 restore: runs the sequential
+  // exerciser under `config` (plan shape ignored, faults kept) capturing
+  // every step's start snapshot, then restores each snapshot k into a fresh
+  // replica and runs step k. True iff every replica's re-serialized state,
+  // wiretap records and merge-summed counters (intern hit/miss excluded)
+  // match the uninterrupted run's; otherwise *error names the first
+  // diverging step. See src/symex/README.md.
+  static bool VerifyRestoreLockstep(const isa::Image& image, const EngineConfig& config,
+                                    std::string* error);
 
  private:
   struct Impl;

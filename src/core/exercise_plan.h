@@ -2,16 +2,15 @@
 // parallelized and perturbed (PR 8 API redesign).
 //
 // Parallel exercising grew knob by knob -- `EngineConfig::exercise_threads`
-// (PR 3), `EngineConfig::spine_replay_fanout` (PR 4), the fault plan (PR 6),
-// `BatchOptions::thread_budget` -- and the coordinator/worker split doubles
-// the surface again (sub-shards, worker processes). Instead of extending the
-// scatter, every dimension now lives in this one struct:
+// (PR 3), the fault plan (PR 6), `BatchOptions::thread_budget` -- and the
+// coordinator/worker split doubles the surface again (sub-shards, worker
+// processes). Instead of extending the scatter, every dimension now lives in
+// this one struct:
 //
 //   core::ExercisePlan plan;
 //   plan.threads = 4;            // parallel class, 4 fleet lanes
 //   plan.sub_shards = 4;         // split heavy steps into K pool partitions
 //   plan.worker_processes = 2;   // hand shard tasks to forked workers (RDP1)
-//   plan.fan_out = core::FanOut::kSnapshotRestore;
 //   plan.faults = my_fault_plan;
 //   config.plan = plan;
 //
@@ -24,9 +23,10 @@
 // ParallelClass() below, the one predicate the engine, RunBatch and the
 // checkpoint-store fingerprint share. Within a class every plan with the
 // same seed produces byte-identical merged results -- across lane counts,
-// sub-shard counts >= 1, worker-process counts, and both fan-out
-// strategies, clean and under faults. Every parallel-class fan-out task
-// runs on a core::FleetScheduler (core/fleet.h). The determinism argument
+// sub-shard counts >= 1 and worker-process counts, clean and under faults.
+// Every parallel-class fan-out task runs on a core::FleetScheduler
+// (core/fleet.h) and starts from the RSS1 snapshot the spine captured at its
+// step boundary -- the one handoff there is. The determinism argument
 // lives in src/symex/README.md; src/dist/README.md covers the wire protocol
 // and failover semantics of the multi-process mode.
 #ifndef REVNIC_CORE_EXERCISE_PLAN_H_
@@ -38,18 +38,6 @@
 #include "hw/faults.h"
 
 namespace revnic::core {
-
-// Fan-out handoff strategy: how a fan-out task obtains the chain state at
-// its step boundary.
-enum class FanOut {
-  // The spine serializes an "RSS1" snapshot before each step and every task
-  // restores its start snapshot directly -- O(S) total spine work (default).
-  kSnapshotRestore = 0,
-  // Every task re-executes the spine prefix (the PR 3 strategy) -- O(S^2)
-  // total spine work; kept as a debugging/validation fallback. Byte-identical
-  // results either way (tests/snapshot_test.cc, tests/dist_test.cc).
-  kSpineReplay = 1,
-};
 
 struct ExercisePlan {
   // 1 (default) = the legacy sequential exerciser, byte-for-byte -- unless
@@ -69,8 +57,6 @@ struct ExercisePlan {
   // routes root ownership; each root explores in an isolated replica), but
   // K = 0 and K >= 1 are distinct exploration shapes with distinct bytes.
   unsigned sub_shards = 0;
-  // Fan-out handoff strategy; see FanOut.
-  FanOut fan_out = FanOut::kSnapshotRestore;
   // Multi-process exercising: 0 (default) runs every fan-out task in
   // process. N >= 1 forks N worker processes at fan-out start and hands
   // (snapshot, sub-shard) work items to them over the "RDP1" framed protocol

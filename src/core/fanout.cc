@@ -1,5 +1,6 @@
 #include "core/fanout.h"
 
+#include "dist/coordinator.h"
 #include "trace/serialize.h"
 #include "util/bits.h"
 
@@ -8,10 +9,11 @@ namespace {
 
 // Payload magics so a swapped work/result payload fails loudly instead of
 // misparsing (the RDP1 frame already carries type + checksum; this guards
-// against coordinator-side mixups). FWK2 extends FWK1 with the batch job
-// index and the context-key spelling of the snapshot handoff (PR 10).
-constexpr uint32_t kWorkMagic = 0x324B5746;    // "FWK2"
-constexpr uint32_t kResultMagic = 0x31525746;  // "FWR1"
+// against coordinator-side mixups). FWK3 drops FWK2's inline-snapshot field
+// (the snapshot always travels by context key) and FWR2 drops FWR1's
+// replayed-work counter, so a payload of either old layout fails closed.
+constexpr uint32_t kWorkMagic = 0x334B5746;    // "FWK3"
+constexpr uint32_t kResultMagic = 0x32525746;  // "FWR2"
 
 void PutU32Set(trace::ByteWriter& w, const std::set<uint32_t>& s) {
   w.U32(static_cast<uint32_t>(s.size()));
@@ -185,9 +187,7 @@ bool GetSegment(trace::ByteReader& r, EngineResult* e, std::string* error) {
 }  // namespace
 
 void SerializeFanoutWorkInto(uint32_t job, const FanoutTask& task,
-                             const std::string& context_key,
-                             const std::vector<uint8_t>& snapshot,
-                             std::vector<uint8_t>* out) {
+                             const std::string& context_key, std::vector<uint8_t>* out) {
   out->clear();
   auto u32 = [out](uint32_t v) {
     const size_t n = out->size();
@@ -205,20 +205,10 @@ void SerializeFanoutWorkInto(uint32_t job, const FanoutTask& task,
   u32(task.sub_shards);
   u32(static_cast<uint32_t>(context_key.size()));
   out->insert(out->end(), context_key.begin(), context_key.end());
-  u32(static_cast<uint32_t>(snapshot.size()));
-  out->insert(out->end(), snapshot.begin(), snapshot.end());
-}
-
-std::vector<uint8_t> SerializeFanoutWork(const FanoutTask& task,
-                                         const std::vector<uint8_t>& snapshot) {
-  std::vector<uint8_t> out;
-  SerializeFanoutWorkInto(0, task, std::string(), snapshot, &out);
-  return out;
 }
 
 bool DeserializeFanoutWork(const std::vector<uint8_t>& bytes, uint32_t* job, FanoutTask* task,
-                           std::string* context_key, std::vector<uint8_t>* snapshot,
-                           std::string* error) {
+                           std::string* context_key, std::string* error) {
   trace::ByteReader r(bytes);
   auto fail = [&](const char* what) {
     *error = what;
@@ -228,26 +218,17 @@ bool DeserializeFanoutWork(const std::vector<uint8_t>& bytes, uint32_t* job, Fan
   if (!r.U32(&magic) || magic != kWorkMagic) {
     return fail("fanout work: bad magic");
   }
-  uint32_t snapshot_len;
   if (!r.U32(job) || !r.U64(&task->step) || !r.U32(&task->sub_shard) ||
-      !r.U32(&task->sub_shards) || !r.Str(context_key) || !r.U32(&snapshot_len)) {
+      !r.U32(&task->sub_shards) || !r.Str(context_key)) {
     return fail("fanout work: truncated header");
   }
-  if (snapshot_len != r.remaining()) {
-    return fail("fanout work: bad snapshot length");
+  if (context_key->empty()) {
+    return fail("fanout work: empty context key");
   }
-  snapshot->resize(snapshot_len);
-  if (!r.Raw(snapshot->data(), snapshot_len)) {
-    return fail("fanout work: truncated snapshot");
+  if (r.remaining() != 0) {
+    return fail("fanout work: trailing bytes");
   }
   return true;
-}
-
-bool DeserializeFanoutWork(const std::vector<uint8_t>& bytes, FanoutTask* task,
-                           std::vector<uint8_t>* snapshot, std::string* error) {
-  uint32_t job;
-  std::string key;
-  return DeserializeFanoutWork(bytes, &job, task, &key, snapshot, error);
 }
 
 std::vector<uint8_t> SerializeFanoutResult(const FanoutTaskResult& result) {
@@ -255,7 +236,6 @@ std::vector<uint8_t> SerializeFanoutResult(const FanoutTaskResult& result) {
   w.U32(kResultMagic);
   w.U64(result.root_count);
   w.U64(result.task_work);
-  w.U64(result.replayed_work);
   w.U64(result.enum_work);
   w.U64(result.restore_failures);
   w.U32(static_cast<uint32_t>(result.slots.size()));
@@ -281,8 +261,8 @@ bool DeserializeFanoutResult(const std::vector<uint8_t>& bytes, FanoutTaskResult
     return fail("fanout result: bad magic");
   }
   uint32_t slot_count;
-  if (!r.U64(&out->root_count) || !r.U64(&out->task_work) || !r.U64(&out->replayed_work) ||
-      !r.U64(&out->enum_work) || !r.U64(&out->restore_failures) || !r.U32(&slot_count)) {
+  if (!r.U64(&out->root_count) || !r.U64(&out->task_work) || !r.U64(&out->enum_work) ||
+      !r.U64(&out->restore_failures) || !r.U32(&slot_count)) {
     return fail("fanout result: truncated header");
   }
   if (slot_count > r.remaining()) {  // >= 1 byte per slot
@@ -303,6 +283,48 @@ bool DeserializeFanoutResult(const std::vector<uint8_t>& bytes, FanoutTaskResult
     return fail("fanout result: trailing bytes");
   }
   return true;
+}
+
+std::unique_ptr<dist::WorkerPool> ForkFanoutWorkers(std::vector<FanoutJob> jobs,
+                                                    unsigned workers) {
+  for (FanoutJob& j : jobs) {
+    // Hooks and the scheduler must not cross the fork.
+    j.config.cancel = nullptr;
+    j.config.on_coverage = nullptr;
+    j.config.fleet = nullptr;
+  }
+  auto table = std::make_shared<const std::vector<FanoutJob>>(std::move(jobs));
+  dist::WorkerPool::Options options;
+  options.workers = workers;
+  auto pool = std::make_unique<dist::WorkerPool>(
+      options, [table](const dist::ContextCache& contexts, const std::vector<uint8_t>& work,
+                       std::vector<uint8_t>* reply, std::string* err) {
+        uint32_t job = 0;
+        FanoutTask task;
+        std::string key;
+        if (!DeserializeFanoutWork(work, &job, &task, &key, err)) {
+          return false;
+        }
+        if (job >= table->size() || (*table)[job].image == nullptr) {
+          *err = "fanout work names an unknown job";
+          return false;
+        }
+        // Shipped at most once per worker per (job, step) by the
+        // coordinator, referenced by key here.
+        const std::vector<uint8_t>* snapshot = contexts.Find(key);
+        if (snapshot == nullptr) {
+          *err = "fanout work references uncached context: " + key;
+          return false;
+        }
+        const FanoutJob& j = (*table)[job];
+        *reply =
+            SerializeFanoutResult(Engine::ExecuteFanoutTask(*j.image, j.config, task, *snapshot));
+        return true;
+      });
+  if (pool->alive() == 0) {
+    pool.reset();  // every fork/handshake failed; run fully in-process
+  }
+  return pool;
 }
 
 }  // namespace revnic::core

@@ -1,4 +1,5 @@
-// Fan-out task descriptors + their RDP1 payload encodings (PR 8).
+// Fan-out task descriptors + their RDP1 payload encodings (PR 8) + the one
+// worker-process handler.
 //
 // Under the staged parallel exerciser a fan-out task is one (script step,
 // sub-shard) pair. The in-process fleet lanes and the forked dist workers run
@@ -12,10 +13,15 @@
 #define REVNIC_CORE_FANOUT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
+
+namespace revnic::dist {
+class WorkerPool;  // dist/coordinator.h
+}  // namespace revnic::dist
 
 namespace revnic::core {
 
@@ -46,45 +52,47 @@ struct FanoutTaskResult {
   // Executed work on this task's chain, across all its replicas -- the
   // critical-path unit REVNIC_PARALLEL_STATS reports.
   uint64_t task_work = 0;
-  // Portions of task_work that are handoff overhead rather than segment
-  // exploration: spine-prefix re-execution (replay strategy or restore
-  // failover) and sub-shard enumeration re-runs.
-  uint64_t replayed_work = 0;
+  // The portion of task_work that re-ran the sub-shard enumeration.
   uint64_t enum_work = 0;
+  // Replicas whose snapshot failed to restore (no begun slot each).
   uint64_t restore_failures = 0;
 };
 
-// Work-item payload ("FWK2"): batch job index + task descriptor + RSS1
-// start-snapshot handoff. The snapshot travels one of two ways: inline
-// bytes, or by reference via `context_key` -- a key into the worker's
-// per-process context cache (src/dist/coordinator.h ships the blob at most
-// once per worker with a kContext frame, so the step's K sub-shard tasks
-// and stolen tasks don't re-ship state). Both key and inline bytes empty =
-// spine-replay strategy; the worker re-executes the prefix instead.
+// Work-item payload ("FWK3"): batch job index + task descriptor + the
+// context key of its RSS1 start snapshot in the worker's per-process context
+// cache (src/dist/coordinator.h ships the blob at most once per worker with
+// a kContext frame, so the step's K sub-shard tasks and stolen tasks don't
+// re-ship state). An empty key is malformed.
 //
 // SerializeFanoutWorkInto writes into *out in place (cleared, capacity
-// kept): the fan-out path keeps ONE such buffer per fleet worker, so steady-state handoff does no per-task reallocation.
+// kept): the fan-out path keeps ONE such buffer per fleet worker, so
+// steady-state handoff does no per-task reallocation.
 void SerializeFanoutWorkInto(uint32_t job, const FanoutTask& task,
-                             const std::string& context_key,
-                             const std::vector<uint8_t>& snapshot,
-                             std::vector<uint8_t>* out);
-std::vector<uint8_t> SerializeFanoutWork(const FanoutTask& task,
-                                         const std::vector<uint8_t>& snapshot);
+                             const std::string& context_key, std::vector<uint8_t>* out);
 bool DeserializeFanoutWork(const std::vector<uint8_t>& bytes, uint32_t* job, FanoutTask* task,
-                           std::string* context_key, std::vector<uint8_t>* snapshot,
-                           std::string* error);
-// Single-job convenience (tests and the PR 8-shaped call sites): job and
-// context key are parsed and discarded.
-bool DeserializeFanoutWork(const std::vector<uint8_t>& bytes, FanoutTask* task,
-                           std::vector<uint8_t>* snapshot, std::string* error);
+                           std::string* context_key, std::string* error);
 
-// Result payload: every slot's merge-relevant EngineResult fields (bundle,
-// coverage, timeline, counter blocks, entries, call counts, apis, fault
-// stats) in the RCP1 field order -- final_snapshot and the runtime-only
-// diagnostics are deliberately not carried.
+// Result payload ("FWR2"): every slot's merge-relevant EngineResult fields
+// (bundle, coverage, timeline, counter blocks, entries, call counts, apis,
+// fault stats) in the RCP1 field order -- final_snapshot and the
+// runtime-only diagnostics are deliberately not carried.
 std::vector<uint8_t> SerializeFanoutResult(const FanoutTaskResult& result);
 bool DeserializeFanoutResult(const std::vector<uint8_t>& bytes, FanoutTaskResult* out,
                              std::string* error);
+
+// One row of the job table a worker pool serves: a work item's job index
+// selects the image and resolved config its task runs under.
+struct FanoutJob {
+  const isa::Image* image = nullptr;
+  EngineConfig config;
+};
+
+// Forks `workers` RDP1 worker processes that run Engine::ExecuteFanoutTask
+// on FWK3 items for `jobs` (hooks and fleet stripped from the configs). A
+// standalone run passes a one-entry table (job 0), RunBatch every batch
+// job. Null when no worker came up (the caller then runs in-process).
+std::unique_ptr<dist::WorkerPool> ForkFanoutWorkers(std::vector<FanoutJob> jobs,
+                                                    unsigned workers);
 
 }  // namespace revnic::core
 

@@ -118,6 +118,9 @@ bool Session::Exercise() {
   }
   Engine engine(*image_, cfg);
   engine_ = engine.Run();
+  if (!engine_.error.empty()) {
+    return Fail("Exercise(): " + engine_.error);
+  }
   stage_ = Stage::kExercised;
   NotifyStage(stage_);
   return true;
@@ -476,8 +479,8 @@ std::unique_ptr<Session> Session::LoadCheckpointFile(const std::string& path,
 
 namespace {
 
-// One aggregated REVNIC_PARALLEL_STATS block for the whole batch (the
-// engine's per-job print is suppressed by quiet_parallel_stats): one row per
+// One aggregated REVNIC_PARALLEL_STATS block for the whole batch (an engine
+// on the shared fleet skips its own per-job print): one row per
 // fleet job in input order, then fleet totals with the deterministic virtual
 // makespans (core/fleet.h). An all-sequential batch prints nothing.
 void PrintBatchParallelStats(const BatchResult& batch) {
@@ -567,53 +570,12 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
   std::unique_ptr<FleetScheduler> fleet;
   if (fleet_mode) {
     if (worker_processes >= 1) {
-      struct ChildJob {
-        const isa::Image* image;
-        EngineConfig cfg;
-      };
-      auto table = std::make_shared<std::vector<ChildJob>>();
-      table->reserve(jobs.size());
+      std::vector<FanoutJob> table;
+      table.reserve(jobs.size());
       for (size_t i = 0; i < jobs.size(); ++i) {
-        EngineConfig child_cfg = eff[i];
-        // Hooks and the scheduler must not cross the fork.
-        child_cfg.cancel = nullptr;
-        child_cfg.on_coverage = nullptr;
-        child_cfg.fleet = nullptr;
-        table->push_back({jobs[i].image, std::move(child_cfg)});
+        table.push_back({jobs[i].image, eff[i]});
       }
-      dist::WorkerPool::Options wopts;
-      wopts.workers = worker_processes;
-      pool = std::make_unique<dist::WorkerPool>(
-          wopts, [table](const dist::ContextCache& contexts, const std::vector<uint8_t>& work,
-                         std::vector<uint8_t>* reply, std::string* err) {
-            FanoutTask task;
-            uint32_t job = 0;
-            std::string key;
-            std::vector<uint8_t> inline_snapshot;
-            if (!DeserializeFanoutWork(work, &job, &task, &key, &inline_snapshot, err)) {
-              return false;
-            }
-            if (job >= table->size() || (*table)[job].image == nullptr) {
-              *err = "fanout work names an unknown batch job";
-              return false;
-            }
-            const std::vector<uint8_t>* snapshot = &inline_snapshot;
-            if (inline_snapshot.empty() && !key.empty()) {
-              const std::vector<uint8_t>* cached = contexts.Find(key);
-              if (cached == nullptr) {
-                *err = "fanout work references uncached context: " + key;
-                return false;
-              }
-              snapshot = cached;
-            }
-            FanoutTaskResult r =
-                Engine::ExecuteFanoutTask(*(*table)[job].image, (*table)[job].cfg, task, *snapshot);
-            *reply = SerializeFanoutResult(r);
-            return true;
-          });
-      if (pool->alive() == 0) {
-        pool.reset();  // every fork/handshake failed; fleet runs in-process
-      }
+      pool = ForkFanoutWorkers(std::move(table), worker_processes);
     }
     // Lanes and stealing come from the fleet jobs' effective plans (a job
     // that deferred its sizing already carries the template's).
@@ -638,8 +600,6 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
         out.error = "job has no image";
       } else {
         EngineConfig cfg = eff[i];
-        // RunBatch reports one aggregated stats block after the join.
-        cfg.quiet_parallel_stats = true;
         if (ParallelClass(cfg.plan)) {
           cfg.fleet = fleet.get();
           cfg.fleet_job = static_cast<uint32_t>(i);
@@ -739,10 +699,8 @@ std::string ConfigFingerprint(const EngineConfig& c) {
   mix(c.capture_final_snapshot ? 1 : 0);
   // The fault plan reshapes the explored tree; rates are mixed as raw
   // IEEE-754 bits -- any representational change is a schedule change.
-  // plan.fan_out deliberately is NOT mixed: both handoff strategies produce
-  // byte-identical results (tests/snapshot_test.cc), so their checkpoints
-  // are interchangeable. Ditto threads and worker_processes beyond the
-  // parallel class, and plan.fleet / plan.steal (placement-only; pinned
+  // threads and worker_processes are NOT mixed beyond the parallel class,
+  // and neither are plan.fleet / plan.steal (placement-only; pinned
   // byte-identical by tests/dist_test.cc) -- but sub_shards changes the
   // merged slot layout, so its exact value is output-relevant.
   const ExercisePlan& plan = c.plan;

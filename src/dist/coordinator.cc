@@ -267,10 +267,8 @@ unsigned WorkerPool::alive() const {
 
 bool WorkerPool::Execute(const std::vector<uint8_t>& work, std::vector<uint8_t>* result,
                          std::string* error, const std::string& context_key,
-                         const std::vector<uint8_t>* context_bytes, bool* context_shipped) {
-  if (context_shipped != nullptr) {
-    *context_shipped = false;
-  }
+                         const std::vector<uint8_t>& context_bytes, bool* context_shipped) {
+  *context_shipped = false;
   Worker* w = nullptr;
   bool ship_context = false;
   {
@@ -302,9 +300,9 @@ bool WorkerPool::Execute(const std::vector<uint8_t>& work, std::vector<uint8_t>*
     // Decide the context ship under the lock (the mirror belongs to this
     // worker, and busy=true means no other Execute touches it until we're
     // done), but do the actual I/O outside it.
-    if (!context_key.empty() && context_bytes != nullptr && !w->mirror->Contains(context_key)) {
+    if (!w->mirror->Contains(context_key)) {
       ship_context = true;
-      w->mirror->InstallMirror(context_key, context_bytes->size());
+      w->mirror->InstallMirror(context_key, context_bytes.size());
     }
   }
 
@@ -313,10 +311,8 @@ bool WorkerPool::Execute(const std::vector<uint8_t>& work, std::vector<uint8_t>*
   bool transport_ok = true;
   if (ship_context) {
     transport_ok = WriteFrame(w->fd, FrameType::kContext,
-                              ContextPayload(context_key, *context_bytes), &err);
-    if (transport_ok && context_shipped != nullptr) {
-      *context_shipped = true;
-    }
+                              ContextPayload(context_key, context_bytes), &err);
+    *context_shipped = transport_ok;
   }
   transport_ok = transport_ok && WriteFrame(w->fd, FrameType::kWork, work, &err) &&
                  ReadFrame(w->fd, &reply, options_.timeout_ms, &err);

@@ -104,17 +104,15 @@ class WorkerPool {
   // worker-side or transport failure (the worker is marked dead on transport
   // failure; a clean kError reply leaves it alive). Thread-safe.
   //
-  // When context_key is non-empty, the chosen worker is guaranteed to hold
-  // (context_key -> *context_bytes) in its context cache before the work
-  // frame: a kContext frame is shipped first iff the coordinator's mirror
-  // says the worker doesn't have it (at most once per worker per key, minus
-  // budget evictions). *context_shipped, when non-null, reports whether
-  // this call actually shipped the blob -- the caller's bytes-saved
-  // accounting.
+  // The chosen worker is guaranteed to hold (context_key -> context_bytes)
+  // in its context cache before the work frame: a kContext frame is shipped
+  // first iff the coordinator's mirror says the worker doesn't have it (at
+  // most once per worker per key, minus budget evictions). *context_shipped
+  // reports whether this call actually shipped the blob -- the caller's
+  // bytes-saved accounting.
   bool Execute(const std::vector<uint8_t>& work, std::vector<uint8_t>* result,
-               std::string* error, const std::string& context_key = std::string(),
-               const std::vector<uint8_t>* context_bytes = nullptr,
-               bool* context_shipped = nullptr);
+               std::string* error, const std::string& context_key,
+               const std::vector<uint8_t>& context_bytes, bool* context_shipped);
 
   // Workers still alive (0 once every worker has failed; Execute then always
   // returns false immediately).

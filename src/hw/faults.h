@@ -14,8 +14,8 @@
 // perform the same boundary-event sequence therefore see the same faults --
 // which is what makes the parallel exerciser's byte-identity guarantee
 // survive fault injection: the cursor rides in RSS1 snapshots next to the
-// shell-device serial, so snapshot-restore and spine-replay fan-out resume
-// the schedule at exactly the same point. See src/hw/README.md for the full
+// shell-device serial, so a restored fan-out task resumes the schedule at
+// exactly the point the spine reached. See src/hw/README.md for the full
 // determinism argument and the spec grammar.
 //
 // Two consumers share the schedule:

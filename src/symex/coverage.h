@@ -7,8 +7,9 @@
 // publish coverage as they execute; the merged count feeds live progress
 // streaming and the final cross-check. Deliberately monitoring-only: no
 // worker's *exploration decisions* read the racing live map (their skip
-// gating comes from the deterministic spine-prefix replay instead), which is
-// what keeps parallel results schedule-independent -- see README.md.
+// gating comes from the coverage set restored with the step's RSS1
+// snapshot instead), which is what keeps parallel results
+// schedule-independent -- see README.md.
 // Seed/SnapshotInto support bulk import/export of conventional coverage sets.
 #ifndef REVNIC_SYMEX_COVERAGE_H_
 #define REVNIC_SYMEX_COVERAGE_H_

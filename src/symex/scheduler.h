@@ -78,7 +78,8 @@ class StatePool {
   // ---- snapshot support (symex/snapshot.*) ----
   // The global block execution counters persist across script steps (the
   // paper's primary selection heuristic reads them), so a restored chain
-  // state must carry them or step-k selection order diverges from a replay.
+  // state must carry them or step-k selection order diverges from the
+  // uninterrupted run.
   const std::map<uint32_t, uint64_t>& block_counts() const { return block_counts_; }
   uint64_t rng_state() const { return rng_.state(); }
   void RestoreBookkeeping(std::map<uint32_t, uint64_t> block_counts, uint64_t rng_state,

@@ -45,6 +45,7 @@ struct BlockRecord {
   uint32_t next_pc = 0;  // resolved successor (0 if path ended)
   RegSnapshot before;
   RegSnapshot after;
+  bool operator==(const BlockRecord&) const = default;
 };
 
 struct MemRecord {
@@ -57,6 +58,7 @@ struct MemRecord {
   bool value_symbolic = false;
   uint32_t addr = 0;
   uint32_t value = 0;  // representative value when symbolic
+  bool operator==(const MemRecord&) const = default;
 };
 
 struct ApiRecord {
@@ -67,6 +69,7 @@ struct ApiRecord {
   std::vector<uint32_t> args;
   uint32_t ret = 0;
   bool skipped = false;  // true when the exerciser skipped/modeled the call
+  bool operator==(const ApiRecord&) const = default;
 };
 
 enum class EventKind : uint8_t {
@@ -84,6 +87,7 @@ struct EventRecord {
   EventKind kind = EventKind::kEntryInvoke;
   uint32_t value = 0;    // entry pc / child state id / kill reason
   std::string detail;    // entry-point role name, kill reason text
+  bool operator==(const EventRecord&) const = default;
 };
 
 // The complete wiretap output for one RevNIC run.

@@ -1,6 +1,6 @@
 // Distributed exercising (PR 8): the ExercisePlan grid guarantee -- fixed
 // seed => byte-identical merged checkpoints across {threads} x {sub-shards} x
-// {in-process, multi-process} x {restore, replay}, clean and faulted -- plus
+// {in-process, multi-process}, clean and faulted -- plus
 // the RDP1 wire protocol units, worker-crash failover, and the pcnet
 // critical-path ledger bound.
 #include <gtest/gtest.h>
@@ -33,7 +33,6 @@ core::EngineConfig SmallConfig(DriverId id, uint64_t max_work = 60'000) {
 struct PlanSpec {
   unsigned threads = 2;
   unsigned sub_shards = 2;
-  core::FanOut fan_out = core::FanOut::kSnapshotRestore;
   unsigned workers = 0;
   const char* faults = nullptr;
   unsigned fleet = 0;  // private single-job fleet lanes (0 = from threads)
@@ -44,7 +43,6 @@ core::EngineConfig PlanConfig(DriverId id, const PlanSpec& spec, uint64_t max_wo
   core::EngineConfig cfg = SmallConfig(id, max_work);
   cfg.plan.threads = spec.threads;
   cfg.plan.sub_shards = spec.sub_shards;
-  cfg.plan.fan_out = spec.fan_out;
   cfg.plan.worker_processes = spec.workers;
   cfg.plan.fleet = spec.fleet;
   cfg.plan.steal = spec.steal;
@@ -140,26 +138,38 @@ TEST(Rdp1Wire, ReadTimesOutOnSilence) {
 
 TEST(FanoutPayloads, WorkRoundTrip) {
   core::FanoutTask task{7, 3, 4};
-  std::vector<uint8_t> snapshot = {9, 8, 7, 6, 5};
-  std::vector<uint8_t> bytes = core::SerializeFanoutWork(task, snapshot);
+  std::vector<uint8_t> bytes;
+  core::SerializeFanoutWorkInto(1, task, "j1/s7", &bytes);
+  uint32_t job = 0;
   core::FanoutTask out_task;
-  std::vector<uint8_t> out_snapshot;
+  std::string key;
   std::string error;
-  ASSERT_TRUE(core::DeserializeFanoutWork(bytes, &out_task, &out_snapshot, &error)) << error;
+  ASSERT_TRUE(core::DeserializeFanoutWork(bytes, &job, &out_task, &key, &error)) << error;
+  EXPECT_EQ(job, 1u);
   EXPECT_EQ(out_task.step, 7u);
   EXPECT_EQ(out_task.sub_shard, 3u);
   EXPECT_EQ(out_task.sub_shards, 4u);
-  EXPECT_EQ(out_snapshot, snapshot);
+  EXPECT_EQ(key, "j1/s7");
   // A truncated work payload must fail cleanly.
-  bytes.pop_back();
-  EXPECT_FALSE(core::DeserializeFanoutWork(bytes, &out_task, &out_snapshot, &error));
+  std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - 1);
+  EXPECT_FALSE(core::DeserializeFanoutWork(truncated, &job, &out_task, &key, &error));
+  // The snapshot only travels by context key: an item without one is
+  // malformed.
+  core::SerializeFanoutWorkInto(1, task, "", &truncated);
+  EXPECT_FALSE(core::DeserializeFanoutWork(truncated, &job, &out_task, &key, &error));
+  EXPECT_EQ(error, "fanout work: empty context key");
+  // An FWK2 payload (the retired inline-snapshot layout) fails closed on its
+  // magic instead of misparsing.
+  std::vector<uint8_t> fwk2 = bytes;
+  fwk2[3] = '2';
+  EXPECT_FALSE(core::DeserializeFanoutWork(fwk2, &job, &out_task, &key, &error));
+  EXPECT_EQ(error, "fanout work: bad magic");
 }
 
 TEST(FanoutPayloads, ResultRoundTripCarriesCountersAndSlots) {
   core::FanoutTaskResult r;
   r.root_count = 5;
   r.task_work = 1234;
-  r.replayed_work = 100;
   r.enum_work = 44;
   r.restore_failures = 1;
   core::FanoutSlot empty_slot;
@@ -172,7 +182,6 @@ TEST(FanoutPayloads, ResultRoundTripCarriesCountersAndSlots) {
   ASSERT_TRUE(core::DeserializeFanoutResult(bytes, &out, &error)) << error;
   EXPECT_EQ(out.root_count, 5u);
   EXPECT_EQ(out.task_work, 1234u);
-  EXPECT_EQ(out.replayed_work, 100u);
   EXPECT_EQ(out.enum_work, 44u);
   EXPECT_EQ(out.restore_failures, 1u);
   ASSERT_EQ(out.slots.size(), 1u);
@@ -185,40 +194,29 @@ TEST(FanoutPayloads, ResultRoundTripCarriesCountersAndSlots) {
 TEST(FanoutPayloads, WorkV2CarriesJobAndContextKeyAndReusesBuffer) {
   core::FanoutTask task{9, 1, 2};
   std::vector<uint8_t> buf;
-  core::SerializeFanoutWorkInto(3, task, "j3/s9", {}, &buf);
+  core::SerializeFanoutWorkInto(3, task, "j3/s9", &buf);
   uint32_t job = 0;
   core::FanoutTask out_task;
   std::string key;
-  std::vector<uint8_t> out_snapshot;
   std::string error;
-  ASSERT_TRUE(core::DeserializeFanoutWork(buf, &job, &out_task, &key, &out_snapshot, &error))
-      << error;
+  ASSERT_TRUE(core::DeserializeFanoutWork(buf, &job, &out_task, &key, &error)) << error;
   EXPECT_EQ(job, 3u);
   EXPECT_EQ(out_task.step, 9u);
   EXPECT_EQ(out_task.sub_shard, 1u);
   EXPECT_EQ(key, "j3/s9");
-  EXPECT_TRUE(out_snapshot.empty());
   // The satellite contract: re-serializing into the same buffer reuses its
   // storage (one serialization buffer per fleet worker, no per-task churn).
   const uint8_t* storage = buf.data();
   const size_t capacity = buf.capacity();
-  core::SerializeFanoutWorkInto(3, task, "j3/s9", {}, &buf);
+  core::SerializeFanoutWorkInto(3, task, "j3/s9", &buf);
   EXPECT_EQ(buf.data(), storage);
   EXPECT_EQ(buf.capacity(), capacity);
-  // The single-job wrapper (PR 8 call shape) parses as job 0, empty key.
-  std::vector<uint8_t> legacy = core::SerializeFanoutWork(task, {5, 6, 7});
-  ASSERT_TRUE(
-      core::DeserializeFanoutWork(legacy, &job, &out_task, &key, &out_snapshot, &error))
-      << error;
-  EXPECT_EQ(job, 0u);
-  EXPECT_TRUE(key.empty());
-  EXPECT_EQ(out_snapshot, (std::vector<uint8_t>{5, 6, 7}));
 }
 
 // ---- the grid guarantee (in-process) ----
 
 TEST(DistExercise, SubShardGridByteIdentical) {
-  // One baseline, every other {threads, sub-shards, fan-out} cell must match
+  // One baseline, every other {threads, sub-shards} cell must match
   // it byte for byte. (K >= 1 uses the sub-shard slot layout, so the
   // baseline is a K >= 1 run; K == 0 parity with the legacy layout is pinned
   // by parallel_exercise_test.)
@@ -230,15 +228,14 @@ TEST(DistExercise, SubShardGridByteIdentical) {
   EXPECT_EQ(baseline, PlanBlob(DriverId::kRtl8029, {2, 4}));
   EXPECT_EQ(baseline, PlanBlob(DriverId::kRtl8029, {4, 2}));
   EXPECT_EQ(baseline, PlanBlob(DriverId::kRtl8029, {4, 4}));
-  EXPECT_EQ(baseline,
-            PlanBlob(DriverId::kRtl8029, {2, 2, core::FanOut::kSpineReplay}));
+  EXPECT_EQ(baseline, PlanBlob(DriverId::kRtl8029, {4, 8}));
 }
 
 TEST(DistExercise, FourDriversCleanAndFaultedAgreeAcrossTheGrid) {
   for (DriverId id : drivers::kAllDrivers) {
     for (const char* faults : {(const char*)nullptr, "1729:all=0.05"}) {
-      PlanSpec a{2, 2, core::FanOut::kSnapshotRestore, 0, faults};
-      PlanSpec b{4, 4, core::FanOut::kSpineReplay, 0, faults};
+      PlanSpec a{2, 2, 0, faults};
+      PlanSpec b{4, 4, 0, faults};
       std::vector<uint8_t> blob_a = PlanBlob(id, a, 40'000);
       ASSERT_FALSE(blob_a.empty()) << drivers::DriverName(id);
       EXPECT_EQ(blob_a, PlanBlob(id, b, 40'000))
@@ -274,8 +271,7 @@ TEST(DistExercise, MultiProcessMatchesInProcess) {
   // Same plan, worker processes on vs off: byte-identical checkpoints, for
   // both fan-out architectures and under faults.
   for (const PlanSpec& in_proc :
-       {PlanSpec{2, 2}, PlanSpec{2, 0}, PlanSpec{2, 2, core::FanOut::kSnapshotRestore,
-                                                  0, "1729:all=0.05"}}) {
+       {PlanSpec{2, 2}, PlanSpec{2, 0}, PlanSpec{2, 2, 0, "1729:all=0.05"}}) {
     PlanSpec multi = in_proc;
     multi.workers = 2;
     core::ParallelExerciseStats stats;
@@ -294,8 +290,7 @@ TEST(DistExercise, WorkerCrashFailsOverToIdenticalBytes) {
   std::vector<uint8_t> healthy = PlanBlob(DriverId::kRtl8029, {2, 2}, 40'000);
   setenv("REVNIC_DIST_KILL_FIRST_WORKER", "1", 1);
   core::ParallelExerciseStats stats;
-  std::vector<uint8_t> crashed =
-      PlanBlob(DriverId::kRtl8029, {2, 2, core::FanOut::kSnapshotRestore, 2}, 40'000, &stats);
+  std::vector<uint8_t> crashed = PlanBlob(DriverId::kRtl8029, {2, 2, 2}, 40'000, &stats);
   unsetenv("REVNIC_DIST_KILL_FIRST_WORKER");
   ASSERT_FALSE(healthy.empty());
   EXPECT_EQ(healthy, crashed);
@@ -313,25 +308,16 @@ TEST(DistExercise, FleetGridByteIdenticalAcrossAllDrivers) {
     std::vector<uint8_t> clean = PlanBlob(id, {2, 2}, 30'000);
     ASSERT_FALSE(clean.empty()) << drivers::DriverName(id);
     core::ParallelExerciseStats stats;
-    EXPECT_EQ(clean, PlanBlob(id, {2, 2, core::FanOut::kSnapshotRestore, 0, nullptr,
-                                   /*fleet=*/1},
-                              30'000))
+    EXPECT_EQ(clean, PlanBlob(id, {2, 2, 0, nullptr, /*fleet=*/1}, 30'000))
         << drivers::DriverName(id) << " fleet=1";
-    EXPECT_EQ(clean, PlanBlob(id, {2, 2, core::FanOut::kSnapshotRestore, 0, nullptr,
-                                   /*fleet=*/2},
-                              30'000, &stats))
+    EXPECT_EQ(clean, PlanBlob(id, {2, 2, 0, nullptr, /*fleet=*/2}, 30'000, &stats))
         << drivers::DriverName(id) << " fleet=2";
     EXPECT_EQ(stats.fleet_workers, 2u) << drivers::DriverName(id);
-    EXPECT_EQ(clean, PlanBlob(id, {2, 2, core::FanOut::kSnapshotRestore, 0, nullptr,
-                                   /*fleet=*/4, /*steal=*/false},
-                              30'000))
+    EXPECT_EQ(clean, PlanBlob(id, {2, 2, 0, nullptr, /*fleet=*/4, /*steal=*/false}, 30'000))
         << drivers::DriverName(id) << " fleet=4 no-steal";
-    std::vector<uint8_t> faulted =
-        PlanBlob(id, {2, 2, core::FanOut::kSnapshotRestore, 0, "1729:all=0.05"}, 30'000);
+    std::vector<uint8_t> faulted = PlanBlob(id, {2, 2, 0, "1729:all=0.05"}, 30'000);
     ASSERT_FALSE(faulted.empty()) << drivers::DriverName(id);
-    EXPECT_EQ(faulted, PlanBlob(id, {2, 2, core::FanOut::kSnapshotRestore, 0,
-                                     "1729:all=0.05", /*fleet=*/2},
-                                30'000))
+    EXPECT_EQ(faulted, PlanBlob(id, {2, 2, 0, "1729:all=0.05", /*fleet=*/2}, 30'000))
         << drivers::DriverName(id) << " fleet=2 faulted";
   }
 }
@@ -339,15 +325,12 @@ TEST(DistExercise, FleetGridByteIdenticalAcrossAllDrivers) {
 TEST(DistExercise, FleetMultiProcessMatchesInProcess) {
   // Fleet lanes dispatching to forked RDP1 workers (snapshots handed off via
   // the kContext cache) produce the same bytes as the all-in-process fleet.
-  std::vector<uint8_t> in_proc = PlanBlob(
-      DriverId::kRtl8029,
-      {2, 2, core::FanOut::kSnapshotRestore, 0, nullptr, /*fleet=*/2}, 30'000);
+  std::vector<uint8_t> in_proc =
+      PlanBlob(DriverId::kRtl8029, {2, 2, 0, nullptr, /*fleet=*/2}, 30'000);
   ASSERT_FALSE(in_proc.empty());
   core::ParallelExerciseStats stats;
   std::vector<uint8_t> dist = PlanBlob(
-      DriverId::kRtl8029,
-      {2, 2, core::FanOut::kSnapshotRestore, /*workers=*/2, nullptr, /*fleet=*/2}, 30'000,
-      &stats);
+      DriverId::kRtl8029, {2, 2, /*workers=*/2, nullptr, /*fleet=*/2}, 30'000, &stats);
   EXPECT_EQ(in_proc, dist);
   EXPECT_EQ(stats.worker_processes, 2u);
   // The snapshot handoff rides the context cache: each (step) blob ships to
@@ -359,15 +342,12 @@ TEST(DistExercise, FleetWorkerKilledMidStealFailsOverToIdenticalBytes) {
   // A dist worker dies on its first stolen work item (after its kContext
   // ship); the fleet lane fails the task over in-process and the merged
   // bytes are unchanged.
-  std::vector<uint8_t> healthy = PlanBlob(
-      DriverId::kRtl8029,
-      {2, 2, core::FanOut::kSnapshotRestore, 0, nullptr, /*fleet=*/2}, 30'000);
+  std::vector<uint8_t> healthy =
+      PlanBlob(DriverId::kRtl8029, {2, 2, 0, nullptr, /*fleet=*/2}, 30'000);
   setenv("REVNIC_DIST_KILL_FIRST_WORKER", "1", 1);
   core::ParallelExerciseStats stats;
   std::vector<uint8_t> crashed = PlanBlob(
-      DriverId::kRtl8029,
-      {2, 2, core::FanOut::kSnapshotRestore, /*workers=*/2, nullptr, /*fleet=*/2}, 30'000,
-      &stats);
+      DriverId::kRtl8029, {2, 2, /*workers=*/2, nullptr, /*fleet=*/2}, 30'000, &stats);
   unsetenv("REVNIC_DIST_KILL_FIRST_WORKER");
   ASSERT_FALSE(healthy.empty());
   EXPECT_EQ(healthy, crashed);

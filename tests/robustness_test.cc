@@ -353,14 +353,15 @@ TEST(Rdp1Robustness, FanoutPayloadsTruncateCleanly) {
   // The fanout work/result payload decoders sit behind the frame checksum
   // but must still reject truncation on their own (a handler bug or a
   // mixed-up payload must not read out of bounds).
-  std::vector<uint8_t> work =
-      core::SerializeFanoutWork({3, 1, 4}, std::vector<uint8_t>(64, 0xAB));
-  for (size_t len = 0; len < work.size(); len += 3) {
+  std::vector<uint8_t> work;
+  core::SerializeFanoutWorkInto(2, {3, 1, 4}, "j2/s3", &work);
+  for (size_t len = 0; len < work.size(); ++len) {
+    uint32_t job;
     core::FanoutTask task;
-    std::vector<uint8_t> snapshot;
+    std::string key;
     std::string error;
-    EXPECT_FALSE(core::DeserializeFanoutWork({work.begin(), work.begin() + len}, &task,
-                                             &snapshot, &error))
+    EXPECT_FALSE(core::DeserializeFanoutWork({work.begin(), work.begin() + len}, &job, &task,
+                                             &key, &error))
         << "len " << len;
     EXPECT_FALSE(error.empty());
   }

@@ -1,16 +1,18 @@
 // Snapshot-handoff parallel exercising (PR 4 tentpole): the spine pass
-// serializes the chain state after each step ("RSS1" blobs) and fan-out
-// workers restore their start snapshot instead of replaying the spine
-// prefix. These tests pin the headline guarantee -- the merged result is
-// byte-identical (down to the "RCP1" checkpoint blob) across thread counts,
-// across the snapshot-restore and spine-replay strategies, and in lockstep
-// with the sequential engine's synthesized output -- plus the "RCP1" v2
-// embedded-snapshot round trip and the v1 backward-compat path.
+// serializes the chain state before each step ("RSS1" blobs) and every
+// fan-out task starts by restoring its step's snapshot. These tests pin the
+// headline guarantees -- RSS1 restore is step-lockstep with the
+// uninterrupted sequential exerciser (Engine::VerifyRestoreLockstep), the
+// merged result is byte-identical (down to the "RCP1" checkpoint blob)
+// across thread counts, the synthesized output matches the sequential
+// engine's, and a snapshot that fails to restore fails closed -- plus the
+// "RCP1" embedded-snapshot round trip and the pre-v3 rejection path.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "core/fanout.h"
 #include "core/session.h"
 #include "drivers/drivers.h"
 #include "hw/faults.h"
@@ -35,30 +37,57 @@ core::EngineConfig SmallConfig(DriverId id, uint64_t max_work = 48'000) {
 
 // Full checkpoint blob (bundle + coverage + every counter + final snapshot):
 // byte-comparing two blobs compares two runs' complete observable output.
-std::vector<uint8_t> ExerciseBlob(DriverId id, unsigned threads, bool spine_replay) {
+std::vector<uint8_t> ExerciseBlob(DriverId id, unsigned threads) {
   core::EngineConfig cfg = SmallConfig(id);
   cfg.plan.threads = threads;
-  cfg.plan.fan_out = spine_replay ? core::FanOut::kSpineReplay : core::FanOut::kSnapshotRestore;
   core::Session s(drivers::DriverImage(id), cfg);
   EXPECT_TRUE(s.Exercise());
   return s.SaveCheckpoint();
 }
 
-// ---- the acceptance criterion: snapshot-restore == spine-replay ==
-// thread-count independent, pinned to the checkpoint byte, on all four
-// drivers ----
+// Restore k, run step k, compare with the uninterrupted sequential run --
+// for every executed step of `id` under `cfg` (the oracle runs the
+// sequential exerciser whatever the plan shape).
+void ExpectLockstep(DriverId id, const core::EngineConfig& cfg) {
+  std::string error;
+  EXPECT_TRUE(core::Engine::VerifyRestoreLockstep(drivers::DriverImage(id), cfg, &error))
+      << drivers::DriverName(id) << ": " << error;
+}
 
-TEST(SnapshotHandoff, ByteIdenticalToSpineReplayOnAllDrivers) {
+// ---- the acceptance criterion: RSS1 restore is step-lockstep with the
+// uninterrupted run, and the merged result is thread-count independent,
+// pinned to the checkpoint byte, on every driver ----
+
+TEST(SnapshotHandoff, RestoreIsLockstepAndThreadCountIndependentOnAllDrivers) {
   for (DriverId id : kAllDrivers) {
-    std::vector<uint8_t> restore2 = ExerciseBlob(id, 2, /*spine_replay=*/false);
-    std::vector<uint8_t> restore4 = ExerciseBlob(id, 4, /*spine_replay=*/false);
-    std::vector<uint8_t> replay4 = ExerciseBlob(id, 4, /*spine_replay=*/true);
+    ExpectLockstep(id, SmallConfig(id));
+    std::vector<uint8_t> restore2 = ExerciseBlob(id, 2);
+    std::vector<uint8_t> restore4 = ExerciseBlob(id, 4);
     ASSERT_FALSE(restore2.empty()) << drivers::DriverName(id);
     // Thread-count independence under snapshot handoff.
     EXPECT_EQ(restore2, restore4) << drivers::DriverName(id);
-    // Strategy independence: a restored snapshot is bit-exact with a
-    // replayed prefix, so the merged results cannot differ.
-    EXPECT_EQ(restore4, replay4) << drivers::DriverName(id);
+  }
+}
+
+TEST(SnapshotHandoff, TruncatedSnapshotFailsClosed) {
+  // A fan-out task has no way to its start state but the snapshot: a
+  // restore that fails yields no begun slot and counts the failure (the
+  // engine then fails the run) instead of re-deriving the state some other
+  // way.
+  const DriverId id = DriverId::kRtl8029;
+  core::EngineConfig cfg = SmallConfig(id, 20'000);
+  core::Session s(drivers::DriverImage(id), cfg);
+  ASSERT_TRUE(s.Exercise());
+  std::vector<uint8_t> truncated = s.engine().final_snapshot;
+  ASSERT_FALSE(truncated.empty());
+  truncated.resize(truncated.size() / 2);
+  for (uint32_t sub_shards : {0u, 2u}) {
+    core::FanoutTaskResult r = core::Engine::ExecuteFanoutTask(
+        drivers::DriverImage(id), cfg, core::FanoutTask{0, 0, sub_shards}, truncated);
+    EXPECT_EQ(r.restore_failures, 1u) << "K=" << sub_shards;
+    for (const core::FanoutSlot& slot : r.slots) {
+      EXPECT_FALSE(slot.begun) << "K=" << sub_shards;
+    }
   }
 }
 
@@ -78,9 +107,7 @@ TEST(SnapshotHandoff, DownstreamSynthesisMatchesSequential) {
     EXPECT_NEAR(par.engine().CoveragePercent(), seq.engine().CoveragePercent(), 0.5)
         << drivers::DriverName(id);
     EXPECT_EQ(par.c_source(), seq.c_source()) << drivers::DriverName(id);
-    // Every worker must have restored its snapshot: a silent fallback to
-    // prefix replay keeps all byte-parity green while reverting the O(S)
-    // spine guarantee, so the fallback counter is pinned to zero.
+    // Every task must have restored its snapshot.
     EXPECT_EQ(par.engine().snapshot_restore_failures, 0u) << drivers::DriverName(id);
   }
 }
@@ -88,34 +115,39 @@ TEST(SnapshotHandoff, DownstreamSynthesisMatchesSequential) {
 // ---- fault injection under fan-out: the determinism guarantee survives a
 // misbehaving device ----
 
-std::vector<uint8_t> FaultedBlob(DriverId id, unsigned threads, bool spine_replay) {
+core::EngineConfig FaultedConfig(DriverId id) {
   core::EngineConfig cfg = SmallConfig(id);
   std::string error;
   EXPECT_TRUE(hw::ParseFaultPlan("99:all=0.08", &cfg.plan.faults, &error)) << error;
+  return cfg;
+}
+
+std::vector<uint8_t> FaultedBlob(DriverId id, unsigned threads) {
+  core::EngineConfig cfg = FaultedConfig(id);
   cfg.plan.threads = threads;
-  cfg.plan.fan_out = spine_replay ? core::FanOut::kSpineReplay : core::FanOut::kSnapshotRestore;
   core::Session s(drivers::DriverImage(id), cfg);
   EXPECT_TRUE(s.Exercise());
   return s.SaveCheckpoint();
 }
 
-TEST(SnapshotHandoff, FaultedExerciseStaysByteIdenticalAcrossFanOutModes) {
-  // The fault cursor rides in the RSS1 engine section, so a restored worker
-  // resumes the schedule exactly where a replaying worker lands: with faults
-  // on, thread counts and both fan-out strategies still agree to the
-  // checkpoint byte. rtl8029 is PIO-only; pcnet is a bus master, so its DMA
-  // path runs through the fault schedule too.
+TEST(SnapshotHandoff, FaultedExerciseStaysLockstepAndByteIdenticalAcrossThreadCounts) {
+  // The fault cursor rides in the RSS1 engine section, so a restored
+  // replica resumes the schedule exactly where the uninterrupted run
+  // stands: with faults on, restore stays step-lockstep on every driver and
+  // thread counts still agree to the checkpoint byte. rtl8029 is PIO-only;
+  // pcnet is a bus master, so its DMA path runs through the fault schedule
+  // too.
+  for (DriverId id : kAllDrivers) {
+    ExpectLockstep(id, FaultedConfig(id));
+  }
   for (DriverId id : {DriverId::kRtl8029, DriverId::kPcnet}) {
-    std::vector<uint8_t> restore2 = FaultedBlob(id, 2, /*spine_replay=*/false);
-    std::vector<uint8_t> restore4 = FaultedBlob(id, 4, /*spine_replay=*/false);
-    std::vector<uint8_t> replay4 = FaultedBlob(id, 4, /*spine_replay=*/true);
+    std::vector<uint8_t> restore2 = FaultedBlob(id, 2);
+    std::vector<uint8_t> restore4 = FaultedBlob(id, 4);
     ASSERT_FALSE(restore2.empty()) << drivers::DriverName(id);
     EXPECT_EQ(restore2, restore4) << drivers::DriverName(id);
-    EXPECT_EQ(restore4, replay4) << drivers::DriverName(id);
     // The faulted blob differs from the fault-free one (the plan is part of
     // the run, and the schedule actually fired).
-    EXPECT_NE(restore4, ExerciseBlob(id, 4, /*spine_replay=*/false))
-        << drivers::DriverName(id);
+    EXPECT_NE(restore4, ExerciseBlob(id, 4)) << drivers::DriverName(id);
   }
 }
 
