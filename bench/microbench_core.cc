@@ -132,6 +132,62 @@ void BM_SolverIndependentSlices(benchmark::State& state) {
 }
 BENCHMARK(BM_SolverIndependentSlices)->Arg(8)->Arg(64);
 
+// The local search on a component shaped like rtl8139's searched ones: 20
+// constraints of about 50 nodes over 6 shared symbols (arithmetic and mask
+// chains through byte extractions), plus an unsatisfiable straggler -- two
+// equalities pinning one chain to different values, which neither
+// propagation nor the structural check sees -- so Search runs to its plateau
+// exit. Cache and shelf are off and each iteration gets a fresh solver, so
+// every iteration repeats the same search.
+void BM_SolverSearch(benchmark::State& state) {
+  using symex::BinOp;
+  symex::ExprContext ctx;
+  std::vector<symex::ExprRef> syms;
+  for (int i = 0; i < 6; ++i) {
+    syms.push_back(ctx.Sym("hw_in", 32));
+  }
+  auto chain = [&](int seed) {
+    static const BinOp kOps[] = {BinOp::kAdd, BinOp::kXor, BinOp::kAnd, BinOp::kOr,
+                                 BinOp::kMul, BinOp::kSub, BinOp::kLShr};
+    symex::ExprRef e = syms[static_cast<size_t>(seed) % 6];
+    for (int j = 0; j < 22; ++j) {
+      const symex::ExprRef& s = syms[static_cast<size_t>(seed + 2 * j + 1) % 6];
+      symex::ExprRef term =
+          j % 2 == 0 ? ctx.ZExt(ctx.ExtractByte(s, static_cast<unsigned>(j) % 4), 32)
+                     : ctx.Bin(BinOp::kAnd, s, ctx.Const(0xF0u >> (j % 4)));
+      e = ctx.Bin(kOps[(seed + j) % 7], e,
+                  j % 3 == 2 ? ctx.Const(static_cast<uint32_t>(3 + j)) : term);
+    }
+    return e;
+  };
+  std::vector<symex::ExprRef> constraints;
+  for (int i = 0; i < 20; ++i) {
+    constraints.push_back(
+        ctx.Bin(i % 2 == 0 ? BinOp::kUle : BinOp::kNe, chain(i),
+                ctx.Const(0x1000u * static_cast<uint32_t>(i + 1))));
+  }
+  symex::ExprRef straggler = chain(20);
+  constraints.push_back(ctx.Eq(straggler, ctx.Const(0x11)));
+  constraints.push_back(ctx.Eq(straggler, ctx.Const(0x22)));
+
+  symex::Solver::Options opts;
+  opts.enable_query_cache = false;
+  opts.model_shelf_entries = 0;
+  uint64_t evals = 0;
+  for (auto _ : state) {
+    symex::Solver solver(opts);
+    symex::Model model;
+    auto v = solver.CheckSat(constraints, &model);
+    benchmark::DoNotOptimize(v);
+    evals += solver.stats().evals;
+  }
+  state.counters["evals_per_s"] =
+      benchmark::Counter(static_cast<double>(evals), benchmark::Counter::kIsRate);
+  state.counters["evals_per_search"] = benchmark::Counter(
+      static_cast<double>(evals), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SolverSearch);
+
 // Hash-consed construction: rebuilding an already-interned expression shape
 // must cost a table probe, not an allocation chain.
 void BM_ExprInternRebuild(benchmark::State& state) {

@@ -553,6 +553,115 @@ uint32_t Eval(const ExprRef& e, const Model& model) {
   return 0;
 }
 
+CompiledComponent::CompiledComponent(std::span<const ExprRef> constraints) {
+  for (const ExprRef& c : constraints) {
+    slot_syms_.insert(slot_syms_.end(), c->syms->begin(), c->syms->end());
+  }
+  std::sort(slot_syms_.begin(), slot_syms_.end());
+  slot_syms_.erase(std::unique(slot_syms_.begin(), slot_syms_.end()), slot_syms_.end());
+  slot_values_.assign(slot_syms_.size(), 0);
+  slot_cons_.resize(slot_syms_.size());
+  cones_.resize(slot_syms_.size());
+
+  std::unordered_map<const Expr*, uint32_t> index;
+  roots_.reserve(constraints.size());
+  con_slots_.resize(constraints.size());
+  for (size_t ci = 0; ci < constraints.size(); ++ci) {
+    roots_.push_back(Flatten(constraints[ci], &index));
+    for (uint32_t sym : *constraints[ci]->syms) {
+      uint32_t slot = SlotOf(sym);
+      con_slots_[ci].push_back(slot);
+      slot_cons_[slot].push_back(static_cast<uint32_t>(ci));
+    }
+  }
+  values_.assign(nodes_.size(), 0);
+}
+
+uint32_t CompiledComponent::SlotOf(uint32_t sym) const {
+  return static_cast<uint32_t>(std::lower_bound(slot_syms_.begin(), slot_syms_.end(), sym) -
+                               slot_syms_.begin());
+}
+
+uint32_t CompiledComponent::Flatten(const ExprRef& e,
+                                    std::unordered_map<const Expr*, uint32_t>* index) {
+  auto it = index->find(e.get());
+  if (it != index->end()) {
+    return it->second;
+  }
+  Node n{e->kind, e->width, e->bin_op, 0, e->value, 0, 0, 0};
+  switch (e->kind) {
+    case ExprKind::kConst:
+      break;
+    case ExprKind::kSym:
+      n.value = SlotOf(e->sym_id);
+      break;
+    case ExprKind::kSelect:
+      n.c = Flatten(e->c, index);
+      [[fallthrough]];
+    case ExprKind::kBin:
+      n.b = Flatten(e->b, index);
+      [[fallthrough]];
+    case ExprKind::kExtract:
+    case ExprKind::kZExt:
+    case ExprKind::kSExt:
+      n.a = Flatten(e->a, index);
+      n.operand_width = e->a->width;
+      break;
+  }
+  uint32_t id = static_cast<uint32_t>(nodes_.size());
+  nodes_.push_back(n);
+  // Postorder ids ascend, so every cone stays sorted in evaluation order.
+  for (uint32_t sym : *e->syms) {
+    cones_[SlotOf(sym)].push_back(id);
+  }
+  index->emplace(e.get(), id);
+  return id;
+}
+
+uint32_t CompiledComponent::EvalNode(const Node& n) const {
+  const uint32_t* v = values_.data();
+  switch (n.kind) {
+    case ExprKind::kConst:
+      return n.value;
+    case ExprKind::kSym:
+      return slot_values_[n.value] & LowMask(n.width);
+    case ExprKind::kBin:
+      return FoldBin(n.bin_op, v[n.a], v[n.b], n.operand_width);
+    case ExprKind::kExtract:
+      return (v[n.a] >> (8 * n.value)) & 0xFF;
+    case ExprKind::kZExt:
+      return v[n.a] & LowMask(n.width);
+    case ExprKind::kSExt:
+      return SignExtend(v[n.a], n.operand_width) & LowMask(n.width);
+    case ExprKind::kSelect:
+      return v[n.c] != 0 ? v[n.a] : v[n.b];
+  }
+  return 0;
+}
+
+void CompiledComponent::Load(const Model& model) {
+  for (size_t s = 0; s < slot_syms_.size(); ++s) {
+    auto it = model.find(slot_syms_[s]);
+    slot_values_[s] = it == model.end() ? 0 : it->second;
+  }
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    values_[i] = EvalNode(nodes_[i]);
+  }
+}
+
+void CompiledComponent::Assign(uint32_t slot, uint32_t value) {
+  slot_values_[slot] = value;
+  for (uint32_t i : cones_[slot]) {
+    values_[i] = EvalNode(nodes_[i]);
+  }
+}
+
+void CompiledComponent::Store(Model* model) const {
+  for (size_t s = 0; s < slot_syms_.size(); ++s) {
+    (*model)[slot_syms_[s]] = slot_values_[s];
+  }
+}
+
 namespace {
 template <typename Fn>
 void Visit(const ExprRef& e, std::unordered_set<const Expr*>* seen, Fn&& fn) {

@@ -14,6 +14,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -266,6 +267,68 @@ class ExprContext {
 
 // Evaluates `e` under `model`; unmapped symbols evaluate to 0.
 uint32_t Eval(const ExprRef& e, const Model& model);
+
+// A constraint component compiled for evaluation under an assignment that
+// changes one symbol at a time (the solver's local search).
+//   - Slots: the component's symbols bound to dense indices in ascending id
+//     order, which is a Model's iteration order.
+//   - Nodes: every constraint flattened into one postorder array (a subtree
+//     shared within or across constraints appears once), with each node's
+//     value under the current assignment cached.
+//   - Cones: a slot's cone is the ascending list of nodes whose value depends
+//     on that slot. Assign() re-runs exactly that list and reads every other
+//     operand from the cache, so afterwards the cache again equals a full
+//     evaluation of the new assignment.
+// Node semantics are Eval's: both route binary operators through one
+// FoldBin, and property_test holds the two equal on every kind, op and width.
+class CompiledComponent {
+ public:
+  explicit CompiledComponent(std::span<const ExprRef> constraints);
+
+  size_t num_constraints() const { return roots_.size(); }
+  size_t num_slots() const { return slot_syms_.size(); }
+  uint32_t slot_sym(uint32_t slot) const { return slot_syms_[slot]; }
+  // Slots constraint `ci` mentions, ascending.
+  const std::vector<uint32_t>& constraint_slots(size_t ci) const { return con_slots_[ci]; }
+  // Constraints that mention `slot`, ascending.
+  const std::vector<uint32_t>& slot_constraints(uint32_t slot) const {
+    return slot_cons_[slot];
+  }
+
+  // Reads every slot from `model` (unmapped symbols read 0, as in Eval) and
+  // evaluates every node.
+  void Load(const Model& model);
+  // Sets `slot` to `value` and re-evaluates its cone.
+  void Assign(uint32_t slot, uint32_t value);
+  uint32_t slot_value(uint32_t slot) const { return slot_values_[slot]; }
+  // Value of constraint `ci` under the current assignment.
+  uint32_t value(size_t ci) const { return values_[roots_[ci]]; }
+  // Writes every slot's value into `model` under its symbol id.
+  void Store(Model* model) const;
+
+ private:
+  struct Node {
+    ExprKind kind;
+    uint8_t width;
+    BinOp bin_op;
+    uint8_t operand_width;  // width of operand a (kBin, kSExt)
+    uint32_t value;         // kConst: constant; kExtract: byte index; kSym: slot
+    uint32_t a, b, c;       // operand node indices
+  };
+
+  uint32_t SlotOf(uint32_t sym) const;
+  uint32_t Flatten(const ExprRef& e, std::unordered_map<const Expr*, uint32_t>* index);
+  uint32_t EvalNode(const Node& n) const;
+
+  std::vector<Node> nodes_;
+  std::vector<uint32_t> values_;  // per node, under the current assignment
+  std::vector<uint32_t> roots_;   // per constraint: its root node
+  std::vector<uint32_t> slot_syms_;
+  std::vector<uint32_t> slot_values_;
+  std::vector<std::vector<uint32_t>> con_slots_;
+  std::vector<std::vector<uint32_t>> slot_cons_;
+  std::vector<std::vector<uint32_t>> cones_;
+};
 
 // Collects the symbolic variable ids appearing in `e`. O(|syms|): reads the
 // symbol set cached on the node at construction.

@@ -214,16 +214,6 @@ bool EvalAll(const std::vector<ExprRef>& constraints, const Model& model) {
   return true;
 }
 
-size_t CountSat(const std::vector<ExprRef>& constraints, const Model& model) {
-  size_t n = 0;
-  for (const ExprRef& c : constraints) {
-    if (Eval(c, model) != 0) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 // Canonical component order: interned-node hash, ties broken by address
 // (stable within a process since equal nodes share one interned object).
 void CanonicalSort(std::vector<ExprRef>* group) {
@@ -566,31 +556,25 @@ Verdict Solver::SolveGroup(const std::vector<ExprRef>& constraints, Model* model
 }
 
 Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Model* model) {
-  // WalkSAT-style local repair with incremental evaluation: changing one
-  // variable only re-evaluates the constraints that mention it. Driver
-  // constraints (comparison/mask chains) converge in a handful of steps.
+  // WalkSAT-style local repair over the compiled component: changing one
+  // variable re-evaluates only its cone (the nodes whose value depends on
+  // it) and reads every other node from the cache. Driver constraints
+  // (comparison/mask chains) converge in a handful of steps.
+  CompiledComponent comp(constraints);
   const size_t n = constraints.size();
-  std::vector<std::vector<uint32_t>> con_vars(n);
   std::vector<std::vector<uint32_t>> con_consts(n);
-  std::map<uint32_t, std::vector<size_t>> var_to_cons;
   for (size_t i = 0; i < n; ++i) {
-    std::set<uint32_t> vs;
-    CollectSyms(constraints[i], &vs);
-    con_vars[i].assign(vs.begin(), vs.end());
-    for (uint32_t v : vs) {
-      var_to_cons[v].push_back(i);
-    }
     std::set<uint32_t> cs;
     CollectConstants(constraints[i], &cs);
     con_consts[i].assign(cs.begin(), cs.end());
   }
 
-  Model current = std::move(seed);
+  comp.Load(seed);
   std::vector<bool> sat(n);
   std::vector<size_t> unsat_list;
+  stats_.evals += n;
   for (size_t i = 0; i < n; ++i) {
-    ++stats_.evals;
-    sat[i] = Eval(constraints[i], current) != 0;
+    sat[i] = comp.value(i) != 0;
     if (!sat[i]) {
       unsat_list.push_back(i);
     }
@@ -608,25 +592,25 @@ Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Mode
       break;
     }
     size_t violated = unsat_list[rng_.Below(static_cast<uint32_t>(unsat_list.size()))];
-    const std::vector<uint32_t>& vars = con_vars[violated];
-    if (vars.empty()) {
+    const std::vector<uint32_t>& slots = comp.constraint_slots(violated);
+    if (slots.empty()) {
       return Verdict::kUnsat;  // constant-false constraint
     }
-    uint32_t var = vars[rng_.Below(static_cast<uint32_t>(vars.size()))];
-    const std::vector<size_t>& affected = var_to_cons[var];
+    uint32_t slot = slots[rng_.Below(static_cast<uint32_t>(slots.size()))];
+    const std::vector<uint32_t>& affected = comp.slot_constraints(slot);
 
-    uint32_t original = current[var];
+    uint32_t original = comp.slot_value(slot);
     // Delta score of assigning `v`: newly-satisfied minus newly-violated
-    // among affected constraints.
+    // among affected constraints. Leaves the slot at `v`; the commit below
+    // re-assigns it, so the node cache is consistent again afterwards.
     auto delta_of = [&](uint32_t v) -> int64_t {
-      current[var] = v;
+      comp.Assign(slot, v);
+      stats_.evals += affected.size();
       int64_t delta = 0;
-      for (size_t ci : affected) {
-        ++stats_.evals;
-        bool now = Eval(constraints[ci], current) != 0;
+      for (uint32_t ci : affected) {
+        bool now = comp.value(ci) != 0;
         delta += static_cast<int64_t>(now) - static_cast<int64_t>(sat[ci]);
       }
-      current[var] = original;
       return delta;
     };
 
@@ -665,11 +649,11 @@ Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Mode
     uint32_t chosen = best_delta > 0 ? best_value
                       : (rng_.Below(2) == 0 ? original ^ (1u << rng_.Below(32))
                                             : rng_.Next32());  // plateau escape
-    current[var] = chosen;
     // Commit: update sat flags for affected constraints.
-    for (size_t ci : affected) {
-      ++stats_.evals;
-      sat[ci] = Eval(constraints[ci], current) != 0;
+    comp.Assign(slot, chosen);
+    stats_.evals += affected.size();
+    for (uint32_t ci : affected) {
+      sat[ci] = comp.value(ci) != 0;
     }
     unsat_list.clear();
     for (size_t i = 0; i < n; ++i) {
@@ -680,7 +664,8 @@ Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Mode
   }
   if (unsat_list.empty()) {
     if (model != nullptr) {
-      *model = std::move(current);
+      comp.Store(&seed);
+      *model = std::move(seed);
     }
     return Verdict::kSat;
   }

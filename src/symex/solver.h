@@ -8,7 +8,9 @@
 //      outright (the overwhelmingly common case);
 //   2. candidate enumeration over constants harvested from the constraints
 //      covers small multi-variable systems;
-//   3. guided random/local search is the fallback.
+//   3. guided random/local search is the fallback. It runs on a
+//      CompiledComponent (expr.h), so a candidate value re-evaluates only
+//      the nodes that depend on the changed variable.
 //
 // Two KLEE-style layers sit in front of that pipeline:
 //   - Constraint independence: the conjunction is partitioned into

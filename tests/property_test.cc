@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "isa/disasm.h"
 #include "symex/executor.h"
 #include "symex/snapshot.h"
+#include "symex/solver.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "vm/machine.h"
@@ -372,6 +375,305 @@ TEST_P(SnapshotRoundTrip, ExprDagAndMemorySurviveSerialization) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotRoundTrip, ::testing::Range<uint64_t>(1, 13));
+
+// ---- compiled-component evaluation (symex::CompiledComponent) ----
+//
+// The solver's local search evaluates constraints through a compiled,
+// cone-incremental form instead of the recursive Eval. The two must agree
+// bit for bit: a full compiled evaluation equals Eval under any model, and
+// after any sequence of single-slot updates the cone-only re-evaluation
+// equals a full one. Nodes are built with RebuildNode, which skips the
+// simplifier, so every ExprKind and BinOp reaches the evaluator unfolded --
+// including division and remainder by zero, shifts of at least the width,
+// and SExt from every narrower width.
+
+constexpr uint8_t kWidths[] = {1, 8, 16, 32};
+
+struct WidthDag {
+  symex::ExprContext* ctx;
+  Rng* rng;
+  std::map<uint8_t, std::vector<symex::ExprRef>> syms;   // per width
+  std::map<uint8_t, std::vector<symex::ExprRef>> built;  // per width, for sharing
+
+  WidthDag(symex::ExprContext* c, Rng* r) : ctx(c), rng(r) {
+    for (uint8_t w : kWidths) {
+      for (int i = 0; i < 2; ++i) {
+        syms[w].push_back(ctx->Sym(StrFormat("w%u_%d", w, i), w));
+      }
+    }
+  }
+
+  uint8_t RandomWidth() { return kWidths[rng->Below(4)]; }
+
+  // Constants favour the edge values that exercise FoldBin's guards.
+  symex::ExprRef Leaf(uint8_t w) {
+    if (rng->Below(2) == 0) {
+      const std::vector<symex::ExprRef>& pool = syms[w];
+      return pool[rng->Below(static_cast<uint32_t>(pool.size()))];
+    }
+    static const uint32_t kEdges[] = {0, 1, 7, 8, 15, 16, 31, 32, 33, 0x80, 0x8000, 0xFFFFFFFFu};
+    uint32_t v = rng->Below(3) == 0 ? rng->Next32() : kEdges[rng->Below(12)];
+    return ctx->Const(v, w);
+  }
+
+  symex::ExprRef Node(symex::ExprKind kind, uint8_t width, symex::BinOp op, uint32_t value,
+                      symex::ExprRef a, symex::ExprRef b = nullptr,
+                      symex::ExprRef c = nullptr) {
+    return ctx->RebuildNode(kind, width, op, value, 0, std::move(a), std::move(b), std::move(c),
+                            /*interned=*/false);
+  }
+
+  // A random expression of width `w`.
+  symex::ExprRef Gen(uint8_t w, int depth) {
+    std::vector<symex::ExprRef>& pool = built[w];
+    if (!pool.empty() && rng->Below(5) == 0) {
+      return pool[rng->Below(static_cast<uint32_t>(pool.size()))];  // shared subtree
+    }
+    if (depth == 0 || rng->Below(6) == 0) {
+      return Leaf(w);
+    }
+    using symex::BinOp;
+    using symex::ExprKind;
+    symex::ExprRef e;
+    switch (rng->Below(w == 1 ? 4 : 7)) {
+      case 0: {  // arithmetic / bitwise / shift at width w
+        auto op = static_cast<BinOp>(rng->Below(static_cast<uint32_t>(BinOp::kEq)));
+        e = Node(ExprKind::kBin, w, op, 0, Gen(w, depth - 1), Gen(w, depth - 1));
+        break;
+      }
+      case 1:
+        if (w == 1) {  // comparison over a random operand width
+          auto op = static_cast<BinOp>(static_cast<uint32_t>(BinOp::kEq) + rng->Below(6));
+          uint8_t ow = RandomWidth();
+          e = Node(ExprKind::kBin, 1, op, 0, Gen(ow, depth - 1), Gen(ow, depth - 1));
+        } else {
+          e = Node(ExprKind::kSelect, w, BinOp::kAdd, 0, Gen(w, depth - 1), Gen(w, depth - 1),
+                   Gen(1, depth - 1));
+        }
+        break;
+      case 2:
+        e = Node(ExprKind::kSelect, w, BinOp::kAdd, 0, Gen(w, depth - 1), Gen(w, depth - 1),
+                 Gen(1, depth - 1));
+        break;
+      case 3: {
+        auto op = static_cast<BinOp>(static_cast<uint32_t>(BinOp::kEq) + rng->Below(6));
+        if (w == 1) {
+          e = Node(ExprKind::kBin, 1, op, 0, Gen(8, depth - 1), Gen(8, depth - 1));
+        } else {
+          e = Node(ExprKind::kZExt, w, BinOp::kAdd, 0,
+                   Node(ExprKind::kBin, 1, op, 0, Gen(w, depth - 1), Gen(w, depth - 1)));
+        }
+        break;
+      }
+      case 4: {  // widen from a strictly narrower width
+        uint8_t from = kWidths[rng->Below(w == 8 ? 1 : w == 16 ? 2 : 3)];
+        ExprKind kind = rng->Below(2) == 0 ? ExprKind::kZExt : ExprKind::kSExt;
+        e = Node(kind, w, BinOp::kAdd, 0, Gen(from, depth - 1));
+        break;
+      }
+      case 5: {  // byte extraction, widened back to w when needed
+        uint8_t from = rng->Below(2) == 0 ? 16 : 32;
+        symex::ExprRef byte = Node(ExprKind::kExtract, 8, BinOp::kAdd, rng->Below(from / 8u),
+                                   Gen(from, depth - 1));
+        e = w == 8 ? byte : Node(ExprKind::kZExt, w, BinOp::kAdd, 0, byte);
+        break;
+      }
+      default: {  // division, remainder and shifts by small or edge amounts
+        static const BinOp kGuarded[] = {BinOp::kUDiv, BinOp::kURem, BinOp::kShl, BinOp::kLShr,
+                                         BinOp::kAShr};
+        e = Node(ExprKind::kBin, w, kGuarded[rng->Below(5)], 0, Gen(w, depth - 1), Leaf(w));
+        break;
+      }
+    }
+    pool.push_back(e);
+    return e;
+  }
+
+  // A catalogue with every operator at every width, every widening and
+  // every extracted byte over random operands, then `count` random roots.
+  std::vector<symex::ExprRef> Constraints(int count) {
+    using symex::BinOp;
+    using symex::ExprKind;
+    std::vector<symex::ExprRef> out;
+    for (uint8_t w : kWidths) {
+      for (uint32_t op = 0; op <= static_cast<uint32_t>(BinOp::kSle); ++op) {
+        auto bin_op = static_cast<BinOp>(op);
+        out.push_back(Node(ExprKind::kBin, symex::IsComparison(bin_op) ? 1 : w, bin_op, 0,
+                           Gen(w, 2), Gen(w, 2)));
+      }
+      out.push_back(Node(ExprKind::kSelect, w, BinOp::kAdd, 0, Gen(w, 2), Gen(w, 2), Gen(1, 2)));
+      for (uint8_t from : kWidths) {
+        if (from < w) {
+          out.push_back(Node(ExprKind::kSExt, w, BinOp::kAdd, 0, Gen(from, 2)));
+          out.push_back(Node(ExprKind::kZExt, w, BinOp::kAdd, 0, Gen(from, 2)));
+        }
+      }
+      for (uint32_t byte = 0; byte < w / 8u; ++byte) {
+        out.push_back(Node(ExprKind::kExtract, 8, BinOp::kAdd, byte, Gen(w, 2)));
+      }
+    }
+    for (int i = 0; i < count; ++i) {
+      out.push_back(Gen(i % 3 == 0 ? RandomWidth() : 1, 5));
+    }
+    return out;
+  }
+
+  // Random model over a random subset of the symbols (unmapped ones read 0).
+  symex::Model RandomModel() {
+    symex::Model m;
+    for (const auto& [w, pool] : syms) {
+      for (const symex::ExprRef& s : pool) {
+        if (rng->Below(5) != 0) {
+          m[s->sym_id] = RandomSlotValue();
+        }
+      }
+    }
+    return m;
+  }
+
+  uint32_t RandomSlotValue() {
+    static const uint32_t kEdges[] = {0, 1, 2, 31, 32, 0x7F, 0x80, 0xFF, 0xFFFF, 0xFFFFFFFFu};
+    return rng->Below(2) == 0 ? kEdges[rng->Below(10)] : rng->Next32();
+  }
+};
+
+class CompiledEvalProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CompiledEvalProperty, FullEvaluationMatchesEval) {
+  Rng rng(GetParam());
+  symex::ExprContext ctx;
+  WidthDag dag(&ctx, &rng);
+  std::vector<symex::ExprRef> constraints = dag.Constraints(24);
+  symex::CompiledComponent comp(constraints);
+  ASSERT_EQ(comp.num_constraints(), constraints.size());
+
+  // The population reaches every kind, every operator and every SExt source.
+  std::set<int> kinds, ops, sext_from;
+  std::function<void(const symex::ExprRef&)> walk = [&](const symex::ExprRef& e) {
+    if (!e) {
+      return;
+    }
+    kinds.insert(static_cast<int>(e->kind));
+    if (e->kind == symex::ExprKind::kBin) {
+      ops.insert(static_cast<int>(e->bin_op));
+    }
+    if (e->kind == symex::ExprKind::kSExt) {
+      sext_from.insert(e->a->width);
+    }
+    walk(e->a);
+    walk(e->b);
+    walk(e->c);
+  };
+  for (const symex::ExprRef& c : constraints) {
+    walk(c);
+  }
+  EXPECT_EQ(kinds.size(), 7u);
+  EXPECT_EQ(ops.size(), static_cast<size_t>(symex::BinOp::kSle) + 1);
+  EXPECT_EQ(sext_from, (std::set<int>{1, 8, 16}));
+
+  for (int trial = 0; trial < 40; ++trial) {
+    symex::Model model = dag.RandomModel();
+    comp.Load(model);
+    for (size_t i = 0; i < constraints.size(); ++i) {
+      ASSERT_EQ(comp.value(i), symex::Eval(constraints[i], model))
+          << "trial " << trial << ": " << symex::ToString(constraints[i]);
+    }
+  }
+}
+
+TEST_P(CompiledEvalProperty, ConeUpdatesMatchFullReevaluation) {
+  Rng rng(GetParam() * 7919);
+  symex::ExprContext ctx;
+  WidthDag dag(&ctx, &rng);
+  std::vector<symex::ExprRef> constraints = dag.Constraints(24);
+  symex::CompiledComponent comp(constraints);
+  ASSERT_GT(comp.num_slots(), 0u);
+  // Slots are the constraints' symbols in ascending id order.
+  std::set<uint32_t> syms;
+  for (const symex::ExprRef& c : constraints) {
+    symex::CollectSyms(c, &syms);
+  }
+  ASSERT_EQ(comp.num_slots(), syms.size());
+  size_t slot_index = 0;
+  for (uint32_t sym : syms) {
+    EXPECT_EQ(comp.slot_sym(static_cast<uint32_t>(slot_index++)), sym);
+  }
+
+  symex::Model model = dag.RandomModel();
+  comp.Load(model);
+  symex::CompiledComponent fresh(constraints);
+  for (int step = 0; step < 200; ++step) {
+    auto slot = static_cast<uint32_t>(rng.Below(static_cast<uint32_t>(comp.num_slots())));
+    uint32_t v = dag.RandomSlotValue();
+    comp.Assign(slot, v);
+    model[comp.slot_sym(slot)] = v;
+    fresh.Load(model);
+    for (size_t i = 0; i < constraints.size(); ++i) {
+      ASSERT_EQ(comp.value(i), fresh.value(i)) << "step " << step << " constraint " << i;
+      ASSERT_EQ(comp.value(i), symex::Eval(constraints[i], model)) << "step " << step;
+    }
+  }
+  symex::Model stored;
+  comp.Store(&stored);
+  for (const auto& [sym, v] : stored) {
+    auto it = model.find(sym);
+    EXPECT_EQ(v, it == model.end() ? 0u : it->second) << "sym " << sym;
+  }
+}
+
+// Search's model carries exactly the seed's key set (the component's
+// symbols) and satisfies every constraint. Each system is satisfiable by
+// construction (equalities against values computed under a hidden model)
+// and opaque to propagation, so the local search does the solving.
+TEST_P(CompiledEvalProperty, SearchModelsKeepTheSeedKeySet) {
+  Rng rng(GetParam() * 104729);
+  symex::ExprContext ctx;
+  WidthDag dag(&ctx, &rng);
+  symex::Solver::Options opts;
+  opts.enable_query_cache = false;
+  opts.enable_independence = false;
+  opts.model_shelf_entries = 0;
+  symex::Solver solver(opts, GetParam());
+  int searched = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    symex::Model hidden = dag.RandomModel();
+    std::vector<symex::ExprRef> constraints;
+    std::set<uint32_t> syms;
+    for (int i = 0; i < 4; ++i) {
+      uint8_t w = dag.RandomWidth();
+      symex::ExprRef e = dag.Gen(w, 4);
+      if (e->syms->empty()) {
+        continue;
+      }
+      constraints.push_back(dag.Node(symex::ExprKind::kBin, 1, symex::BinOp::kEq, 0, e,
+                                     ctx.Const(symex::Eval(e, hidden), w)));
+      symex::CollectSyms(e, &syms);
+    }
+    if (constraints.empty()) {
+      continue;
+    }
+    uint64_t evals_before = solver.stats().evals;
+    symex::Model model;
+    symex::Verdict v = solver.CheckSat(constraints, &model);
+    if (solver.stats().evals - evals_before > 2) {
+      ++searched;  // past the two quick tries
+    }
+    if (v != symex::Verdict::kSat) {
+      continue;
+    }
+    std::set<uint32_t> keys;
+    for (const auto& [sym, value] : model) {
+      keys.insert(sym);
+    }
+    EXPECT_EQ(keys, syms) << "trial " << trial;
+    for (const symex::ExprRef& c : constraints) {
+      EXPECT_NE(symex::Eval(c, model), 0u) << symex::ToString(c);
+    }
+  }
+  EXPECT_GT(searched, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompiledEvalProperty, ::testing::Range<uint64_t>(1, 9));
 
 // Property: the assembler's output disassembles back to text that
 // re-assembles to the identical image (for label-free programs).
