@@ -743,20 +743,9 @@ struct Engine::Impl {
     e.U64(event_seq);
     e.U64(executor.seq());
     e.U64(rng.state());
-    const EngineStats& es = stats;
-    for (uint64_t v : {es.work, es.states_created, es.states_killed_polling,
-                       es.states_killed_error, es.entry_completions, es.irqs_injected,
-                       es.api_calls, es.api_skipped}) {
-      e.U64(v);
-    }
-    auto put_u32_set = [&e](const std::set<uint32_t>& s) {
-      e.U32(static_cast<uint32_t>(s.size()));
-      for (uint32_t v : s) {
-        e.U32(v);
-      }
-    };
-    put_u32_set(covered);
-    put_u32_set(apis_used);
+    e.Fields(stats);
+    e.U32Set(covered);
+    e.U32Set(apis_used);
     std::vector<uint32_t> warm_pcs = dbt.CachedPcs();
     e.U32(static_cast<uint32_t>(warm_pcs.size()));
     for (uint32_t pc : warm_pcs) {
@@ -780,12 +769,7 @@ struct Engine::Impl {
     e.U32(ws.adapter_context);
     e.U32(ws.heap_next);
     e.U32(ws.dma_next);
-    e.U32(static_cast<uint32_t>(ws.entries.size()));
-    for (const os::EntryPoint& ep : ws.entries) {
-      e.U8(static_cast<uint8_t>(ep.role));
-      e.U32(ep.pc);
-      e.U32(ep.timer_context);
-    }
+    trace::WriteEntryTable(e, ws.entries);
     e.U32(static_cast<uint32_t>(ws.timers.size()));
     for (const os::Timer& t : ws.timers) {
       e.U32(t.handler_pc);
@@ -817,12 +801,7 @@ struct Engine::Impl {
     // decision, so a restored chain resumes mid-schedule exactly where the
     // spine left it (same contract as the shell's symbol serial above).
     e.U64(faults.cursor());
-    const hw::FaultStats& fs = faults.stats();
-    for (uint64_t v : {fs.decisions, fs.irq_dropped, fs.irq_duplicated, fs.irq_delayed,
-                       fs.dma_read_stalls, fs.dma_write_drops, fs.bus_errors,
-                       fs.reg_corruptions, fs.frames_truncated, fs.frames_oversized}) {
-      e.U64(v);
-    }
+    e.Fields(faults.stats());
 
     return w.Finish(ctx);
   }
@@ -860,28 +839,10 @@ struct Engine::Impl {
     }
     executor.set_seq(executor_seq);
     rng.set_state(rng_state);
-    for (uint64_t* v : {&stats.work, &stats.states_created, &stats.states_killed_polling,
-                        &stats.states_killed_error, &stats.entry_completions,
-                        &stats.irqs_injected, &stats.api_calls, &stats.api_skipped}) {
-      if (!e.U64(v)) {
-        return fail("truncated engine stats");
-      }
+    if (!e.Fields(&stats)) {
+      return fail("truncated engine stats");
     }
-    auto get_u32_set = [&e](std::set<uint32_t>* s) {
-      uint32_t n;
-      if (!e.U32(&n) || n > e.remaining() / 4) {
-        return false;
-      }
-      for (uint32_t k = 0; k < n; ++k) {
-        uint32_t v;
-        if (!e.U32(&v)) {
-          return false;
-        }
-        s->insert(v);
-      }
-      return true;
-    };
-    if (!get_u32_set(&covered) || !get_u32_set(&apis_used)) {
+    if (!e.U32Set(&covered) || !e.U32Set(&apis_used)) {
       return fail("truncated coverage sets");
     }
     uint32_t n;
@@ -933,17 +894,8 @@ struct Engine::Impl {
       return fail("truncated winsim header");
     }
     ws.registered = registered != 0;
-    if (!e.U32(&n) || n > e.remaining() / 9) {
-      return fail("implausible entry count");
-    }
-    ws.entries.resize(n);
-    for (os::EntryPoint& ep : ws.entries) {
-      uint8_t role;
-      if (!e.U8(&role) || role > static_cast<uint8_t>(os::EntryRole::kTimer) ||
-          !e.U32(&ep.pc) || !e.U32(&ep.timer_context)) {
-        return fail("bad winsim entry point");
-      }
-      ep.role = static_cast<os::EntryRole>(role);
+    if (!trace::ReadEntryTable(e, &ws.entries)) {
+      return fail("bad winsim entry table");
     }
     if (!e.U32(&n) || n > e.remaining() / 9) {
       return fail("implausible timer count");
@@ -1006,12 +958,8 @@ struct Engine::Impl {
     if (!e.U64(&fault_cursor)) {
       return fail("truncated fault cursor");
     }
-    for (uint64_t* v : {&fs.decisions, &fs.irq_dropped, &fs.irq_duplicated, &fs.irq_delayed,
-                        &fs.dma_read_stalls, &fs.dma_write_drops, &fs.bus_errors,
-                        &fs.reg_corruptions, &fs.frames_truncated, &fs.frames_oversized}) {
-      if (!e.U64(v)) {
-        return fail("truncated fault stats");
-      }
+    if (!e.Fields(&fs)) {
+      return fail("truncated fault stats");
     }
     faults.set_cursor(fault_cursor);
     faults.set_stats(fs);
@@ -1268,13 +1216,16 @@ struct Engine::Impl {
   // cache contents ride in the chain snapshot, which the oracle compares
   // whole.
   std::vector<uint64_t> LockstepMarks(const trace::TraceBundle& b) const {
-    const symex::SolverStats& ss = solver.stats();
-    const symex::ExecutorStats& xs = executor.stats();
-    return {b.block_records.size(), b.mem_records.size(), b.api_records.size(),
-            b.events.size(), ss.queries, ss.sat, ss.unsat, ss.unknown, ss.cache_hits,
-            ss.cache_misses, ss.components, ss.shelf_hits, ss.evals, xs.blocks, xs.instrs,
-            xs.forks, xs.concretizations, dbt.cache_hits(), dbt.cache_misses(),
-            stats_functions_modeled};
+    std::vector<uint64_t> marks = {b.block_records.size(), b.mem_records.size(),
+                                   b.api_records.size(), b.events.size()};
+    for (uint64_t symex::SolverStats::*f : symex::SolverStats::kFields) {
+      marks.push_back(solver.stats().*f);
+    }
+    for (uint64_t symex::ExecutorStats::*f : symex::ExecutorStats::kFields) {
+      marks.push_back(executor.stats().*f);
+    }
+    marks.insert(marks.end(), {dbt.cache_hits(), dbt.cache_misses(), stats_functions_modeled});
+    return marks;
   }
 
   static bool VerifyRestoreLockstep(const isa::Image& image, EngineConfig cfg,

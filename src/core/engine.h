@@ -19,6 +19,7 @@
 #include "perf/profile.h"
 #include "symex/scheduler.h"
 #include "trace/trace.h"
+#include "util/fields.h"
 #include "vm/dbt.h"
 #include "vm/machine.h"
 
@@ -125,33 +126,18 @@ struct EngineStats {
   uint64_t api_calls = 0;
   uint64_t api_skipped = 0;
 
+  // The field list (util/fields.h), in serialized order.
+  static constexpr uint64_t EngineStats::*kFields[] = {
+      &EngineStats::work, &EngineStats::states_created, &EngineStats::states_killed_polling,
+      &EngineStats::states_killed_error, &EngineStats::entry_completions,
+      &EngineStats::irqs_injected, &EngineStats::api_calls, &EngineStats::api_skipped};
+
   // Segment arithmetic for the parallel merge: += sums a segment in, -=
-  // rebases against a BeginSegment mark. Keep both in sync with the field
-  // list -- they are the single source of truth the byte-identity guarantee
-  // leans on.
-  EngineStats& operator+=(const EngineStats& o) {
-    work += o.work;
-    states_created += o.states_created;
-    states_killed_polling += o.states_killed_polling;
-    states_killed_error += o.states_killed_error;
-    entry_completions += o.entry_completions;
-    irqs_injected += o.irqs_injected;
-    api_calls += o.api_calls;
-    api_skipped += o.api_skipped;
-    return *this;
-  }
-  EngineStats& operator-=(const EngineStats& o) {
-    work -= o.work;
-    states_created -= o.states_created;
-    states_killed_polling -= o.states_killed_polling;
-    states_killed_error -= o.states_killed_error;
-    entry_completions -= o.entry_completions;
-    irqs_injected -= o.irqs_injected;
-    api_calls -= o.api_calls;
-    api_skipped -= o.api_skipped;
-    return *this;
-  }
+  // rebases against a BeginSegment mark.
+  EngineStats& operator+=(const EngineStats& o) { return AddFields(*this, o); }
+  EngineStats& operator-=(const EngineStats& o) { return SubtractFields(*this, o); }
 };
+static_assert(FieldListCovers<EngineStats>());
 
 // Parallel/distributed exercising diagnostics, populated whenever the staged
 // parallel architecture runs (ParallelClass(plan)). All figures are

@@ -6,9 +6,8 @@
 // the exact same task entry point (core::Engine's RunFanoutTask) on the same
 // inputs; this header defines the task/result structs and the byte encodings
 // that carry them across the RDP1 socket (src/dist/wire.h). The result
-// encoding round-trips every EngineResult field the canonical merge and the
-// diagnostics consume, so a segment computed in a worker process merges to
-// the same bytes as one computed in-process.
+// encoding is the RCP1 EngineResult codec, so a segment computed in a worker
+// process merges to the same bytes as one computed in-process.
 #ifndef REVNIC_CORE_FANOUT_H_
 #define REVNIC_CORE_FANOUT_H_
 
@@ -72,10 +71,10 @@ void SerializeFanoutWorkInto(uint32_t job, const FanoutTask& task,
 bool DeserializeFanoutWork(const std::vector<uint8_t>& bytes, uint32_t* job, FanoutTask* task,
                            std::string* context_key, std::string* error);
 
-// Result payload ("FWR2"): every slot's merge-relevant EngineResult fields
-// (bundle, coverage, timeline, counter blocks, entries, call counts, apis,
-// fault stats) in the RCP1 field order -- final_snapshot and the
-// runtime-only diagnostics are deliberately not carried.
+// Result payload ("FWR3"): the task header, then each begun slot's
+// EngineResult in the one codec RCP1 checkpoints also use
+// (core/result_codec.h) -- final_snapshot and the runtime-only diagnostics
+// are not carried.
 std::vector<uint8_t> SerializeFanoutResult(const FanoutTaskResult& result);
 bool DeserializeFanoutResult(const std::vector<uint8_t>& bytes, FanoutTaskResult* out,
                              std::string* error);

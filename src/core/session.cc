@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "core/fanout.h"
+#include "core/result_codec.h"
 #include "dist/coordinator.h"
 #include "synth/emit.h"
 #include "synth/passes.h"
@@ -23,28 +24,6 @@ constexpr uint32_t kCheckpointMagic = 0x31504352;  // "RCP1"
 // block after the substrate counters. Only version 3 is written or read; a
 // v1/v2 blob fails closed with "unsupported checkpoint version".
 constexpr uint32_t kCheckpointVersion = 3;
-
-void PutU32Set(trace::ByteWriter& w, const std::set<uint32_t>& s) {
-  w.U32(static_cast<uint32_t>(s.size()));
-  for (uint32_t v : s) {
-    w.U32(v);
-  }
-}
-
-bool GetU32Set(trace::ByteReader& r, std::set<uint32_t>* s) {
-  uint32_t n;
-  if (!r.U32(&n)) {
-    return false;
-  }
-  for (uint32_t k = 0; k < n; ++k) {
-    uint32_t v;
-    if (!r.U32(&v)) {
-      return false;
-    }
-    s->insert(v);
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -225,13 +204,10 @@ bool Session::WriteOutputs(const std::string& dir, std::string* error) {
 
 // ---- checkpoint format ----
 //
-// "RCP1" | version 3 | label | TraceBundle | entries | coverage | timeline |
-// engine/solver/executor/substrate counters | fault counters | call counts |
-// apis | flags | optional final-state "RSS1" snapshot. Timeline samples are
-// 24 bytes (work, covered, faults).
-// Everything the downstream stages and run reports consume; downstream
-// output depends only on the bundle + entry table, so resume reproduces
-// straight-through results byte-for-byte.
+// "RCP1" | version 3 | label | EngineResult (core/result_codec.h) |
+// optional final-state "RSS1" snapshot. Everything the downstream stages
+// and run reports consume; downstream output depends only on the bundle +
+// entry table, so resume reproduces straight-through results byte-for-byte.
 
 std::vector<uint8_t> Session::SaveCheckpoint() const {
   if (stage_ < Stage::kExercised) {
@@ -241,63 +217,7 @@ std::vector<uint8_t> Session::SaveCheckpoint() const {
   w.U32(kCheckpointMagic);
   w.U32(kCheckpointVersion);
   w.Str(label_);
-  trace::SerializeTo(engine_.bundle, &w);
-
-  w.U32(static_cast<uint32_t>(engine_.entries.size()));
-  for (const os::EntryPoint& e : engine_.entries) {
-    w.U8(static_cast<uint8_t>(e.role));
-    w.U32(e.pc);
-    w.U32(e.timer_context);
-  }
-
-  PutU32Set(w, engine_.covered_blocks);
-  w.U64(engine_.static_blocks);
-
-  w.U32(static_cast<uint32_t>(engine_.timeline.size()));
-  for (const CoverageSample& s : engine_.timeline) {
-    w.U64(s.work);
-    w.U64(s.covered_blocks);
-    w.U64(s.faults);
-  }
-
-  const EngineStats& es = engine_.stats;
-  for (uint64_t v : {es.work, es.states_created, es.states_killed_polling,
-                     es.states_killed_error, es.entry_completions, es.irqs_injected,
-                     es.api_calls, es.api_skipped}) {
-    w.U64(v);
-  }
-  const symex::SolverStats& ss = engine_.solver_stats;
-  for (uint64_t v : {ss.queries, ss.sat, ss.unsat, ss.unknown, ss.cache_hits, ss.cache_misses,
-                     ss.components, ss.shelf_hits, ss.evals}) {
-    w.U64(v);
-  }
-  const symex::ExecutorStats& xs = engine_.executor_stats;
-  for (uint64_t v : {xs.blocks, xs.instrs, xs.forks, xs.concretizations}) {
-    w.U64(v);
-  }
-  const perf::SubstrateCounters& sc = engine_.substrate;
-  for (uint64_t v : {sc.solver_queries, sc.solver_cache_hits, sc.solver_cache_misses,
-                     sc.solver_shelf_hits, sc.intern_hits, sc.intern_misses, sc.intern_size,
-                     sc.dbt_cache_hits, sc.dbt_cache_misses}) {
-    w.U64(v);
-  }
-  // Fault-injection counters (the substrate's fault_decisions /
-  // faults_injected are derived from these at load, not stored twice).
-  const hw::FaultStats& fs = engine_.fault_stats;
-  for (uint64_t v : {fs.decisions, fs.irq_dropped, fs.irq_duplicated, fs.irq_delayed,
-                     fs.dma_read_stalls, fs.dma_write_drops, fs.bus_errors, fs.reg_corruptions,
-                     fs.frames_truncated, fs.frames_oversized}) {
-    w.U64(v);
-  }
-
-  w.U32(static_cast<uint32_t>(engine_.call_counts.size()));
-  for (const auto& [pc, count] : engine_.call_counts) {
-    w.U32(pc);
-    w.U64(count);
-  }
-  w.U64(engine_.functions_modeled);
-  PutU32Set(w, engine_.apis_used);
-  w.U8(engine_.cancelled ? 1 : 0);
+  WriteEngineResult(w, engine_);
   w.U8(engine_.final_snapshot.empty() ? 0 : 1);
   if (!engine_.final_snapshot.empty()) {
     w.U32(static_cast<uint32_t>(engine_.final_snapshot.size()));
@@ -325,97 +245,9 @@ std::unique_ptr<Session> Session::LoadCheckpoint(const std::vector<uint8_t>& byt
     return fail("truncated label");
   }
   EngineResult& e = s->engine_;
-  if (!trace::DeserializeFrom(&r, &e.bundle, error)) {
+  if (!ReadEngineResult(r, &e, error)) {
     return nullptr;
   }
-
-  uint32_t n;
-  if (!r.U32(&n)) {
-    return fail("truncated entry table");
-  }
-  if (n > r.remaining() / 9) {  // 9 bytes per serialized entry point
-    return fail("implausible entry count");
-  }
-  e.entries.resize(n);
-  for (os::EntryPoint& ep : e.entries) {
-    uint8_t role;
-    if (!r.U8(&role) || !r.U32(&ep.pc) || !r.U32(&ep.timer_context)) {
-      return fail("truncated entry point");
-    }
-    ep.role = static_cast<os::EntryRole>(role);
-  }
-
-  uint64_t static_blocks;
-  if (!GetU32Set(r, &e.covered_blocks) || !r.U64(&static_blocks)) {
-    return fail("truncated coverage");
-  }
-  e.static_blocks = static_cast<size_t>(static_blocks);
-
-  if (!r.U32(&n)) {
-    return fail("truncated timeline");
-  }
-  if (n > r.remaining() / 24) {  // 24 bytes per serialized sample
-    return fail("implausible timeline count");
-  }
-  e.timeline.resize(n);
-  for (CoverageSample& sample : e.timeline) {
-    uint64_t covered;
-    if (!r.U64(&sample.work) || !r.U64(&covered) || !r.U64(&sample.faults)) {
-      return fail("truncated coverage sample");
-    }
-    sample.covered_blocks = static_cast<size_t>(covered);
-  }
-
-  EngineStats& es = e.stats;
-  symex::SolverStats& ss = e.solver_stats;
-  symex::ExecutorStats& xs = e.executor_stats;
-  perf::SubstrateCounters& sc = e.substrate;
-  uint64_t* counters[] = {
-      &es.work,         &es.states_created,      &es.states_killed_polling,
-      &es.states_killed_error, &es.entry_completions, &es.irqs_injected,
-      &es.api_calls,    &es.api_skipped,
-      &ss.queries,      &ss.sat,                 &ss.unsat,
-      &ss.unknown,      &ss.cache_hits,          &ss.cache_misses,
-      &ss.components,   &ss.shelf_hits,          &ss.evals,
-      &xs.blocks,       &xs.instrs,              &xs.forks,
-      &xs.concretizations,
-      &sc.solver_queries, &sc.solver_cache_hits, &sc.solver_cache_misses,
-      &sc.solver_shelf_hits, &sc.intern_hits,    &sc.intern_misses,
-      &sc.intern_size,  &sc.dbt_cache_hits,      &sc.dbt_cache_misses};
-  for (uint64_t* v : counters) {
-    if (!r.U64(v)) {
-      return fail("truncated counters");
-    }
-  }
-  hw::FaultStats& fs = e.fault_stats;
-  for (uint64_t* v : {&fs.decisions, &fs.irq_dropped, &fs.irq_duplicated, &fs.irq_delayed,
-                      &fs.dma_read_stalls, &fs.dma_write_drops, &fs.bus_errors,
-                      &fs.reg_corruptions, &fs.frames_truncated, &fs.frames_oversized}) {
-    if (!r.U64(v)) {
-      return fail("truncated fault stats");
-    }
-  }
-  // Invariant maintained by the engine: the substrate's fault fields are
-  // projections of FaultStats, so they are derived here instead of stored.
-  sc.fault_decisions = fs.decisions;
-  sc.faults_injected = fs.TotalInjected();
-
-  if (!r.U32(&n)) {
-    return fail("truncated call counts");
-  }
-  for (uint32_t k = 0; k < n; ++k) {
-    uint32_t pc;
-    uint64_t count;
-    if (!r.U32(&pc) || !r.U64(&count)) {
-      return fail("truncated call count");
-    }
-    e.call_counts[pc] = count;
-  }
-  uint8_t cancelled;
-  if (!r.U64(&e.functions_modeled) || !GetU32Set(r, &e.apis_used) || !r.U8(&cancelled)) {
-    return fail("truncated checkpoint tail");
-  }
-  e.cancelled = cancelled != 0;
   uint8_t has_snapshot;
   if (!r.U8(&has_snapshot)) {
     return fail("truncated snapshot flag");

@@ -134,10 +134,11 @@ class Session {
   // returns an empty blob (which LoadCheckpoint rejects) and
   // SaveCheckpointFile() fails with an error.
   //
-  // Format "RCP1" version 3, with an optional trailing snapshot section
-  // carrying the engine's final chain state (the "RSS1" blob from
-  // EngineResult::final_snapshot). Version 1 and 2 blobs are rejected with
-  // "unsupported checkpoint version".
+  // Format "RCP1" version 3: magic, version, label, the EngineResult body
+  // (core/result_codec.h, shared with the fan-out result frame), then an
+  // optional trailing snapshot section carrying the engine's final chain
+  // state (the "RSS1" blob from EngineResult::final_snapshot). Version 1
+  // and 2 blobs are rejected with "unsupported checkpoint version".
   std::vector<uint8_t> SaveCheckpoint() const;
   bool SaveCheckpointFile(const std::string& path, std::string* error) const;
   // A fresh Session at Stage::kExercised, reconstructed from a checkpoint.

@@ -2,8 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <list>
-#include <map>
+#include <iterator>
 #include <mutex>
 
 #include "hw/el3.h"
@@ -170,95 +169,22 @@ const TargetInfo* FindTarget(std::string_view name) {
 
 hw::PciConfig DriverPci(DriverId id) { return MakeDevice(id)->pci(); }
 
-namespace {
-
-// Byte-budgeted LRU for assembled driver images. The budget is generous by
-// default (the whole corpus assembles to well under 1 MiB), so in normal runs
-// nothing is ever evicted and every reference handed out stays valid for the
-// process lifetime; tightening REVNIC_IMAGE_CACHE_BYTES bounds a long-lived
-// tool that cycles through a large corpus. Re-assembly on a post-eviction
-// miss is deterministic, so eviction is invisible beyond the assembly cost.
-struct ImageCache {
-  struct Entry {
-    DriverId id;
-    isa::Image image;
-    size_t bytes = 0;
-  };
-  std::mutex mu;
-  std::list<Entry> lru;  // front = most recently used
-  std::map<DriverId, std::list<Entry>::iterator> index;
-  size_t total = 0;
-  size_t budget = kDefaultImageCacheBytes;
-
-  ImageCache() {
-    if (const char* env = getenv("REVNIC_IMAGE_CACHE_BYTES")) {
-      char* end = nullptr;
-      unsigned long long v = strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && v > 0) budget = static_cast<size_t>(v);
-    }
-  }
-
-  // Drops cold entries until the total fits; the front (most recently used)
-  // entry is never a victim, so the reference DriverImage just handed out
-  // stays valid. Caller holds mu.
-  void EvictOverBudget() {
-    while (total > budget && lru.size() > 1) {
-      Entry& victim = lru.back();
-      total -= victim.bytes;
-      index.erase(victim.id);
-      lru.pop_back();
-    }
-  }
-};
-
-ImageCache& Cache() {
-  static ImageCache& c = *new ImageCache();
-  return c;
-}
-
-size_t ImageFootprint(const isa::Image& image) {
-  return sizeof(isa::Image) + image.code.size() + image.data.size();
-}
-
-}  // namespace
-
 const isa::Image& DriverImage(DriverId id) {
-  // Serialized: RunBatch sessions resolve their images concurrently.
-  ImageCache& c = Cache();
-  std::lock_guard<std::mutex> lock(c.mu);
-  auto it = c.index.find(id);
-  if (it != c.index.end()) {
-    c.lru.splice(c.lru.begin(), c.lru, it->second);
-    return it->second->image;
-  }
-  isa::AssembleResult result = isa::Assemble(DriverAsmSource(id));
-  if (!result.ok) {
-    fprintf(stderr, "FATAL: driver '%s' failed to assemble: %s\n", DriverName(id),
-            result.error.c_str());
-    abort();
-  }
-  c.lru.push_front({id, std::move(result.image), 0});
-  c.lru.front().bytes = ImageFootprint(c.lru.front().image);
-  c.total += c.lru.front().bytes;
-  c.index[id] = c.lru.begin();
-  // Evict cold entries; the image being returned is never a victim.
-  c.EvictOverBudget();
-  return c.lru.front().image;
-}
-
-size_t DriverImageCacheBytes() {
-  ImageCache& c = Cache();
-  std::lock_guard<std::mutex> lock(c.mu);
-  return c.total;
-}
-
-size_t SetDriverImageCacheBudget(size_t bytes) {
-  ImageCache& c = Cache();
-  std::lock_guard<std::mutex> lock(c.mu);
-  size_t old = c.budget;
-  c.budget = bytes;
-  c.EvictOverBudget();
-  return old;
+  // One slot per id, assembled on first use (concurrent first callers --
+  // RunBatch sessions -- wait on the once flag) and never freed.
+  static std::once_flag once[std::size(kAllDrivers)];
+  static const isa::Image* images[std::size(kAllDrivers)];
+  const size_t slot = static_cast<size_t>(id);
+  std::call_once(once[slot], [id, slot] {
+    isa::AssembleResult result = isa::Assemble(DriverAsmSource(id));
+    if (!result.ok) {
+      fprintf(stderr, "FATAL: driver '%s' failed to assemble: %s\n", DriverName(id),
+              result.error.c_str());
+      abort();
+    }
+    images[slot] = new isa::Image(std::move(result.image));
+  });
+  return *images[slot];
 }
 
 std::unique_ptr<hw::NicDevice> MakeDevice(DriverId id) {

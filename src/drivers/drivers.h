@@ -55,21 +55,11 @@ hw::PciConfig DriverPci(DriverId id);
 // and to honestly label these as our stand-ins for closed-source binaries).
 std::string DriverAsmSource(DriverId id);
 
-// Assembles (and caches) the driver binary. Aborts on assembly errors --
-// these sources are part of the build.
-//
-// The cache is a byte-budgeted LRU (REVNIC_IMAGE_CACHE_BYTES, default 64 MiB
-// -- generous: the whole corpus assembles to well under 1 MiB, so nothing is
-// evicted in normal runs and returned references stay valid for the process
-// lifetime). Under a tightened budget, cold entries are evicted and
-// re-assembled deterministically on the next request; the image most
-// recently returned is never a victim.
-inline constexpr size_t kDefaultImageCacheBytes = size_t{64} << 20;
+// The assembled driver binary: one immutable image per id, assembled on
+// first use and never freed, so the returned reference stays valid for the
+// process lifetime (a BatchJob may hold it across RunBatch). Aborts on
+// assembly errors -- these sources are part of the build.
 const isa::Image& DriverImage(DriverId id);
-// Bytes currently held by the image cache (tests pin eviction bounds).
-size_t DriverImageCacheBytes();
-// Replaces the budget, returning the previous one (tests tighten it).
-size_t SetDriverImageCacheBudget(size_t bytes);
 
 // Instantiates the matching device model.
 std::unique_ptr<hw::NicDevice> MakeDevice(DriverId id);

@@ -33,6 +33,7 @@
 #include <string>
 
 #include "hw/nic.h"
+#include "util/fields.h"
 #include "vm/memmap.h"
 
 namespace revnic::hw {
@@ -101,36 +102,19 @@ struct FaultStats {
            bus_errors + reg_corruptions + frames_truncated + frames_oversized;
   }
 
+  // The field list (util/fields.h), in serialized order.
+  static constexpr uint64_t FaultStats::*kFields[] = {
+      &FaultStats::decisions, &FaultStats::irq_dropped, &FaultStats::irq_duplicated,
+      &FaultStats::irq_delayed, &FaultStats::dma_read_stalls, &FaultStats::dma_write_drops,
+      &FaultStats::bus_errors, &FaultStats::reg_corruptions, &FaultStats::frames_truncated,
+      &FaultStats::frames_oversized};
+
   // Segment arithmetic for the parallel merge, same contract as EngineStats:
-  // += sums a segment in, -= rebases against a BeginSegment mark. Keep both
-  // in sync with the field list.
-  FaultStats& operator+=(const FaultStats& o) {
-    decisions += o.decisions;
-    irq_dropped += o.irq_dropped;
-    irq_duplicated += o.irq_duplicated;
-    irq_delayed += o.irq_delayed;
-    dma_read_stalls += o.dma_read_stalls;
-    dma_write_drops += o.dma_write_drops;
-    bus_errors += o.bus_errors;
-    reg_corruptions += o.reg_corruptions;
-    frames_truncated += o.frames_truncated;
-    frames_oversized += o.frames_oversized;
-    return *this;
-  }
-  FaultStats& operator-=(const FaultStats& o) {
-    decisions -= o.decisions;
-    irq_dropped -= o.irq_dropped;
-    irq_duplicated -= o.irq_duplicated;
-    irq_delayed -= o.irq_delayed;
-    dma_read_stalls -= o.dma_read_stalls;
-    dma_write_drops -= o.dma_write_drops;
-    bus_errors -= o.bus_errors;
-    reg_corruptions -= o.reg_corruptions;
-    frames_truncated -= o.frames_truncated;
-    frames_oversized -= o.frames_oversized;
-    return *this;
-  }
+  // += sums a segment in, -= rebases against a BeginSegment mark.
+  FaultStats& operator+=(const FaultStats& o) { return AddFields(*this, o); }
+  FaultStats& operator-=(const FaultStats& o) { return SubtractFields(*this, o); }
 };
+static_assert(FieldListCovers<FaultStats>());
 
 // One-line human-readable rendering (CLI reports, REVNIC_PARALLEL_STATS).
 std::string FormatFaultStats(const FaultStats& stats);

@@ -22,10 +22,12 @@
 #ifndef REVNIC_PERF_PROFILE_H_
 #define REVNIC_PERF_PROFILE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
 #include "os/recovered_host.h"
+#include "util/fields.h"
 
 namespace revnic::perf {
 
@@ -75,6 +77,16 @@ struct SubstrateCounters {
   uint64_t fault_decisions = 0;
   uint64_t faults_injected = 0;
 
+  // The stored fields (util/fields.h), in serialized order. The two fault
+  // fields are projections of hw::FaultStats and are derived from it on
+  // decode instead of stored twice.
+  static constexpr uint64_t SubstrateCounters::*kFields[] = {
+      &SubstrateCounters::solver_queries, &SubstrateCounters::solver_cache_hits,
+      &SubstrateCounters::solver_cache_misses, &SubstrateCounters::solver_shelf_hits,
+      &SubstrateCounters::intern_hits, &SubstrateCounters::intern_misses,
+      &SubstrateCounters::intern_size, &SubstrateCounters::dbt_cache_hits,
+      &SubstrateCounters::dbt_cache_misses};
+
   double SolverHitRate() const {
     uint64_t total = solver_cache_hits + solver_cache_misses;
     return total == 0 ? 0.0 : static_cast<double>(solver_cache_hits) / total;
@@ -91,19 +103,14 @@ struct SubstrateCounters {
   // Sums another run's counters into this one (batch aggregation). The
   // intern-table size is a high-water mark, not a flow, so it takes the max.
   void Accumulate(const SubstrateCounters& o) {
-    solver_queries += o.solver_queries;
-    solver_cache_hits += o.solver_cache_hits;
-    solver_cache_misses += o.solver_cache_misses;
-    solver_shelf_hits += o.solver_shelf_hits;
-    intern_hits += o.intern_hits;
-    intern_misses += o.intern_misses;
-    intern_size = intern_size > o.intern_size ? intern_size : o.intern_size;
-    dbt_cache_hits += o.dbt_cache_hits;
-    dbt_cache_misses += o.dbt_cache_misses;
+    const uint64_t size = std::max(intern_size, o.intern_size);
+    AddFields(*this, o);
+    intern_size = size;
     fault_decisions += o.fault_decisions;
     faults_injected += o.faults_injected;
   }
 };
+static_assert(FieldListCovers<SubstrateCounters>(2));  // the 2 derived fault fields
 
 // One-line human-readable rendering for run summaries.
 std::string FormatSubstrateCounters(const SubstrateCounters& c);

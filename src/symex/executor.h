@@ -12,6 +12,7 @@
 #include "symex/solver.h"
 #include "symex/state.h"
 #include "trace/trace.h"
+#include "util/fields.h"
 
 namespace revnic::symex {
 
@@ -57,23 +58,16 @@ struct ExecutorStats {
   uint64_t forks = 0;
   uint64_t concretizations = 0;  // symbolic pointers/values forced concrete
 
-  // Segment arithmetic for the parallel exercise merge; keep in sync with
-  // the field list.
-  ExecutorStats& operator+=(const ExecutorStats& o) {
-    blocks += o.blocks;
-    instrs += o.instrs;
-    forks += o.forks;
-    concretizations += o.concretizations;
-    return *this;
-  }
-  ExecutorStats& operator-=(const ExecutorStats& o) {
-    blocks -= o.blocks;
-    instrs -= o.instrs;
-    forks -= o.forks;
-    concretizations -= o.concretizations;
-    return *this;
-  }
+  // The field list (util/fields.h), in serialized order.
+  static constexpr uint64_t ExecutorStats::*kFields[] = {
+      &ExecutorStats::blocks, &ExecutorStats::instrs, &ExecutorStats::forks,
+      &ExecutorStats::concretizations};
+
+  // Segment arithmetic for the parallel exercise merge.
+  ExecutorStats& operator+=(const ExecutorStats& o) { return AddFields(*this, o); }
+  ExecutorStats& operator-=(const ExecutorStats& o) { return SubtractFields(*this, o); }
 };
+static_assert(FieldListCovers<ExecutorStats>());
 
 class Executor {
  public:

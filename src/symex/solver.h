@@ -44,6 +44,7 @@
 
 #include "symex/expr.h"
 #include "trace/serialize.h"
+#include "util/fields.h"
 #include "util/rng.h"
 
 namespace revnic::symex {
@@ -61,33 +62,17 @@ struct SolverStats {
   uint64_t shelf_hits = 0;    // components answered by replaying a recent model
   uint64_t evals = 0;         // total candidate assignments evaluated
 
-  // Segment arithmetic for the parallel exercise merge; keep in sync with
-  // the field list.
-  SolverStats& operator+=(const SolverStats& o) {
-    queries += o.queries;
-    sat += o.sat;
-    unsat += o.unsat;
-    unknown += o.unknown;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    components += o.components;
-    shelf_hits += o.shelf_hits;
-    evals += o.evals;
-    return *this;
-  }
-  SolverStats& operator-=(const SolverStats& o) {
-    queries -= o.queries;
-    sat -= o.sat;
-    unsat -= o.unsat;
-    unknown -= o.unknown;
-    cache_hits -= o.cache_hits;
-    cache_misses -= o.cache_misses;
-    components -= o.components;
-    shelf_hits -= o.shelf_hits;
-    evals -= o.evals;
-    return *this;
-  }
+  // The field list (util/fields.h), in serialized order.
+  static constexpr uint64_t SolverStats::*kFields[] = {
+      &SolverStats::queries, &SolverStats::sat, &SolverStats::unsat, &SolverStats::unknown,
+      &SolverStats::cache_hits, &SolverStats::cache_misses, &SolverStats::components,
+      &SolverStats::shelf_hits, &SolverStats::evals};
+
+  // Segment arithmetic for the parallel exercise merge.
+  SolverStats& operator+=(const SolverStats& o) { return AddFields(*this, o); }
+  SolverStats& operator-=(const SolverStats& o) { return SubtractFields(*this, o); }
 };
+static_assert(FieldListCovers<SolverStats>());
 
 class Solver {
  public:

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "os/winsim.h"
 #include "util/bits.h"
 
 namespace revnic::trace {
@@ -239,6 +240,32 @@ bool DeserializeFrom(ByteReader* rp, TraceBundle* out, std::string* error) {
 bool Deserialize(const std::vector<uint8_t>& bytes, TraceBundle* out, std::string* error) {
   ByteReader r(bytes);
   return DeserializeFrom(&r, out, error);
+}
+
+void WriteEntryTable(ByteWriter& w, const std::vector<os::EntryPoint>& entries) {
+  w.U32(static_cast<uint32_t>(entries.size()));
+  for (const os::EntryPoint& e : entries) {
+    w.U8(static_cast<uint8_t>(e.role));
+    w.U32(e.pc);
+    w.U32(e.timer_context);
+  }
+}
+
+bool ReadEntryTable(ByteReader& r, std::vector<os::EntryPoint>* entries) {
+  uint32_t n;
+  if (!r.U32(&n) || n > r.remaining() / 9) {
+    return false;
+  }
+  entries->resize(n);
+  for (os::EntryPoint& e : *entries) {
+    uint8_t role;
+    if (!r.U8(&role) || role > static_cast<uint8_t>(os::EntryRole::kTimer) || !r.U32(&e.pc) ||
+        !r.U32(&e.timer_context)) {
+      return false;
+    }
+    e.role = static_cast<os::EntryRole>(role);
+  }
+  return true;
 }
 
 }  // namespace revnic::trace

@@ -1,17 +1,25 @@
-// Binary (de)serialization of TraceBundle. Used to persist wiretap output
-// (core::Session checkpoints embed a bundle via SerializeTo/DeserializeFrom)
-// and by the synthesizer-throughput benchmark (§5.4 reports ~100 MB/minute of
-// trace processed; we measure our own rate on the same representation).
+// Binary (de)serialization of TraceBundle, plus the little-endian
+// writer/reader and the shared field codecs (u32 sets, counter field lists,
+// the entry-point table) that every container format builds on. Used to
+// persist wiretap output (core/result_codec.h embeds a bundle via
+// SerializeTo/DeserializeFrom) and by the synthesizer-throughput benchmark
+// (§5.4 reports ~100 MB/minute of trace processed; we measure our own rate on
+// the same representation).
 #ifndef REVNIC_TRACE_SERIALIZE_H_
 #define REVNIC_TRACE_SERIALIZE_H_
 
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "trace/trace.h"
 #include "util/bits.h"
+
+namespace revnic::os {
+struct EntryPoint;  // os/winsim.h
+}  // namespace revnic::os
 
 namespace revnic::trace {
 
@@ -38,6 +46,21 @@ class ByteWriter {
   void Raw(const void* data, size_t n) {
     const uint8_t* p = static_cast<const uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);
+  }
+  // Count, then the values in ascending order.
+  void U32Set(const std::set<uint32_t>& s) {
+    U32(static_cast<uint32_t>(s.size()));
+    for (uint32_t v : s) {
+      U32(v);
+    }
+  }
+  // A counter struct's field list (util/fields.h): one u64 per field, in
+  // list order.
+  template <typename T>
+  void Fields(const T& s) {
+    for (uint64_t T::*f : T::kFields) {
+      U64(s.*f);
+    }
   }
   size_t size() const { return buf_.size(); }
   std::vector<uint8_t> Take() { return std::move(buf_); }
@@ -96,6 +119,30 @@ class ByteReader {
     pos_ += n;
     return true;
   }
+  // Fails on a count the remaining bytes cannot hold, before allocating.
+  bool U32Set(std::set<uint32_t>* s) {
+    uint32_t n;
+    if (!U32(&n) || n > remaining() / 4) {
+      return false;
+    }
+    for (uint32_t k = 0; k < n; ++k) {
+      uint32_t v;
+      if (!U32(&v)) {
+        return false;
+      }
+      s->insert(s->end(), v);
+    }
+    return true;
+  }
+  template <typename T>
+  bool Fields(T* s) {
+    for (uint64_t T::*f : T::kFields) {
+      if (!U64(&(s->*f))) {
+        return false;
+      }
+    }
+    return true;
+  }
   // Unread bytes left; containers check ==0 to reject trailing garbage.
   size_t remaining() const { return buf_.size() - pos_; }
 
@@ -111,6 +158,12 @@ bool Deserialize(const std::vector<uint8_t>& bytes, TraceBundle* out, std::strin
 // larger container can embed the bundle alongside its own fields.
 void SerializeTo(const TraceBundle& bundle, ByteWriter* w);
 bool DeserializeFrom(ByteReader* r, TraceBundle* out, std::string* error);
+
+// The entry-point table: count, then 9 bytes per entry (role, pc, timer
+// context). The reader fails on a count the remaining bytes cannot hold, on
+// truncation and on an unknown role.
+void WriteEntryTable(ByteWriter& w, const std::vector<os::EntryPoint>& entries);
+bool ReadEntryTable(ByteReader& r, std::vector<os::EntryPoint>* entries);
 
 }  // namespace revnic::trace
 

@@ -18,6 +18,7 @@
 #include "isa/image.h"
 #include "symex/snapshot.h"
 #include "symex/solver.h"
+#include "util/bits.h"
 #include "util/rng.h"
 
 namespace revnic {
@@ -365,19 +366,50 @@ TEST(Rdp1Robustness, FanoutPayloadsTruncateCleanly) {
         << "len " << len;
     EXPECT_FALSE(error.empty());
   }
+  // The result sweep cuts at every length of a payload whose begun slot
+  // carries a real (small-budget) exercise segment, so every field of the
+  // EngineResult codec is reached.
+  core::EngineConfig cfg;
+  cfg.pci = hw::Rtl8029Config();
+  cfg.max_work = 20;  // ~18 kB: every record stream and table non-empty
+  cfg.capture_final_snapshot = false;
   core::FanoutTaskResult result;
   result.root_count = 2;
   result.slots.resize(2);
   result.slots[1].ordinal = 1;
+  result.slots[1].begun = true;
+  result.slots[1].result =
+      core::Engine(drivers::DriverImage(drivers::DriverId::kRtl8029), cfg).Run();
+  ASSERT_FALSE(result.slots[1].result.bundle.block_records.empty());
   std::vector<uint8_t> reply = core::SerializeFanoutResult(result);
-  for (size_t len = 0; len < reply.size(); len += 3) {
+  {
+    core::FanoutTaskResult out;
+    std::string error;
+    ASSERT_TRUE(core::DeserializeFanoutResult(reply, &out, &error)) << error;
+    ASSERT_EQ(out.slots.size(), 2u);
+    EXPECT_EQ(out.slots[1].result.stats.work, result.slots[1].result.stats.work);
+    EXPECT_EQ(out.slots[1].result.covered_blocks, result.slots[1].result.covered_blocks);
+  }
+  for (size_t len = 0; len < reply.size(); ++len) {
     core::FanoutTaskResult out;
     std::string error;
     EXPECT_FALSE(
         core::DeserializeFanoutResult({reply.begin(), reply.begin() + len}, &out, &error))
         << "len " << len;
-    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(error.empty()) << "len " << len;
   }
+}
+
+TEST(Rdp1Robustness, FanoutResultWithOldMagicRejected) {
+  // An FWR2 payload (the pre-codec slot layout, without static_blocks) must
+  // fail closed rather than misparse.
+  std::vector<uint8_t> reply = core::SerializeFanoutResult(core::FanoutTaskResult());
+  ASSERT_GE(reply.size(), 4u);
+  StoreLE(reply.data(), 0x32525746u, 4);  // "FWR2"
+  core::FanoutTaskResult out;
+  std::string error;
+  EXPECT_FALSE(core::DeserializeFanoutResult(reply, &out, &error));
+  EXPECT_EQ(error, "fanout result: bad magic");
 }
 
 // ---- Fault-plan spec parsing: hostile input fails cleanly ----

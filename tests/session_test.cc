@@ -333,32 +333,6 @@ TEST(Session, AutoThreadsIsTheParallelClassOnEveryHost) {
   EXPECT_GT(store.CachedBytes(), one_entry);
 }
 
-TEST(Registry, DriverImageCacheEvictionIsBoundedAndTransparent) {
-  // Copy one image's bytes before tightening (references handed out by
-  // DriverImage can be invalidated by later calls once eviction is live).
-  std::vector<uint8_t> el3_code = drivers::DriverImage(DriverId::kEl3).code;
-
-  // A one-byte budget caps residency at a single image: after each lookup
-  // the cache holds exactly that driver's footprint, and a second sweep
-  // reproduces the same residency numbers -- eviction is bounded and
-  // re-assembly deterministic.
-  size_t old_budget = drivers::SetDriverImageCacheBudget(1);
-  std::vector<size_t> resident;
-  for (const drivers::TargetInfo& t : drivers::AllTargets()) {
-    EXPECT_FALSE(drivers::DriverImage(t.id).code.empty());
-    resident.push_back(drivers::DriverImageCacheBytes());
-  }
-  size_t i = 0;
-  for (const drivers::TargetInfo& t : drivers::AllTargets()) {
-    EXPECT_FALSE(drivers::DriverImage(t.id).code.empty());
-    EXPECT_EQ(drivers::DriverImageCacheBytes(), resident[i++]) << t.name;
-  }
-  // Post-eviction re-assembly returns byte-identical code.
-  EXPECT_EQ(drivers::DriverImage(DriverId::kEl3).code, el3_code);
-
-  drivers::SetDriverImageCacheBudget(old_budget);
-}
-
 // ---- batch ----
 
 TEST(Session, BatchOverRegistryMatchesSequentialRuns) {
