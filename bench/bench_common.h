@@ -2,7 +2,6 @@
 #ifndef REVNIC_BENCH_BENCH_COMMON_H_
 #define REVNIC_BENCH_BENCH_COMMON_H_
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -40,31 +39,6 @@ inline core::PipelineResult Pipeline(drivers::DriverId id, uint64_t max_work,
 
 inline core::PipelineResult Pipeline(drivers::DriverId id, uint64_t max_work = 250'000) {
   return Pipeline(id, max_work, core::EmitOptions());
-}
-
-// Per-task work-unit distribution (PR 10 ledger): the fleet scheduler's
-// estimates are only as good as the task population is predictable, so the
-// sweep benches report the shape, not just the longest chain. Work units are
-// executed translation blocks (machine-independent).
-struct WorkHistogram {
-  uint64_t min = 0;
-  uint64_t median = 0;
-  uint64_t p95 = 0;
-  uint64_t max = 0;
-};
-
-inline WorkHistogram SummarizeTaskWorks(std::vector<uint64_t> works) {
-  WorkHistogram h;
-  if (works.empty()) {
-    return h;
-  }
-  std::sort(works.begin(), works.end());
-  h.min = works.front();
-  h.max = works.back();
-  h.median = works[works.size() / 2];
-  size_t p95 = (works.size() * 95) / 100;
-  h.p95 = works[std::min(p95, works.size() - 1)];
-  return h;
 }
 
 // Registry-driven device enumeration for the figure/table loops (no

@@ -127,11 +127,9 @@ int main(int argc, char** argv) {
          batch.jobs.size(), batch.concurrency, plan.threads, plan.sub_shards,
          plan.worker_processes, wall_s);
   if (batch.fleet_used) {
-    printf("(fleet: workers=%u steal=%s tasks=%u real-steals=%u makespan=%llu "
-           "static-split-model=%llu)\n",
+    printf("(fleet: workers=%u steal=%s tasks=%u real-steals=%u makespan-model=%llu)\n",
            batch.fleet.workers, batch.fleet.steal ? "on" : "off", batch.fleet.tasks,
-           batch.fleet.real_steals, (unsigned long long)batch.fleet.makespan,
-           (unsigned long long)batch.fleet.static_makespan);
+           batch.fleet.real_steals, (unsigned long long)batch.fleet.makespan);
   }
   if (plan.faults.Enabled()) {
     printf("(fault plan: %s)\n", hw::FormatFaultPlan(plan.faults).c_str());

@@ -1391,7 +1391,6 @@ struct Engine::Impl {
     uint64_t handoff_bytes = 0;
     uint64_t snap_shipped = 0;
     uint64_t snap_reused = 0;
-    std::vector<uint64_t> task_works(total_tasks, 0);
     // A RunBatch-injected shared fleet wins; otherwise the run builds a
     // private single-job fleet (below, after the worker pool forks) and is
     // job 0 of it and of its one-entry worker job table.
@@ -1426,7 +1425,6 @@ struct Engine::Impl {
         fopts.steal = plan.steal;
         fopts.dist_pool = dpool;
         own_fleet = std::make_unique<FleetScheduler>(fopts);
-        own_fleet->SetJobLabel(job, "pc" + std::to_string(image.entry));
         fleet = own_fleet.get();
       }
 
@@ -1502,7 +1500,6 @@ struct Engine::Impl {
         if (r.restore_failures != 0) {
           first_failed_step = std::min(first_failed_step, step);
         }
-        task_works[step * shards_per_step + shard] = r.task_work;
         return executed;
       };
 
@@ -1695,11 +1692,8 @@ struct Engine::Impl {
       merged.parallel.spine_work = spine_work;
       merged.parallel.max_task_chain = max_chain;
       merged.parallel.critical_path = critical;
-      merged.parallel.sum_segment_work = sum_seg;
       merged.parallel.enum_work = sum_enum;
       merged.parallel.tasks = static_cast<uint32_t>(total_tasks);
-      merged.parallel.slots = begun_slots;
-      merged.parallel.sub_shards = sub_shards;
       merged.parallel.worker_processes = workers_forked;
       merged.parallel.failovers = failovers;
       merged.parallel.fleet_workers = fleet_workers;
@@ -1707,7 +1701,6 @@ struct Engine::Impl {
       merged.parallel.handoff_bytes = handoff_bytes;
       merged.parallel.snapshot_bytes_shipped = snap_shipped;
       merged.parallel.snapshot_bytes_reused = snap_reused;
-      merged.parallel.task_works = std::move(task_works);
       // A shared fleet's owner (RunBatch) prints one batch-level block.
       if (config.fleet == nullptr && getenv("REVNIC_PARALLEL_STATS") != nullptr) {
         fprintf(stderr,

@@ -149,11 +149,8 @@ struct ParallelExerciseStats {
   uint64_t spine_work = 0;          // sequential spine pass, merged units
   uint64_t max_task_chain = 0;      // heaviest fan-out task (all its replicas)
   uint64_t critical_path = 0;       // spine_work + max_task_chain
-  uint64_t sum_segment_work = 0;    // work landing in merged segments
   uint64_t enum_work = 0;           // sub-shard enumeration re-run overhead
   uint32_t tasks = 0;               // fan-out tasks dispatched (steps x shards)
-  uint32_t slots = 0;               // merged segment slots (begun)
-  uint32_t sub_shards = 0;          // resolved plan.sub_shards
   uint32_t worker_processes = 0;    // workers the coordinator actually forked
   uint32_t failovers = 0;           // shard tasks that fell back in-process
   // Fleet-scheduler figures.
@@ -164,9 +161,6 @@ struct ParallelExerciseStats {
   uint64_t snapshot_bytes_shipped = 0;   // snapshot bytes that crossed the wire
   uint64_t snapshot_bytes_reused = 0;    // snapshot bytes served from the
                                          // worker's context cache instead
-  // Per-task work units in canonical (step, shard) order -- feeds the
-  // shard_sweep histograms and the deterministic makespan models.
-  std::vector<uint64_t> task_works;
 };
 
 struct EngineResult {

@@ -1,46 +1,10 @@
 #include "core/fleet.h"
 
 #include <algorithm>
-#include <numeric>
+#include <functional>
 
 namespace revnic::core {
 namespace {
-
-// Process-wide record of completed-task work units keyed by
-// (job label, step, shard): the second batch in a process submits with the
-// first batch's measured work as its estimate instead of the spine-derived
-// seed. Purely a queue-priority refinement -- never consulted by the
-// virtual placement models, which use each run's own records.
-class EstimateRegistry {
- public:
-  static EstimateRegistry& Instance() {
-    static EstimateRegistry r;
-    return r;
-  }
-
-  bool Lookup(const std::string& label, uint64_t step, uint32_t shard, uint64_t* out) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = map_.find(Key(label, step, shard));
-    if (it == map_.end()) {
-      return false;
-    }
-    *out = it->second;
-    return true;
-  }
-
-  void Record(const std::string& label, uint64_t step, uint32_t shard, uint64_t work) {
-    std::lock_guard<std::mutex> lock(mu_);
-    map_[Key(label, step, shard)] = work;
-  }
-
- private:
-  static std::string Key(const std::string& label, uint64_t step, uint32_t shard) {
-    return label + "#" + std::to_string(step) + "#" + std::to_string(shard);
-  }
-
-  mutable std::mutex mu_;
-  std::map<std::string, uint64_t> map_;
-};
 
 unsigned ArgminLane(const std::vector<uint64_t>& loads) {
   unsigned best = 0;
@@ -52,23 +16,20 @@ unsigned ArgminLane(const std::vector<uint64_t>& loads) {
   return best;
 }
 
-}  // namespace
-
-uint64_t LptMakespan(const std::vector<uint64_t>& works, unsigned lanes) {
-  if (works.empty()) {
-    return 0;
-  }
-  lanes = std::max(1u, lanes);
-  std::vector<size_t> order(works.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&works](size_t a, size_t b) { return works[a] > works[b]; });
-  std::vector<uint64_t> loads(lanes, 0);
-  for (size_t idx : order) {
-    loads[ArgminLane(loads)] += works[idx];
+// LPT list schedule: works heaviest first, each to the least-loaded of
+// `lanes` lanes (ties lowest index); returns the heaviest lane's load. Equal
+// works are interchangeable, so the result depends only on the multiset of
+// works, never on the order they completed in.
+uint64_t LptMakespan(std::vector<uint64_t> works, unsigned lanes) {
+  std::sort(works.begin(), works.end(), std::greater<uint64_t>());
+  std::vector<uint64_t> loads(std::max(1u, lanes), 0);
+  for (uint64_t w : works) {
+    loads[ArgminLane(loads)] += w;
   }
   return *std::max_element(loads.begin(), loads.end());
 }
+
+}  // namespace
 
 FleetScheduler::FleetScheduler(const Options& options) : options_(options) {
   options_.workers = std::max(1u, options_.workers);
@@ -91,11 +52,6 @@ FleetScheduler::~FleetScheduler() {
   }
 }
 
-void FleetScheduler::SetJobLabel(uint32_t job, std::string label) {
-  std::lock_guard<std::mutex> lock(mu_);
-  labels_[job] = std::move(label);
-}
-
 void FleetScheduler::SetJobSpineWork(uint32_t job, uint64_t spine_work) {
   std::lock_guard<std::mutex> lock(mu_);
   spine_work_[job] = spine_work;
@@ -103,18 +59,10 @@ void FleetScheduler::SetJobSpineWork(uint32_t job, uint64_t spine_work) {
 
 void FleetScheduler::RunJobTasks(uint32_t job, std::vector<Task> tasks) {
   std::unique_lock<std::mutex> lock(mu_);
-  const std::string label = labels_.count(job) ? labels_[job] : std::string();
   for (Task& t : tasks) {
     t.job = job;
-    if (!label.empty()) {
-      uint64_t recorded;
-      if (EstimateRegistry::Instance().Lookup(label, t.step, t.shard, &recorded)) {
-        t.estimate = recorded;
-      }
-    }
     t.estimate = std::max<uint64_t>(1, t.estimate);
-    // Home placement: least-committed lane by estimate, tie lowest index --
-    // the same greedy the no-steal virtual model replays in canonical order.
+    // Home placement: least-committed lane by estimate, tie lowest index.
     const unsigned home = ArgminLane(committed_);
     committed_[home] += t.estimate;
     PKey key{t.estimate, job, t.step, t.shard};
@@ -173,11 +121,7 @@ void FleetScheduler::WorkerLoop(unsigned lane) {
     lock.unlock();
     const uint64_t work = task.run ? task.run(ctx) : 0;
     lock.lock();
-    records_.push_back({task.job, task.step, task.shard, task.estimate, work});
-    auto lit = labels_.find(task.job);
-    if (lit != labels_.end() && !lit->second.empty()) {
-      EstimateRegistry::Instance().Record(lit->second, task.step, task.shard, work);
-    }
+    works_.push_back(work);
     if (--outstanding_[task.job] == 0) {
       done_cv_.notify_all();
     }
@@ -189,103 +133,19 @@ FleetBatchStats FleetScheduler::ComputeStats() const {
   FleetBatchStats st;
   st.workers = options_.workers;
   st.steal = options_.steal;
-  st.tasks = static_cast<uint32_t>(records_.size());
+  st.tasks = static_cast<uint32_t>(works_.size());
+  for (uint64_t w : works_) {
+    st.total_task_work += w;
+  }
   for (const auto& [job, steals] : real_steals_) {
     st.real_steals += steals;
   }
   for (const auto& [job, spine] : spine_work_) {
     st.max_spine_work = std::max(st.max_spine_work, spine);
   }
-
-  // Canonical record order: all scheduling models walk (job, step, shard),
-  // never completion order, so the makespans are pure functions of the
-  // recorded work -- reproducible on any machine.
-  std::vector<FleetTaskRecord> recs = records_;
-  std::sort(recs.begin(), recs.end(), [](const FleetTaskRecord& a, const FleetTaskRecord& b) {
-    if (a.job != b.job) {
-      return a.job < b.job;
-    }
-    if (a.step != b.step) {
-      return a.step < b.step;
-    }
-    return a.shard < b.shard;
-  });
-  for (const FleetTaskRecord& r : recs) {
-    st.total_task_work += r.work;
-  }
-  const unsigned W = std::max(1u, options_.workers);
-
-  // No-steal model: the estimate-greedy home placement, replayed in
-  // canonical order, with each lane's load summed from the ACTUAL work of
-  // the tasks homed on it -- exactly what a fleet that never rebalances
-  // pays when estimates and reality diverge.
-  std::vector<uint64_t> committed(W, 0);
-  std::vector<uint64_t> home_load(W, 0);
-  std::vector<unsigned> vhome(recs.size(), 0);
-  for (size_t i = 0; i < recs.size(); ++i) {
-    const unsigned lane = ArgminLane(committed);
-    vhome[i] = lane;
-    committed[lane] += std::max<uint64_t>(1, recs[i].estimate);
-    home_load[lane] += recs[i].work;
-  }
-  st.no_steal_makespan = recs.empty() ? 0 : *std::max_element(home_load.begin(), home_load.end());
-
-  // Steal model: LPT over the actual per-task work -- the placement a fleet
-  // with stealing converges to (an idle lane always takes the heaviest
-  // queued chain). A task landing off its home lane is one virtual steal.
-  std::vector<size_t> order(recs.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&recs](size_t a, size_t b) { return recs[a].work > recs[b].work; });
-  std::vector<uint64_t> steal_load(W, 0);
-  for (size_t idx : order) {
-    const unsigned lane = ArgminLane(steal_load);
-    steal_load[lane] += recs[idx].work;
-    if (lane != vhome[idx]) {
-      ++st.virtual_steals;
-    }
-  }
-  st.steal_makespan =
-      recs.empty() ? 0 : *std::max_element(steal_load.begin(), steal_load.end());
-
-  // PR 8 static-split model, same records: for every outer x inner split of
-  // the same W workers, each job costs spine + LPT(its tasks over inner
-  // lanes), jobs list-schedule onto the outer lanes in input order, and the
-  // baseline takes the BEST split -- a generous static opponent.
-  std::map<uint32_t, std::vector<uint64_t>> by_job;
-  for (const FleetTaskRecord& r : recs) {
-    by_job[r.job].push_back(r.work);
-  }
-  for (const auto& [job, spine] : spine_work_) {
-    by_job[job];  // spine-only jobs still occupy an outer lane
-  }
-  uint64_t best_static = 0;
-  bool have_static = false;
-  for (unsigned outer = 1; outer <= W; ++outer) {
-    if (W % outer != 0) {
-      continue;
-    }
-    const unsigned inner = W / outer;
-    std::vector<uint64_t> outer_load(outer, 0);
-    for (const auto& [job, works] : by_job) {
-      auto sit = spine_work_.find(job);
-      const uint64_t spine = sit == spine_work_.end() ? 0 : sit->second;
-      outer_load[ArgminLane(outer_load)] += spine + LptMakespan(works, inner);
-    }
-    const uint64_t candidate = *std::max_element(outer_load.begin(), outer_load.end());
-    if (!have_static || candidate < best_static) {
-      best_static = candidate;
-      have_static = true;
-    }
-  }
-  st.static_makespan = best_static;
-
-  // Fleet-mode spines run on their own batch threads, overlapped with the
-  // fan-out; the heaviest spine floors the batch either way.
-  st.no_steal_makespan = std::max(st.no_steal_makespan, st.max_spine_work);
-  st.steal_makespan = std::max(st.steal_makespan, st.max_spine_work);
-  st.makespan = st.steal ? st.steal_makespan : st.no_steal_makespan;
-  st.lane_work = st.steal ? steal_load : home_load;
+  // Spines run on their own batch threads, overlapped with the fan-out; the
+  // heaviest spine floors the batch.
+  st.makespan = std::max(LptMakespan(works_, options_.workers), st.max_spine_work);
   return st;
 }
 

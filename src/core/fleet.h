@@ -15,19 +15,19 @@
 // engine's canonical merge walks fixed (step, slot-ordinal) positions, so
 // merged checkpoints are byte-identical for every fleet size, stealing
 // on/off, in-process and multi-process (tests/dist_test.cc pins the grid).
-// The reported batch makespan is a deterministic virtual placement computed
-// after the run from the RECORDED per-task work units (executed translation
-// blocks, machine-independent): LPT over actual work for the stealing
-// fleet, estimate-greedy home placement for the non-stealing fleet, and, as
-// a model of the outer x inner thread split the fleet replaced (no longer
-// run), the best such split of the same records. Live dispatch follows the
-// same policies dynamically; its actual interleaving is monitoring-only
-// (FleetBatchStats::real_steals).
 //
-// Estimates come from recorded per-task work units: the engine seeds each
-// task with its spine step's measured work (recorded during the spine
-// pass), and a process-wide registry of completed-task work keyed by
-// (job label, step, shard) refines later submissions in the same process.
+// Estimates come from the run's own spine: the engine seeds each task with
+// its spine step's measured work (recorded during the spine pass), split
+// across the step's shards. Nothing carries over between fleets or batches,
+// so a task's queue priority never depends on what ran earlier in the
+// process.
+//
+// Reporting. The fleet records what actually ran: task count, executed
+// work units (translation blocks, machine-independent) and live off-home
+// executions. FleetBatchStats::makespan is a MODEL, not a measurement: an
+// LPT placement of the recorded per-task work, floored by the heaviest
+// spine. Wall and CPU time of a fleet run are measured by perfbench's
+// corpus-fleet workload.
 #ifndef REVNIC_CORE_FLEET_H_
 #define REVNIC_CORE_FLEET_H_
 
@@ -36,7 +36,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -46,42 +45,19 @@ class WorkerPool;
 
 namespace revnic::core {
 
-// One completed task, the deterministic input of the virtual placement.
-struct FleetTaskRecord {
-  uint32_t job = 0;
-  uint64_t step = 0;
-  uint32_t shard = 0;
-  uint64_t estimate = 0;  // queue priority the task was submitted with
-  uint64_t work = 0;      // executed work units (deterministic)
-};
-
-// Batch-level scheduling stats. Every makespan is a deterministic virtual
-// placement over the recorded per-task work units -- max over lanes of
-// summed task work, floored by the largest spine (job spines run on their
-// batch threads, overlapped with the fan-out). real_steals is the only
-// wall-schedule-dependent figure; everything else is reproducible bit for
-// bit for a fixed seed and plan.
+// Batch-level scheduling stats: what ran, plus one labelled model.
+// real_steals depends on the wall-clock interleaving; every other field is
+// reproducible bit for bit for a fixed seed and plan.
 struct FleetBatchStats {
   unsigned workers = 0;           // fleet lanes
   bool steal = false;             // configured mode
-  uint32_t tasks = 0;             // recorded fan-out tasks, all jobs
+  uint32_t tasks = 0;             // executed fan-out tasks, all jobs
   uint64_t total_task_work = 0;   // summed fan-out work units
   uint64_t max_spine_work = 0;    // heaviest job spine
-  uint64_t makespan = 0;          // configured mode (steal or no-steal model)
-  uint64_t static_makespan = 0;   // model: best outer x inner split, same records
-  uint64_t no_steal_makespan = 0; // estimate-greedy home placement
-  uint64_t steal_makespan = 0;    // LPT over actual per-task work
-  uint32_t virtual_steals = 0;    // tasks the LPT model places off-home
+  uint64_t makespan = 0;          // model: LPT over task work, floored by the spine
   uint32_t real_steals = 0;       // live off-home executions (monitoring only)
   uint32_t failovers = 0;         // dist tasks that fell back in-process
-  std::vector<uint64_t> lane_work;  // configured-mode virtual lane loads
 };
-
-// Deterministic LPT list schedule: works sorted descending (ties by input
-// index), each to the least-loaded of `lanes` lanes (ties lowest index).
-// Returns the resulting makespan. The scheduling-theory bound the fleet's
-// stealing approaches on real cores.
-uint64_t LptMakespan(const std::vector<uint64_t>& works, unsigned lanes);
 
 class FleetScheduler {
  public:
@@ -103,8 +79,7 @@ class FleetScheduler {
   };
 
   // One fan-out unit. `run` executes on a fleet worker and returns the work
-  // units the task actually executed (recorded for the virtual placement
-  // and the estimate registry).
+  // units the task actually executed (recorded for ComputeStats).
   struct Task {
     uint32_t job = 0;
     uint64_t step = 0;
@@ -119,9 +94,7 @@ class FleetScheduler {
   FleetScheduler(const FleetScheduler&) = delete;
   FleetScheduler& operator=(const FleetScheduler&) = delete;
 
-  // Registers a job's label (estimate-registry key) and spine work (makespan
-  // floor). Call SetJobLabel before the job's first RunJobTasks.
-  void SetJobLabel(uint32_t job, std::string label);
+  // Registers a job's spine work (the makespan model's floor).
   void SetJobSpineWork(uint32_t job, uint64_t spine_work);
 
   // Submits one job's tasks and blocks until all of them have executed.
@@ -136,9 +109,9 @@ class FleetScheduler {
   unsigned workers() const { return options_.workers; }
   bool steal() const { return options_.steal; }
 
-  // Deterministic virtual placement over everything recorded so far; call
-  // after all jobs finished. failovers is left 0 (the engine counts those
-  // per job; RunBatch folds them in).
+  // Stats over everything executed so far; call after all jobs finished.
+  // failovers is left 0 (the engine counts those per job; RunBatch folds
+  // them in).
   FleetBatchStats ComputeStats() const;
 
  private:
@@ -173,10 +146,9 @@ class FleetScheduler {
   std::vector<std::map<PKey, Task>> lanes_;  // queued tasks, homed per lane
   std::vector<uint64_t> committed_;          // estimate sum placed on each lane
   std::map<uint32_t, uint32_t> outstanding_; // job -> queued + running tasks
-  std::map<uint32_t, std::string> labels_;
   std::map<uint32_t, uint64_t> spine_work_;
   std::map<uint32_t, uint32_t> real_steals_;
-  std::vector<FleetTaskRecord> records_;
+  std::vector<uint64_t> works_;              // executed work, one per task
   std::vector<std::thread> threads_;
 };
 

@@ -313,8 +313,8 @@ namespace {
 
 // One aggregated REVNIC_PARALLEL_STATS block for the whole batch (an engine
 // on the shared fleet skips its own per-job print): one row per
-// fleet job in input order, then fleet totals with the deterministic virtual
-// makespans (core/fleet.h). An all-sequential batch prints nothing.
+// fleet job in input order, then fleet totals with the makespan model
+// (core/fleet.h). An all-sequential batch prints nothing.
 void PrintBatchParallelStats(const BatchResult& batch) {
   if (!batch.fleet_used) {
     return;
@@ -334,13 +334,10 @@ void PrintBatchParallelStats(const BatchResult& batch) {
   }
   const FleetBatchStats& f = batch.fleet;
   fprintf(stderr,
-          "[batch-parallel] fleet workers=%u steal=%s tasks=%u steals=%u "
-          "(virtual=%u) failovers=%u makespan=%llu "
-          "(virtual models: static=%llu no-steal=%llu steal=%llu spine-floor=%llu)\n",
-          f.workers, f.steal ? "on" : "off", f.tasks, f.real_steals, f.virtual_steals,
-          f.failovers, (unsigned long long)f.makespan, (unsigned long long)f.static_makespan,
-          (unsigned long long)f.no_steal_makespan, (unsigned long long)f.steal_makespan,
-          (unsigned long long)f.max_spine_work);
+          "[batch-parallel] fleet workers=%u steal=%s tasks=%u steals=%u failovers=%u "
+          "makespan-model=%llu spine-floor=%llu\n",
+          f.workers, f.steal ? "on" : "off", f.tasks, f.real_steals, f.failovers,
+          (unsigned long long)f.makespan, (unsigned long long)f.max_spine_work);
 }
 
 }  // namespace
@@ -416,9 +413,6 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
     fopts.steal = steal;
     fopts.dist_pool = pool.get();
     fleet = std::make_unique<FleetScheduler>(fopts);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      fleet->SetJobLabel(static_cast<uint32_t>(i), jobs[i].name);
-    }
   }
 
   std::atomic<size_t> next{0};

@@ -191,9 +191,8 @@ struct BatchResult {
   perf::SubstrateCounters aggregate; // cache counters summed across jobs
   unsigned concurrency = 0;          // job threads actually used
   // Fleet-scheduler batch stats: populated when any job ran parallel-class
-  // (an all-sequential batch starts no fleet). Every makespan is a
-  // deterministic virtual placement over recorded work units -- see
-  // core/fleet.h. Zero/false otherwise.
+  // (an all-sequential batch starts no fleet): what the fleet ran, plus
+  // the makespan model -- see core/fleet.h. Zero/false otherwise.
   bool fleet_used = false;
   FleetBatchStats fleet;
   bool AllOk() const {

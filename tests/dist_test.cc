@@ -1,17 +1,19 @@
 // Distributed exercising (PR 8): the ExercisePlan grid guarantee -- fixed
 // seed => byte-identical merged checkpoints across {threads} x {sub-shards} x
 // {in-process, multi-process}, clean and faulted -- plus
-// the RDP1 wire protocol units, worker-crash failover, and the pcnet
-// critical-path ledger bound.
+// the RDP1 wire protocol units, the FleetScheduler on synthetic tasks,
+// worker-crash failover, and the pcnet critical-path ledger bound.
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <thread>
 
 #include "core/fanout.h"
+#include "core/fleet.h"
 #include "core/session.h"
 #include "dist/wire.h"
 #include "drivers/drivers.h"
@@ -299,6 +301,82 @@ TEST(DistExercise, WorkerCrashFailsOverToIdenticalBytes) {
 
 // ---- the fleet scheduler (PR 10) ----
 
+// Every FleetBatchStats field except real_steals, which depends on the
+// wall-clock interleaving.
+void ExpectSameFleetStats(const core::FleetBatchStats& a, const core::FleetBatchStats& b) {
+  EXPECT_EQ(a.workers, b.workers);
+  EXPECT_EQ(a.steal, b.steal);
+  EXPECT_EQ(a.tasks, b.tasks);
+  EXPECT_EQ(a.total_task_work, b.total_task_work);
+  EXPECT_EQ(a.max_spine_work, b.max_spine_work);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.failovers, b.failovers);
+}
+
+TEST(FleetScheduler, SyntheticJobsRunOnceAndReportTheLptModel) {
+  // Two jobs submit at once; each task's `run` just returns a fixed work
+  // count. Job 1's spine (11) is the heavier floor.
+  const std::vector<uint64_t> job_works[2] = {{7, 5, 3, 3, 2}, {9, 4, 4, 1}};
+  const uint64_t spine_work[2] = {6, 11};
+  // LPT over {9,7,5,4,4,3,3,2,1} (sum 38), worked by hand: one lane carries
+  // everything; two lanes split it 19/19; four lanes end at {9,10,10,9},
+  // below job 1's spine.
+  const std::pair<unsigned, uint64_t> expected[] = {{1, 38}, {2, 19}, {4, 11}};
+  for (const auto& [workers, makespan] : expected) {
+    for (bool steal : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "workers=" << workers << " steal=" << steal);
+      core::FleetBatchStats first;
+      for (int round = 0; round < 2; ++round) {
+        std::atomic<int> runs[2][5] = {};
+        core::FleetScheduler fleet({workers, steal});
+        auto submit = [&](uint32_t job) {
+          fleet.SetJobSpineWork(job, spine_work[job]);
+          std::vector<core::FleetScheduler::Task> tasks;
+          for (size_t i = 0; i < job_works[job].size(); ++i) {
+            core::FleetScheduler::Task t;
+            t.step = i;
+            t.estimate = 10 - i;  // deliberately not the true work
+            t.run = [&runs, &job_works, job, i](core::FleetScheduler::WorkerContext&) {
+              ++runs[job][i];
+              return job_works[job][i];
+            };
+            tasks.push_back(std::move(t));
+          }
+          fleet.RunJobTasks(job, std::move(tasks));
+        };
+        std::thread job0(submit, 0u);
+        std::thread job1(submit, 1u);
+        job0.join();
+        job1.join();
+        for (uint32_t job = 0; job < 2; ++job) {
+          for (size_t i = 0; i < job_works[job].size(); ++i) {
+            EXPECT_EQ(runs[job][i].load(), 1) << "job " << job << " task " << i;
+          }
+        }
+        const core::FleetBatchStats st = fleet.ComputeStats();
+        EXPECT_EQ(st.workers, workers);
+        EXPECT_EQ(st.steal, steal);
+        EXPECT_EQ(st.tasks, 9u);
+        EXPECT_EQ(st.total_task_work, 38u);
+        EXPECT_EQ(st.max_spine_work, 11u);
+        EXPECT_EQ(st.makespan, makespan);
+        EXPECT_EQ(st.failovers, 0u);
+        EXPECT_EQ(st.real_steals, fleet.JobRealSteals(0) + fleet.JobRealSteals(1));
+        if (!steal || workers == 1) {
+          EXPECT_EQ(st.real_steals, 0u);
+        }
+        // A second fleet in the same process starts from nothing: no
+        // process-wide state carries over between fleets.
+        if (round == 0) {
+          first = st;
+        } else {
+          ExpectSameFleetStats(first, st);
+        }
+      }
+    }
+  }
+}
+
 TEST(DistExercise, FleetGridByteIdenticalAcrossAllDrivers) {
   // Fixed seed => byte-identical merged checkpoints for every fleet size and
   // stealing mode, clean and faulted, on every registered driver. The
@@ -355,9 +433,9 @@ TEST(DistExercise, FleetWorkerKilledMidStealFailsOverToIdenticalBytes) {
 }
 
 TEST(DistExercise, FleetBatchMakespanDeterministicAcrossRuns) {
-  // RunBatch under one shared fleet: same seed + same plan => the virtual
-  // makespans (computed from recorded work units, not wall clock) agree bit
-  // for bit across runs, and every job's emitted source matches a
+  // RunBatch under one shared fleet: same seed + same plan => the fleet
+  // stats (recorded work units and the makespan model, not wall clock)
+  // agree bit for bit across runs, and every job's emitted source matches a
   // standalone run's -- scheduling is placement-only end to end.
   core::ExercisePlan plan;
   plan.sub_shards = 2;
@@ -381,19 +459,9 @@ TEST(DistExercise, FleetBatchMakespanDeterministicAcrossRuns) {
   ASSERT_TRUE(fleet_a.fleet_used);
   EXPECT_GT(fleet_a.fleet.tasks, 0u);
   EXPECT_EQ(fleet_a.fleet.workers, 4u);
-  EXPECT_EQ(fleet_a.fleet.lane_work.size(), 4u);
-  // Determinism: models computed from recorded ACTUAL work reproduce
-  // exactly. (no_steal_makespan homes tasks by estimate, and the estimate
-  // registry warms between same-process runs, so it is deliberately not
-  // compared across runs -- a fresh process reproduces it too.)
-  EXPECT_EQ(fleet_a.fleet.makespan, fleet_b.fleet.makespan);
-  EXPECT_EQ(fleet_a.fleet.static_makespan, fleet_b.fleet.static_makespan);
-  EXPECT_EQ(fleet_a.fleet.tasks, fleet_b.fleet.tasks);
-  EXPECT_EQ(fleet_a.fleet.total_task_work, fleet_b.fleet.total_task_work);
-  // Steal mode reports the steal model, and the shared-lane LPT placement
-  // never loses to the best static outer x inner split of the same records.
-  EXPECT_EQ(fleet_a.fleet.makespan, fleet_a.fleet.steal_makespan);
-  EXPECT_LE(fleet_a.fleet.steal_makespan, fleet_a.fleet.static_makespan);
+  // Determinism: two back-to-back batches in one process agree on every
+  // figure but the live steal count.
+  ExpectSameFleetStats(fleet_a.fleet, fleet_b.fleet);
   EXPECT_GE(fleet_a.fleet.makespan, fleet_a.fleet.max_spine_work);
   // End-to-end identity: every job's emitted driver source is the same
   // whether its tasks ran on the shared fleet or in a standalone
