@@ -3,6 +3,7 @@
 #define REVNIC_BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -22,7 +23,8 @@ namespace revnic::bench {
 // (e.g. fig9's cleanup-off baseline, table3's per-target emissions). The
 // ExercisePlan overload runs the exercise stage under that plan; the store
 // key mixes the resolved plan (ConfigFingerprint), so differently-sharded
-// checkpoints never alias.
+// checkpoints never alias. A failed exercise ends the bench with the store's
+// error rather than reporting rows from an empty result.
 inline core::PipelineResult Pipeline(drivers::DriverId id, uint64_t max_work,
                                      const core::EmitOptions& emit,
                                      const core::ExercisePlan& plan = {}) {
@@ -31,7 +33,13 @@ inline core::PipelineResult Pipeline(drivers::DriverId id, uint64_t max_work,
   cfg.max_work = max_work;
   cfg.plan = plan;
   std::string key = std::string(drivers::DriverName(id)) + "@" + std::to_string(max_work);
-  auto session = core::CheckpointStore::Global().Resume(key, drivers::DriverImage(id), cfg);
+  std::string error;
+  auto session =
+      core::CheckpointStore::Global().Resume(key, drivers::DriverImage(id), cfg, "", &error);
+  if (session == nullptr) {
+    fprintf(stderr, "bench: %s\n", error.c_str());
+    exit(1);
+  }
   session->set_emit_options(emit);
   session->RunAll();
   return session->TakeResult();

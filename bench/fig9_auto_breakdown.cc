@@ -66,8 +66,8 @@ int main() {
     const core::PipelineResult& on = on_results.at(id);
     const core::PipelineResult& off = bench::Pipeline(id, 250'000, no_cleanup);
     synth::CEmitStats s_on, s_off;
-    std::string c_on = synth::EmitC(on.module, {}, &s_on);
-    std::string c_off = synth::EmitC(off.module, {}, &s_off);
+    std::string c_on = synth::EmitC(on.module, &s_on);
+    std::string c_off = synth::EmitC(off.module, &s_off);
     printf("%-12s %7zu -> %-6zu %7zu -> %-6zu %7zu -> %-6zu %9zu -> %-9zu\n",
            drivers::DriverName(id), s_off.blocks, s_on.blocks, s_off.labels, s_on.labels,
            s_off.gotos, s_on.gotos, c_off.size(), c_on.size());

@@ -31,7 +31,7 @@ int main() {
     double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     size_t c_lines = 1;
-    for (char ch : pr.c_source) {
+    for (char ch : pr.emitted.at(os::TargetOs::kWindows)) {
       c_lines += ch == '\n' ? 1 : 0;
     }
     auto it = paper.find(id);

@@ -305,9 +305,9 @@ int main(int argc, char** argv) {
     fprintf(stderr, "synthesis failed: %s\n", session->error().c_str());
     return 1;
   }
+  const std::string& c_source = session->emitted().at(session->emit_options().targets.front());
   printf("generated C: %zu lines\n",
-         static_cast<size_t>(
-             std::count(session->c_source().begin(), session->c_source().end(), '\n')));
+         static_cast<size_t>(std::count(c_source.begin(), c_source.end(), '\n')));
   if (stop == kSynthesize) {
     return 0;
   }

@@ -40,7 +40,7 @@ int main() {
          result.engine.entries.size());
   printf("  recovered funcs : %zu (%zu fully automatic)\n", result.module.NumFunctions(),
          result.module.NumFullyAutomatic());
-  printf("  generated C     : %zu bytes\n", result.c_source.size());
+  printf("  generated C     : %zu bytes\n", result.emitted.at(os::TargetOs::kWindows).size());
 
   // Show one synthesized hardware function (Listing 1 flavor).
   uint32_t isr_pc = result.module.EntryPc(os::EntryRole::kIsr);

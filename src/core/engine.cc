@@ -446,13 +446,6 @@ struct Engine::Impl {
         break;
       }
       std::unique_ptr<ExecutionState> cur = pool.SelectNext();
-      if (heartbeat && stats.work % 50 == 0) {
-        fprintf(stderr,
-                "[hb] step=%s work=%llu pool=%zu pc=0x%x constraints=%zu solver-hits=%llu\n",
-                step.name.c_str(), (unsigned long long)stats.work, pool.NumRunnable(),
-                cur->pc(), cur->constraints().size(),
-                (unsigned long long)solver.stats().cache_hits);
-      }
       std::shared_ptr<const ir::Block> block = dbt.Translate(cur->pc());
       if (!block) {
         ++stats.states_killed_error;
@@ -1752,9 +1745,6 @@ struct Engine::Impl {
   std::map<uint32_t, uint64_t> call_counts;
   uint64_t stats_functions_modeled = 0;
   bool cancel_requested = false;
-  // Operator diagnostics: REVNIC_HEARTBEAT=1 streams exerciser progress.
-  // Read once per run, not per state selection.
-  const bool heartbeat = getenv("REVNIC_HEARTBEAT") != nullptr;
 
   // ---- parallel-exercise plumbing ----
   // Shared coverage map to publish fresh blocks into (merged live progress).

@@ -12,7 +12,6 @@
 
 #include "core/engine.h"
 #include "os/target.h"
-#include "synth/cemit.h"
 #include "synth/cfg.h"
 #include "synth/emit.h"
 
@@ -29,14 +28,12 @@ struct EmitOptions {
   // tests/synth_passes_test.cc); turning this off reproduces the legacy
   // goto-everywhere output.
   bool cleanup_passes = true;
-  synth::CEmitOptions render;
 };
 
 struct PipelineResult {
   EngineResult engine;
   synth::RecoveredModule module;
   synth::SynthStats synth_stats;  // includes the per-pass breakdown
-  std::string c_source;           // first requested target (Listing 1 style)
   std::string runtime_header;     // revnic_runtime.h it compiles against
   // One full translation unit per requested target OS, plus its renderer/
   // template size split (same rendering -- no need to re-emit to report).

@@ -137,11 +137,10 @@ bool Session::Synthesize() {
   emission_stats_.clear();
   // One core render shared by every requested backend.
   for (auto& [target, te] :
-       synth::EmitForTargets(module_, emit_options_.targets, emit_options_.render)) {
+       synth::EmitForTargets(module_, emit_options_.targets)) {
     emission_stats_[target] = te.stats;
     emitted_[target] = std::move(te.source);
   }
-  c_source_ = emitted_.at(emit_options_.targets.front());
   stage_ = Stage::kSynthesized;
   NotifyStage(stage_);
   return true;
@@ -165,7 +164,6 @@ PipelineResult Session::TakeResult() {
   result.engine = std::move(engine_);
   result.module = std::move(module_);
   result.synth_stats = std::move(synth_stats_);
-  result.c_source = std::move(c_source_);
   result.runtime_header = std::move(runtime_header_);
   result.emitted = std::move(emitted_);
   result.emission_stats = std::move(emission_stats_);
@@ -181,7 +179,8 @@ bool Session::WriteOutputs(const std::string& dir, std::string* error) {
     std::string name;
     const std::string* text;
   };
-  std::vector<Out> outs = {{"driver.c", &c_source_}, {"revnic_runtime.h", &runtime_header_}};
+  std::vector<Out> outs = {{"driver.c", &emitted_.at(emit_options_.targets.front())},
+                           {"revnic_runtime.h", &runtime_header_}};
   for (const auto& [target, source] : emitted_) {
     outs.push_back({synth::TargetFileName(target), &source});
   }
@@ -489,6 +488,7 @@ std::function<void(const CoverageSample&)> MakeCoverageJsonlLogger(JsonlWriter* 
 struct CheckpointBlob {
   std::once_flag once;
   std::vector<uint8_t> bytes;
+  std::string error;  // set instead of bytes when the exercise failed
 };
 
 namespace {
@@ -564,7 +564,6 @@ std::string ConfigFingerprint(const EngineConfig& c) {
   mix(static_cast<uint64_t>(c.pool.strategy));
   mix(c.pool.max_states);
   mix(c.solver.repair_iters);
-  mix(c.solver.candidates_per_step);
   char buf[20];
   snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
   return buf;
@@ -577,50 +576,15 @@ CheckpointStore& CheckpointStore::Global() {
   return store;
 }
 
-CheckpointStore::CheckpointStore() {
-  if (const char* env = std::getenv("REVNIC_CHECKPOINT_CACHE_BYTES")) {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 0);
-    if (end != env && v > 0) {
-      budget_ = static_cast<size_t>(v);
-    }
-  }
-}
-
-size_t CheckpointStore::CachedBytes() {
+size_t CheckpointStore::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-size_t CheckpointStore::SetBudgetBytes(size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t old = budget_;
-  budget_ = bytes;
-  EvictOverBudgetLocked();
-  return old;
-}
-
-void CheckpointStore::EvictOverBudgetLocked() {
-  // Walk from the cold end; the front (most recently resumed) entry is never
-  // evicted even when it alone exceeds the budget. Dropping an entry just
-  // forgets the serialized bytes -- a later Resume re-exercises
-  // deterministically, so callers cannot observe eviction in the resumed
-  // session's content.
-  while (total_ > budget_ && lru_.size() > 1) {
-    const std::string& victim = lru_.back();
-    auto it = blobs_.find(victim);
-    if (it != blobs_.end()) {
-      total_ -= it->second.bytes;
-      blobs_.erase(it);
-    }
-    lru_.pop_back();
-  }
+  return blobs_.size();
 }
 
 std::unique_ptr<Session> CheckpointStore::Resume(const std::string& key,
                                                  const isa::Image& image,
                                                  const EngineConfig& config,
-                                                 const std::string& salt) {
+                                                 const std::string& salt, std::string* error) {
   const std::string store_key = key + "#" + ConfigFingerprint(config) + "#" + salt;
   std::shared_ptr<CheckpointBlob> blob;
   {
@@ -628,42 +592,30 @@ std::unique_ptr<Session> CheckpointStore::Resume(const std::string& key,
     // The salt keeps callers with distinct cancel policies (identical
     // fingerprints -- closures only contribute a presence bit) on distinct
     // entries.
-    auto it = blobs_.find(store_key);
-    if (it == blobs_.end()) {
-      lru_.push_front(store_key);
-      it = blobs_.emplace(store_key, Entry{std::make_shared<CheckpointBlob>(),
-                                           lru_.begin()}).first;
-    } else {
-      lru_.splice(lru_.begin(), lru_, it->second.pos);  // touch: move to MRU
+    std::shared_ptr<CheckpointBlob>& slot = blobs_[store_key];
+    if (slot == nullptr) {
+      slot = std::make_shared<CheckpointBlob>();
     }
-    blob = it->second.blob;
+    blob = slot;
   }
   // First requester exercises outside the map lock; same-entry requesters
   // wait here, unrelated entries proceed concurrently.
   std::call_once(blob->once, [&] {
     Session session(image, config);
     session.set_label(key);
-    session.Exercise();
+    if (!session.Exercise()) {
+      blob->error = session.error();
+      return;
+    }
     blob->bytes = session.SaveCheckpoint();
   });
-  {
-    // Account the blob's size once it exists (the entry may have been
-    // evicted while we exercised; an evicted entry is simply not re-counted,
-    // its bytes die with the local shared_ptr).
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = blobs_.find(store_key);
-    if (it != blobs_.end() && it->second.blob == blob && it->second.bytes == 0) {
-      it->second.bytes = blob->bytes.size();
-      total_ += it->second.bytes;
-      EvictOverBudgetLocked();
-    }
+  std::string why = blob->error;
+  std::unique_ptr<Session> resumed;
+  if (why.empty()) {
+    resumed = Session::LoadCheckpoint(blob->bytes, &why);
   }
-  std::string error;
-  std::unique_ptr<Session> resumed = Session::LoadCheckpoint(blob->bytes, &error);
-  if (resumed == nullptr) {
-    fprintf(stderr, "FATAL: checkpoint store blob for '%s' corrupt: %s\n", key.c_str(),
-            error.c_str());
-    abort();
+  if (resumed == nullptr && error != nullptr) {
+    *error = "checkpoint store entry '" + key + "': " + why;
   }
   return resumed;
 }

@@ -8,7 +8,7 @@
 //   Session s(image, config);
 //   s.Exercise();     // symbolic exercising + wiretap -> engine()
 //   s.RecoverCfg();   // trace -> RecoveredModule      -> module()
-//   s.Synthesize();   // module -> C source            -> c_source()
+//   s.Synthesize();   // module -> C per target        -> emitted()
 //   s.Emit();         // runtime header, final result  -> runtime_header()
 //
 // -- with implicit prerequisite chaining (calling Emit() on a fresh session
@@ -27,7 +27,6 @@
 #define REVNIC_CORE_SESSION_H_
 
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -109,8 +108,6 @@ class Session {
   const EngineResult& engine() const { return engine_; }
   const synth::RecoveredModule& module() const { return module_; }
   const synth::SynthStats& synth_stats() const { return synth_stats_; }
-  // The first requested target's translation unit (the legacy accessor).
-  const std::string& c_source() const { return c_source_; }
   const std::string& runtime_header() const { return runtime_header_; }
   // One translation unit per requested target OS, with the renderer/
   // template stats of exactly that rendering.
@@ -165,7 +162,6 @@ class Session {
   EngineResult engine_;
   synth::RecoveredModule module_;
   synth::SynthStats synth_stats_;
-  std::string c_source_;
   std::string runtime_header_;
   std::map<os::TargetOs, std::string> emitted_;
   std::map<os::TargetOs, synth::EmissionStats> emission_stats_;
@@ -251,8 +247,9 @@ std::function<void(const CoverageSample&)> MakeCoverageJsonlLogger(JsonlWriter* 
 // Process-wide cache of serialized checkpoints. The first request for a
 // (key, config) pair exercises the image and checkpoints it; later requests
 // resume from the cached blob and only re-run the cheap downstream stages.
-// Thread-safe with per-entry once-semantics: concurrent requests for the
-// same entry wait for the one exercise, unrelated entries proceed in
+// Entries are never dropped: the whole in-tree corpus checkpoints to about
+// 12 MB. Thread-safe with per-entry once-semantics: concurrent requests for
+// the same entry wait for the one exercise, unrelated entries proceed in
 // parallel. The caller's key is combined with a fingerprint of the config's
 // exercise-relevant fields, so reusing a key with a different budget/seed
 // gets its own checkpoint instead of silently sharing the first one.
@@ -261,49 +258,27 @@ std::function<void(const CoverageSample&)> MakeCoverageJsonlLogger(JsonlWriter* 
 // policies pass a `salt` to keep their checkpoints apart (ROADMAP PR-2
 // follow-up). Benches and tests use this instead of ad-hoc static
 // PipelineResult caches.
-struct CheckpointBlob;  // internal map entry (once-flag + bytes)
-
-// Default byte budget for the store's serialized checkpoints; generous on
-// purpose (the whole in-tree corpus is well under it), overridable per
-// process via the REVNIC_CHECKPOINT_CACHE_BYTES environment variable or
-// SetBudgetBytes(). When the budget is exceeded the least-recently-resumed
-// blobs are dropped; a later Resume for a dropped entry simply re-exercises,
-// and exercising is deterministic, so eviction never changes the bytes a
-// resumed session sees (pinned in tests/session_test.cc).
-inline constexpr size_t kDefaultCheckpointCacheBytes = size_t{256} << 20;
+struct CheckpointBlob;  // internal map entry (once-flag + bytes or error)
 
 class CheckpointStore {
  public:
   static CheckpointStore& Global();
 
-  CheckpointStore();
-
   // A Session at Stage::kExercised for (key, config, salt), exercising
-  // image only the first time. Aborts on checkpoint corruption
-  // (store-internal blobs).
+  // image only the first time. Fails closed: when the exercise or the
+  // checkpoint reload fails it returns nullptr and sets *error (if given).
+  // A failed entry stays cached, so every later Resume for it returns the
+  // same error without exercising again.
   std::unique_ptr<Session> Resume(const std::string& key, const isa::Image& image,
-                                  const EngineConfig& config, const std::string& salt = "");
+                                  const EngineConfig& config, const std::string& salt = "",
+                                  std::string* error = nullptr);
 
-  // Serialized checkpoint bytes currently held.
-  size_t CachedBytes();
-  // Replaces the byte budget, evicting immediately if the new budget is
-  // smaller; returns the previous budget. The most recently resumed entry is
-  // never a victim, so a hot caller cannot thrash itself out of the cache.
-  size_t SetBudgetBytes(size_t bytes);
+  // Number of (key, config, salt) entries held.
+  size_t size() const;
 
  private:
-  struct Entry {
-    std::shared_ptr<CheckpointBlob> blob;
-    std::list<std::string>::iterator pos;  // position in lru_
-    size_t bytes = 0;                      // 0 until the exercise completed
-  };
-  void EvictOverBudgetLocked();
-
-  std::mutex mu_;  // guards the map only; exercising happens outside it
-  size_t budget_ = kDefaultCheckpointCacheBytes;
-  size_t total_ = 0;
-  std::list<std::string> lru_;  // front = most recently resumed
-  std::map<std::string, Entry> blobs_;
+  mutable std::mutex mu_;  // guards the map only; exercising happens outside it
+  std::map<std::string, std::shared_ptr<CheckpointBlob>> blobs_;
 };
 
 }  // namespace revnic::core

@@ -13,14 +13,12 @@
 namespace revnic::dist {
 namespace {
 
-int TimeoutFromEnv(int fallback) {
-  const char* env = getenv("REVNIC_DIST_TIMEOUT_MS");
-  if (env == nullptr || *env == '\0') {
-    return fallback;
-  }
-  int v = atoi(env);
-  return v > 0 ? v : fallback;
-}
+// Per-reply deadline: a wedged worker costs one timeout, then its items run
+// in-process.
+constexpr int kReplyTimeoutMs = 120'000;
+
+// Context-cache byte budget per worker (both the child and its mirror).
+constexpr size_t kContextBudgetBytes = size_t{64} << 20;
 
 std::vector<uint8_t> HelloPayload(unsigned index) {
   std::vector<uint8_t> p(4);
@@ -52,17 +50,6 @@ bool ParseContextPayload(const std::vector<uint8_t>& p, std::string* key,
 }
 
 }  // namespace
-
-size_t ContextBudgetFromEnv() {
-  const char* env = getenv("REVNIC_DIST_CONTEXT_BYTES");
-  if (env != nullptr && *env != '\0') {
-    const long long v = atoll(env);
-    if (v > 0) {
-      return static_cast<size_t>(v);
-    }
-  }
-  return 64ull << 20;
-}
 
 const std::vector<uint8_t>* ContextCache::Find(const std::string& key) const {
   auto it = entries_.find(key);
@@ -108,11 +95,9 @@ void ContextCache::InstallMirror(const std::string& key, size_t size) {
 
 WorkerPool::WorkerPool(const Options& options, Handler handler)
     : options_(options), handler_(std::move(handler)) {
-  options_.timeout_ms = TimeoutFromEnv(options_.timeout_ms);
   workers_.resize(options_.workers);
-  const size_t budget = ContextBudgetFromEnv();
   for (Worker& w : workers_) {
-    w.mirror = std::make_unique<ContextCache>(budget);
+    w.mirror = std::make_unique<ContextCache>(kContextBudgetBytes);
   }
   for (unsigned i = 0; i < options_.workers; ++i) {
     SpawnWorker(i);
@@ -127,7 +112,7 @@ WorkerPool::WorkerPool(const Options& options, Handler handler)
     std::string err;
     Frame hello;
     if (!WriteFrame(w.fd, FrameType::kHello, HelloPayload(i), &err) ||
-        !ReadFrame(w.fd, &hello, options_.timeout_ms, &err) ||
+        !ReadFrame(w.fd, &hello, kReplyTimeoutMs, &err) ||
         hello.type != FrameType::kHello) {
       RLOG_WARN("dist worker %u failed the RDP1 handshake: %s", i,
                 err.empty() ? "unexpected frame" : err.c_str());
@@ -190,7 +175,7 @@ void WorkerPool::ChildLoop(unsigned index, int fd) {
   // on its first work item, proving a mid-run worker loss still yields the
   // identical merged result via in-process failover.
   const bool kill_on_work = index == 0 && getenv("REVNIC_DIST_KILL_FIRST_WORKER") != nullptr;
-  ContextCache cache(ContextBudgetFromEnv());
+  ContextCache cache(kContextBudgetBytes);
   for (;;) {
     std::string err;
     Frame frame;
@@ -315,7 +300,7 @@ bool WorkerPool::Execute(const std::vector<uint8_t>& work, std::vector<uint8_t>*
     *context_shipped = transport_ok;
   }
   transport_ok = transport_ok && WriteFrame(w->fd, FrameType::kWork, work, &err) &&
-                 ReadFrame(w->fd, &reply, options_.timeout_ms, &err);
+                 ReadFrame(w->fd, &reply, kReplyTimeoutMs, &err);
   bool ok = false;
   {
     std::lock_guard<std::mutex> lock(mu_);

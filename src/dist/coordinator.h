@@ -36,8 +36,8 @@ namespace revnic::dist {
 // shared fan-out state -- an RSS1 step snapshot under the fleet scheduler --
 // is installed once and referenced by key from subsequent kWork items, so a
 // stolen task never re-ships state its worker already holds. Eviction is
-// FIFO in ship order under a byte budget (REVNIC_DIST_CONTEXT_BYTES,
-// default 64 MB); because the policy is a pure function of the shipped
+// FIFO in ship order under a byte budget (64 MiB per worker in WorkerPool);
+// because the policy is a pure function of the shipped
 // sequence, the coordinator keeps a sizes-only mirror per worker that stays
 // exactly in sync with the child's cache without any eviction traffic.
 class ContextCache {
@@ -69,9 +69,6 @@ class ContextCache {
   std::map<std::string, Entry> entries_;
 };
 
-// Context-cache byte budget per worker (REVNIC_DIST_CONTEXT_BYTES override).
-size_t ContextBudgetFromEnv();
-
 class WorkerPool {
  public:
   // Runs in the forked child for every kWork frame, with the child's
@@ -84,9 +81,6 @@ class WorkerPool {
 
   struct Options {
     unsigned workers = 2;
-    // Per-reply deadline; REVNIC_DIST_TIMEOUT_MS overrides. A wedged worker
-    // costs one timeout, then its items run in-process.
-    int timeout_ms = 120'000;
   };
 
   // Forks the workers immediately (fork the pool while the process is still

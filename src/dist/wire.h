@@ -50,8 +50,8 @@ enum class FrameType : uint16_t {
   // shipped once per worker this way instead of once per task, so a stolen
   // task whose worker already holds the (job, step) snapshot costs only the
   // small kWork frame. Both ends apply the same FIFO byte-budget eviction
-  // (REVNIC_DIST_CONTEXT_BYTES), so the coordinator's per-worker mirror
-  // always knows what the child still holds.
+  // (dist::ContextCache), so the coordinator's per-worker mirror always
+  // knows what the child still holds.
   kContext = 6,
 };
 

@@ -28,7 +28,7 @@ struct NativeSweepInputs {
 
 // Runs the sweep through native::NativeKitosHost. Bring-up or bind failure
 // yields {ok=false} like RunSweep does; toolchain availability and module
-// loading are the caller's concern (see core::NativeHarness).
+// loading are the caller's concern (see native::RunRace in native/harness.h).
 SweepResult RunNativeMeasuredSweep(const NativeSweepInputs& inputs,
                                    const PlatformProfile& profile,
                                    const std::vector<size_t>& sizes = DefaultPayloadSizes());

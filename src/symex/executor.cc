@@ -14,6 +14,9 @@ using ir::Term;
 
 namespace {
 
+constexpr unsigned kMaxIndirectTargets = 8;  // §3.4 jump-table enumeration cap
+constexpr size_t kMaxExprNodes = 224;        // symbolic expression size guard
+
 BinOp ToBinOp(Op op) {
   switch (op) {
     case Op::kAdd:
@@ -121,7 +124,7 @@ std::vector<uint32_t> Executor::ResolveTargets(
   // Enumerate feasible concrete targets (§3.4: "RevNIC generates all of them
   // and forks the execution for each such value").
   std::vector<ExprRef> constraints = state->constraints().ToVector();
-  for (unsigned k = 0; k < options_.max_indirect_targets; ++k) {
+  for (unsigned k = 0; k < kMaxIndirectTargets; ++k) {
     Model model;
     Verdict v = solver_->CheckSat(constraints, &model, &state->model());
     if (v != Verdict::kSat) {
@@ -213,7 +216,7 @@ StepResult Executor::Step(ExecutionState* state, const ir::Block& block, trace::
         ExprRef a = EvalTemp(temps, instr.a);
         ExprRef b = EvalTemp(temps, instr.b);
         ExprRef r = ctx_->Bin(ToBinOp(instr.op), a, b);
-        if (!r->IsConst() && r->approx_nodes > options_.max_expr_nodes) {
+        if (!r->IsConst() && r->approx_nodes > kMaxExprNodes) {
           // Expression blowup guard: concretize rather than drown the solver.
           r = ctx_->Const(Concretize(state, r, "expr-size-guard"));
         }

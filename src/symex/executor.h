@@ -71,15 +71,8 @@ static_assert(FieldListCovers<ExecutorStats>());
 
 class Executor {
  public:
-  struct Options {
-    unsigned max_indirect_targets = 8;   // §3.4 jump-table enumeration cap
-    size_t max_expr_nodes = 224;         // symbolic expression size guard
-  };
-
   Executor(ExprContext* ctx, Solver* solver, HardwareBridge* hw)
-      : Executor(ctx, solver, hw, Options()) {}
-  Executor(ExprContext* ctx, Solver* solver, HardwareBridge* hw, Options options)
-      : ctx_(ctx), solver_(solver), hw_(hw), options_(options) {}
+      : ctx_(ctx), solver_(solver), hw_(hw) {}
 
   // Executes `block` (whose guest_pc must equal state->pc()), updating the
   // state and emitting wiretap records to `sink` when non-null.
@@ -111,7 +104,7 @@ class Executor {
   ExprRef EvalTemp(const std::vector<ExprRef>& temps, int32_t t) const;
   uint64_t AllocStateId() { return (*next_state_id_)++; }
 
-  // Resolves a symbolic control-flow target into <=max_indirect_targets
+  // Resolves a symbolic control-flow target into <=kMaxIndirectTargets
   // concrete successors, forking per extra target. Returns resolved targets;
   // first entry applies to `state`.
   std::vector<uint32_t> ResolveTargets(ExecutionState* state, const ExprRef& target,
@@ -120,7 +113,6 @@ class Executor {
   ExprContext* ctx_;
   Solver* solver_;
   HardwareBridge* hw_;
-  Options options_;
   uint64_t* next_state_id_ = nullptr;
   uint64_t seq_ = 0;
   ExecutorStats stats_;

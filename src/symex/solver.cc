@@ -12,6 +12,9 @@
 namespace revnic::symex {
 namespace {
 
+constexpr size_t kMaxCacheEntries = 8192;  // query cache reset threshold
+constexpr size_t kCandidatesPerStep = 24;  // candidate values tried per repair step
+
 // Unsigned interval [lo, hi] (inclusive) with forced-bit information:
 // any satisfying value v obeys (v & bit_mask) == bit_value.
 struct VarDomain {
@@ -404,7 +407,7 @@ Verdict Solver::SolveGroupCached(std::vector<ExprRef> group, Model* model, const
     ShelveModel(found);
   }
   if (options_.enable_query_cache) {
-    if (cache_.size() >= options_.max_cache_entries) {
+    if (cache_.size() >= kMaxCacheEntries) {
       cache_.clear();  // wholesale reset; refills from the live working set
     }
     CacheEntry entry;
@@ -626,7 +629,7 @@ Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Mode
         best_value = v;
       }
     };
-    size_t budget = options_.candidates_per_step;
+    size_t budget = kCandidatesPerStep;
     for (uint32_t k : con_consts[violated]) {
       if (budget == 0) {
         break;

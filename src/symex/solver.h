@@ -78,10 +78,8 @@ class Solver {
  public:
   struct Options {
     size_t repair_iters = 250;        // local-repair iterations
-    size_t candidates_per_step = 24;  // candidate values tried per repair step
     bool enable_query_cache = true;   // memoize per-component verdict + model
     bool enable_independence = true;  // split queries into independent slices
-    size_t max_cache_entries = 8192;  // query cache reset threshold
     size_t model_shelf_entries = 8;   // recent models replayed before search
   };
 

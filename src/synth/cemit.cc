@@ -244,8 +244,7 @@ EmitPlan ComputeEmitPlan(const RecoveredModule& m, const RecoveredFunction& fn,
   return plan;
 }
 
-std::string EmitFunctionC(const RecoveredModule& m, uint32_t entry_pc,
-                          const CEmitOptions& options, CEmitStats* stats) {
+std::string EmitFunctionC(const RecoveredModule& m, uint32_t entry_pc, CEmitStats* stats) {
   const RecoveredFunction* fn = m.FunctionAt(entry_pc);
   if (fn == nullptr) {
     return "";
@@ -255,13 +254,10 @@ std::string EmitFunctionC(const RecoveredModule& m, uint32_t entry_pc,
   auto plan_it = m.emit_plans.find(entry_pc);
   const EmitPlan* plan = plan_it == m.emit_plans.end() ? nullptr : &plan_it->second;
 
-  std::string out;
-  if (options.annotate) {
-    out += StrFormat("/* %s: %s; %u stack parameter(s)%s%s */\n", fn->name.c_str(),
-                     FunctionTypeName(fn->type), fn->num_params,
-                     fn->has_return ? ", returns a value in r0" : "",
-                     fn->unexplored_targets.empty() ? "" : "; HAS UNEXPLORED BRANCHES");
-  }
+  std::string out = StrFormat("/* %s: %s; %u stack parameter(s)%s%s */\n", fn->name.c_str(),
+                              FunctionTypeName(fn->type), fn->num_params,
+                              fn->has_return ? ", returns a value in r0" : "",
+                              fn->unexplored_targets.empty() ? "" : "; HAS UNEXPLORED BRANCHES");
   out += StrFormat("void %s(struct revnic_cpu* cpu)\n{\n", fn->name.c_str());
 
   std::set<uint32_t> ordered(fn->block_pcs.begin(), fn->block_pcs.end());
@@ -436,7 +432,7 @@ std::string EmitFunctionC(const RecoveredModule& m, uint32_t entry_pc,
   return out;
 }
 
-std::string EmitC(const RecoveredModule& m, const CEmitOptions& options, CEmitStats* stats) {
+std::string EmitC(const RecoveredModule& m, CEmitStats* stats) {
   std::string out;
   out += "/* Synthesized by RevNIC: C encoding of the reverse-engineered driver\n";
   out += " * state machine. Control flow uses goto; driver state is reached via\n";
@@ -448,7 +444,7 @@ std::string EmitC(const RecoveredModule& m, const CEmitOptions& options, CEmitSt
   }
   out += "\n";
   for (const auto& [pc, fn] : m.functions) {
-    out += EmitFunctionC(m, pc, options, stats);
+    out += EmitFunctionC(m, pc, stats);
     out += "\n";
   }
   if (stats != nullptr) {

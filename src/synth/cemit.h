@@ -26,10 +26,6 @@
 
 namespace revnic::synth {
 
-struct CEmitOptions {
-  bool annotate = true;  // function-type / coverage-hole comments
-};
-
 // Renderer effect counters (the Figure 9 "emitted C size" metrics).
 struct CEmitStats {
   size_t functions = 0;
@@ -41,16 +37,16 @@ struct CEmitStats {
 };
 
 // Renders the entire module as one C translation unit (the legacy
-// generic-runtime layout; target-OS layouts live in synth/emit.h).
-std::string EmitC(const RecoveredModule& module, const CEmitOptions& options = CEmitOptions(),
-                  CEmitStats* stats = nullptr);
+// generic-runtime layout; target-OS layouts live in synth/emit.h). Every
+// function is preceded by a comment naming its type, stack parameters and
+// coverage holes.
+std::string EmitC(const RecoveredModule& module, CEmitStats* stats = nullptr);
 
 // The runtime header the generated code compiles against.
 std::string RuntimeHeader();
 
 // Renders a single function (used by examples to show snippets).
 std::string EmitFunctionC(const RecoveredModule& module, uint32_t entry_pc,
-                          const CEmitOptions& options = CEmitOptions(),
                           CEmitStats* stats = nullptr);
 
 // Computes the emission layout the prune-labels pass stores in

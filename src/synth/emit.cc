@@ -478,15 +478,14 @@ namespace {
 
 // The target-independent share of every emission: forward declarations +
 // function bodies from the shared renderer.
-std::string RenderCore(const RecoveredModule& m, const CEmitOptions& options,
-                       CEmitStats* stats) {
+std::string RenderCore(const RecoveredModule& m, CEmitStats* stats) {
   std::string body;
   for (const auto& [pc, fn] : m.functions) {
     body += StrFormat("void %s(struct revnic_cpu* cpu);\n", fn.name.c_str());
   }
   body += "\n";
   for (const auto& [pc, fn] : m.functions) {
-    body += EmitFunctionC(m, pc, options, stats);
+    body += EmitFunctionC(m, pc, stats);
     body += "\n";
   }
   return body;
@@ -508,22 +507,20 @@ TargetEmission WrapCore(const RecoveredModule& m, os::TargetOs target, const std
 
 }  // namespace
 
-TargetEmission EmitForTarget(const RecoveredModule& m, os::TargetOs target,
-                             const CEmitOptions& options) {
+TargetEmission EmitForTarget(const RecoveredModule& m, os::TargetOs target) {
   CEmitStats body_stats;
-  std::string body = RenderCore(m, options, &body_stats);
+  std::string body = RenderCore(m, &body_stats);
   return WrapCore(m, target, body, body_stats);
 }
 
 std::map<os::TargetOs, TargetEmission> EmitForTargets(const RecoveredModule& m,
-                                                      const std::vector<os::TargetOs>& targets,
-                                                      const CEmitOptions& options) {
+                                                      const std::vector<os::TargetOs>& targets) {
   std::map<os::TargetOs, TargetEmission> out;
   if (targets.empty()) {
     return out;
   }
   CEmitStats body_stats;
-  std::string body = RenderCore(m, options, &body_stats);  // rendered once
+  std::string body = RenderCore(m, &body_stats);  // rendered once
   for (os::TargetOs target : targets) {
     if (out.count(target) == 0) {
       out.emplace(target, WrapCore(m, target, body, body_stats));

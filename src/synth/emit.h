@@ -60,17 +60,14 @@ struct TargetEmission {
 // declarations + function bodies + backend glue, all one compilable
 // translation unit. The kWindows backend reproduces the legacy generic-
 // runtime layout (EmitC) with the role table appended.
-TargetEmission EmitForTarget(const RecoveredModule& module, os::TargetOs target,
-                             const CEmitOptions& options = CEmitOptions());
+TargetEmission EmitForTarget(const RecoveredModule& module, os::TargetOs target);
 
 // Multi-target emission: the synthesized core is rendered ONCE and wrapped
 // in each backend's prologue/glue (the core is target-independent by
 // construction -- only the template share differs). This is what
 // Session::Synthesize uses; one body render regardless of target count.
 std::map<os::TargetOs, TargetEmission> EmitForTargets(const RecoveredModule& module,
-                                                      const std::vector<os::TargetOs>& targets,
-                                                      const CEmitOptions& options =
-                                                          CEmitOptions());
+                                                      const std::vector<os::TargetOs>& targets);
 
 }  // namespace revnic::synth
 

@@ -1,20 +1,23 @@
 // Distributed exercising (PR 8): the ExercisePlan grid guarantee -- fixed
 // seed => byte-identical merged checkpoints across {threads} x {sub-shards} x
-// {in-process, multi-process}, clean and faulted -- plus
-// the RDP1 wire protocol units, the FleetScheduler on synthetic tasks,
-// worker-crash failover, and the pcnet critical-path ledger bound.
+// {in-process, multi-process}, clean and faulted -- plus the RDP1 wire
+// protocol units, the worker context cache, the FleetScheduler on synthetic
+// tasks, worker-crash failover, and the pcnet critical-path ledger bound.
 #include <gtest/gtest.h>
 
 #include <stdlib.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <thread>
 
 #include "core/fanout.h"
 #include "core/fleet.h"
 #include "core/session.h"
+#include "dist/coordinator.h"
 #include "dist/wire.h"
 #include "drivers/drivers.h"
 #include "hw/faults.h"
@@ -136,6 +139,54 @@ TEST(Rdp1Wire, ReadTimesOutOnSilence) {
   EXPECT_NE(error.find("timed out"), std::string::npos) << error;
   close(sv[0]);
   close(sv[1]);
+}
+
+// The worker-side context cache and the coordinator's sizes-only mirror run
+// the same FIFO policy on the same ship sequence, so after every ship they
+// agree on what is resident without any eviction traffic. A small budget
+// (100 bytes) reaches eviction within six ships.
+TEST(ContextCache, ChildAndMirrorEvictTheSameKeysInShipOrder) {
+  dist::ContextCache child(100);
+  dist::ContextCache mirror(100);
+  struct Ship {
+    std::string key;
+    size_t size;
+    std::vector<std::string> resident;  // expected afterwards, oldest first
+  };
+  const std::vector<Ship> ships = {
+      {"a", 40, {"a"}},
+      {"b", 40, {"a", "b"}},
+      {"c", 40, {"b", "c"}},  // a is the oldest: evicted first
+      {"d", 30, {"c", "d"}},
+      {"a", 40, {"d", "a"}},  // an evicted key ships again, as the newest
+      {"e", 40, {"a", "e"}},  // so d, not a, is the next victim
+  };
+  const std::vector<std::string> keys = {"a", "b", "c", "d", "e"};
+  const std::map<std::string, size_t> sizes = {
+      {"a", 40}, {"b", 40}, {"c", 40}, {"d", 30}, {"e", 40}};
+  for (const Ship& ship : ships) {
+    child.Install(ship.key, std::vector<uint8_t>(ship.size, static_cast<uint8_t>(ship.key[0])));
+    mirror.InstallMirror(ship.key, ship.size);
+    size_t expected_bytes = 0;
+    for (const std::string& key : ship.resident) {
+      expected_bytes += sizes.at(key);  // a re-shipped key counts once
+    }
+    EXPECT_EQ(child.bytes(), expected_bytes) << "after " << ship.key;
+    EXPECT_EQ(mirror.bytes(), expected_bytes) << "after " << ship.key;
+    for (const std::string& key : keys) {
+      const bool want = std::find(ship.resident.begin(), ship.resident.end(), key) !=
+                        ship.resident.end();
+      EXPECT_EQ(child.Contains(key), want) << key << " after " << ship.key;
+      EXPECT_EQ(mirror.Contains(key), want) << key << " after " << ship.key;
+      const std::vector<uint8_t>* found = child.Find(key);
+      if (want) {
+        ASSERT_NE(found, nullptr) << key;
+        EXPECT_EQ(*found, std::vector<uint8_t>(sizes.at(key), static_cast<uint8_t>(key[0])));
+      } else {
+        EXPECT_EQ(found, nullptr) << key << " after " << ship.key;
+      }
+    }
+  }
 }
 
 TEST(FanoutPayloads, WorkRoundTrip) {
@@ -264,7 +315,7 @@ TEST(DistExercise, SubShardCheckpointLoadsAndResumesDownstream) {
   std::unique_ptr<core::Session> resumed = core::Session::LoadCheckpoint(blob, &error);
   ASSERT_NE(resumed, nullptr) << error;
   ASSERT_TRUE(resumed->Emit());
-  EXPECT_EQ(resumed->c_source(), s.c_source());
+  EXPECT_EQ(resumed->emitted().at(os::TargetOs::kWindows), s.emitted().at(os::TargetOs::kWindows));
 }
 
 // ---- multi-process mode ----
@@ -473,8 +524,10 @@ TEST(DistExercise, FleetBatchMakespanDeterministicAcrossRuns) {
     cfg.plan.fleet = 0;
     core::Session standalone(*jobs[i].image, cfg);
     ASSERT_TRUE(standalone.Synthesize());
-    EXPECT_EQ(fleet_a.jobs[i].result.c_source, standalone.c_source()) << fleet_a.jobs[i].name;
-    EXPECT_EQ(fleet_a.jobs[i].result.c_source, fleet_b.jobs[i].result.c_source)
+    EXPECT_EQ(fleet_a.jobs[i].result.emitted.at(os::TargetOs::kWindows),
+              standalone.emitted().at(os::TargetOs::kWindows)) << fleet_a.jobs[i].name;
+    EXPECT_EQ(fleet_a.jobs[i].result.emitted.at(os::TargetOs::kWindows),
+              fleet_b.jobs[i].result.emitted.at(os::TargetOs::kWindows))
         << fleet_a.jobs[i].name;
   }
 }

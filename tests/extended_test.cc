@@ -19,8 +19,13 @@ using drivers::DriverId;
 core::PipelineResult CachedPipeline(DriverId id) {
   core::EngineConfig cfg;
   cfg.pci = drivers::DriverPci(id);
-  auto session =
-      core::CheckpointStore::Global().Resume(drivers::DriverName(id), drivers::DriverImage(id), cfg);
+  std::string error;
+  auto session = core::CheckpointStore::Global().Resume(
+      drivers::DriverName(id), drivers::DriverImage(id), cfg, "", &error);
+  if (session == nullptr) {
+    ADD_FAILURE() << error;
+    return {};
+  }
   session->RunAll();
   return session->TakeResult();
 }

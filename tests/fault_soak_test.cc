@@ -74,7 +74,7 @@ TEST_P(FaultSoakTest, CombinedPlanSurvivesParallelExerciseAndSynthesis) {
   EXPECT_GT(s.engine().fault_stats.TotalInjected(), 0u);
   // The wiretap a faulty run produced is still a valid synthesis input.
   ASSERT_TRUE(s.Synthesize()) << drivers::DriverName(id);
-  EXPECT_FALSE(s.c_source().empty());
+  EXPECT_FALSE(s.emitted().at(os::TargetOs::kWindows).empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDrivers, FaultSoakTest,

@@ -388,8 +388,13 @@ core::PipelineResult PipelineFor(DriverId id) {
   core::EngineConfig cfg;
   cfg.pci = drivers::DriverPci(id);
   cfg.max_work = 250'000;
-  auto session = core::CheckpointStore::Global().Resume(drivers::DriverName(id),
-                                                        drivers::DriverImage(id), cfg);
+  std::string error;
+  auto session = core::CheckpointStore::Global().Resume(
+      drivers::DriverName(id), drivers::DriverImage(id), cfg, "", &error);
+  if (session == nullptr) {
+    ADD_FAILURE() << error;
+    return {};
+  }
   session->RunAll();
   return session->TakeResult();
 }

@@ -10,7 +10,6 @@
 
 #include <string>
 
-#include "core/native_harness.h"
 #include "core/session.h"
 #include "drivers/drivers.h"
 #include "native/abi.h"
@@ -27,17 +26,28 @@ using drivers::DriverId;
 constexpr const char* kParityPlan =
     "1729:irq-drop=0.2,irq-delay=0.15,frame-truncate=0.35,frame-oversize=0.25";
 
-std::string KitosSourceFor(DriverId id) {
+// The kitos pipeline for `id`: exercised once per process through the
+// checkpoint store, then recovered and emitted for the kitos target only.
+core::PipelineResult KitosPipelineFor(DriverId id) {
   core::EngineConfig cfg;
   cfg.pci = drivers::DriverPci(id);
   cfg.max_work = 250'000;
-  auto session = core::CheckpointStore::Global().Resume(drivers::DriverName(id),
-                                                        drivers::DriverImage(id), cfg);
+  std::string error;
+  auto session = core::CheckpointStore::Global().Resume(
+      drivers::DriverName(id), drivers::DriverImage(id), cfg, "", &error);
+  if (session == nullptr) {
+    ADD_FAILURE() << error;
+    return {};
+  }
   core::EmitOptions emit;
   emit.targets = {os::TargetOs::kKitos};
   session->set_emit_options(emit);
   EXPECT_TRUE(session->RunAll()) << session->error();
-  return session->TakeResult().emitted[os::TargetOs::kKitos];
+  return session->TakeResult();
+}
+
+std::string KitosSourceFor(DriverId id) {
+  return KitosPipelineFor(id).emitted[os::TargetOs::kKitos];
 }
 
 std::vector<DriverId> RegisteredDrivers() {
@@ -70,15 +80,16 @@ TEST_P(NativeDriverTest, NativeExecutionPreservesIoTraceCleanAndFaulted) {
   if (!native::ToolchainAvailable(&why)) {
     GTEST_SKIP() << "no native toolchain: " << why;
   }
-  core::NativeHarness::Options options;
+  core::PipelineResult pr = KitosPipelineFor(GetParam());
+  native::RaceOptions options;
   options.fault_plan = kParityPlan;
   options.measure = false;  // parity only; the race is the bench's job
-  core::NativeHarness harness(options);
-  core::NativeHarness::DriverRun run = harness.Run(GetParam());
-  ASSERT_TRUE(run.race.available) << run.race.skip_reason;
-  ASSERT_TRUE(run.race.ok) << run.race.error;
-  ASSERT_TRUE(run.race.parity_checked);
-  EXPECT_TRUE(run.race.parity_ok) << run.race.parity_detail;
+  native::RaceResult race =
+      native::RunRace(GetParam(), pr.emitted[os::TargetOs::kKitos], pr.module, options);
+  ASSERT_TRUE(race.available) << race.skip_reason;
+  ASSERT_TRUE(race.ok) << race.error;
+  ASSERT_TRUE(race.parity_checked);
+  EXPECT_TRUE(race.parity_ok) << race.parity_detail;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDrivers, NativeDriverTest,
@@ -87,31 +98,32 @@ INSTANTIATE_TEST_SUITE_P(AllDrivers, NativeDriverTest,
                            return std::string(drivers::DriverName(info.param));
                          });
 
-// One measured end-to-end pass through the full core::NativeHarness surface
-// with small frame counts: compile, load, parity, then both race sides.
-TEST(NativeHarness, MeasuredRaceSmoke) {
+// One measured end-to-end pass with small frame counts: checkpoint store,
+// kitos emission, compile, load, parity, then both race sides.
+TEST(NativeRace, MeasuredRaceSmoke) {
   std::string why;
-  if (!core::NativeHarness::Available(&why)) {
+  if (!native::ToolchainAvailable(&why)) {
     GTEST_SKIP() << "no native toolchain: " << why;
   }
-  core::NativeHarness::Options options;
+  core::PipelineResult pr = KitosPipelineFor(DriverId::kRtl8139);
+  native::RaceOptions options;
   options.fault_plan = kParityPlan;
   options.native_frames = 5'000;
   options.dbt_frames = 500;
-  core::NativeHarness harness(options);
-  core::NativeHarness::DriverRun run = harness.Run(DriverId::kRtl8139);
-  ASSERT_TRUE(run.race.ok) << run.race.error;
-  EXPECT_TRUE(run.race.parity_ok) << run.race.parity_detail;
-  EXPECT_EQ(run.race.native_side.frames, 5'000u);
-  EXPECT_EQ(run.race.dbt.frames, 500u);
-  EXPECT_GT(run.race.native_side.frames_per_sec, 0);
-  EXPECT_GT(run.race.dbt.frames_per_sec, 0);
-  EXPECT_GT(run.race.native_side.tx_ok, 0u);
-  EXPECT_GT(run.race.native_side.rx_delivered, 0u);
-  EXPECT_GT(run.race.speedup, 0);
+  native::RaceResult race =
+      native::RunRace(DriverId::kRtl8139, pr.emitted[os::TargetOs::kKitos], pr.module, options);
+  ASSERT_TRUE(race.ok) << race.error;
+  EXPECT_TRUE(race.parity_ok) << race.parity_detail;
+  EXPECT_EQ(race.native_side.frames, 5'000u);
+  EXPECT_EQ(race.dbt.frames, 500u);
+  EXPECT_GT(race.native_side.frames_per_sec, 0);
+  EXPECT_GT(race.dbt.frames_per_sec, 0);
+  EXPECT_GT(race.native_side.tx_ok, 0u);
+  EXPECT_GT(race.native_side.rx_delivered, 0u);
+  EXPECT_GT(race.speedup, 0);
   // Both sides moved real bytes through the same device model.
-  EXPECT_GT(run.race.native_side.bytes_copied, 0u);
-  EXPECT_GT(run.race.dbt.bytes_copied, 0u);
+  EXPECT_GT(race.native_side.bytes_copied, 0u);
+  EXPECT_GT(race.dbt.bytes_copied, 0u);
 }
 
 // The toolchain probe itself must be deterministic within a process.

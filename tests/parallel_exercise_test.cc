@@ -102,7 +102,8 @@ TEST(ParallelExercise, CoverageAndSynthesisParityWithSequential) {
     // byte-identical synthesized output.
     EXPECT_NEAR(par.engine().CoveragePercent(), seq.engine().CoveragePercent(), 0.5)
         << drivers::DriverName(id);
-    EXPECT_EQ(par.c_source(), seq.c_source()) << drivers::DriverName(id);
+    EXPECT_EQ(par.emitted().at(os::TargetOs::kWindows),
+              seq.emitted().at(os::TargetOs::kWindows)) << drivers::DriverName(id);
     // The entry table records one row per registration call, so raw counts
     // depend on how many paths re-registered; the deduplicated sets must
     // agree (the parallel merge already dedups).
@@ -152,7 +153,7 @@ TEST(ParallelExercise, CancelMidRunDrainsWorkersCleanly) {
   EXPECT_TRUE(s.cancelled());
   // The drained result is still a usable wiretap: downstream stages run.
   EXPECT_TRUE(s.Synthesize());
-  EXPECT_FALSE(s.c_source().empty());
+  EXPECT_FALSE(s.emitted().at(os::TargetOs::kWindows).empty());
 }
 
 TEST(ParallelExercise, CancelFromTheStartStillCompletes) {
@@ -180,7 +181,8 @@ TEST(ParallelExercise, ParallelCheckpointResumesToIdenticalDownstreamOutput) {
   std::unique_ptr<core::Session> resumed = core::Session::LoadCheckpoint(blob, &error);
   ASSERT_NE(resumed, nullptr) << error;
   ASSERT_TRUE(resumed->Emit());
-  EXPECT_EQ(resumed->c_source(), par.c_source());
+  EXPECT_EQ(resumed->emitted().at(os::TargetOs::kWindows),
+            par.emitted().at(os::TargetOs::kWindows));
   EXPECT_EQ(resumed->runtime_header(), par.runtime_header());
 }
 
@@ -196,7 +198,8 @@ TEST(ParallelExercise, SequentialCheckpointResumesUnderParallelConfigTimes) {
   std::unique_ptr<core::Session> resumed = core::Session::LoadCheckpoint(blob, &error);
   ASSERT_NE(resumed, nullptr) << error;
   ASSERT_TRUE(resumed->Emit());
-  EXPECT_EQ(resumed->c_source(), seq.c_source());
+  EXPECT_EQ(resumed->emitted().at(os::TargetOs::kWindows),
+            seq.emitted().at(os::TargetOs::kWindows));
 }
 
 // ---- RunBatch composition ----
@@ -228,7 +231,8 @@ TEST(ParallelExercise, BatchPlanBudgetMatchesStandaloneParallelRuns) {
     cfg.plan.threads = 2;
     core::Session standalone(drivers::DriverImage(id), cfg);
     ASSERT_TRUE(standalone.Synthesize());
-    EXPECT_EQ(batch.jobs[i].result.c_source, standalone.c_source()) << batch.jobs[i].name;
+    EXPECT_EQ(batch.jobs[i].result.emitted.at(os::TargetOs::kWindows),
+              standalone.emitted().at(os::TargetOs::kWindows)) << batch.jobs[i].name;
     EXPECT_EQ(batch.jobs[i].result.engine.covered_blocks,
               standalone.engine().covered_blocks);
   }
@@ -239,7 +243,8 @@ TEST(ParallelExercise, BatchPlanBudgetMatchesStandaloneParallelRuns) {
   ASSERT_TRUE(explicit_batch.AllOk());
   core::Session seq(drivers::DriverImage(DriverId::kRtl8029), SmallConfig(DriverId::kRtl8029));
   ASSERT_TRUE(seq.Synthesize());
-  EXPECT_EQ(explicit_batch.jobs[0].result.c_source, seq.c_source());
+  EXPECT_EQ(explicit_batch.jobs[0].result.emitted.at(os::TargetOs::kWindows),
+            seq.emitted().at(os::TargetOs::kWindows));
 }
 
 TEST(ParallelExercise, BatchTemplateInheritancePreservesJobFaultPlan) {
@@ -277,7 +282,8 @@ TEST(ParallelExercise, BatchTemplateInheritancePreservesJobFaultPlan) {
   ASSERT_TRUE(hw::ParseFaultPlan("99:all=0.08", &cfg.plan.faults, &error)) << error;
   core::Session standalone(drivers::DriverImage(DriverId::kRtl8029), cfg);
   ASSERT_TRUE(standalone.Synthesize());
-  EXPECT_EQ(batch.jobs[0].result.c_source, standalone.c_source());
+  EXPECT_EQ(batch.jobs[0].result.emitted.at(os::TargetOs::kWindows),
+            standalone.emitted().at(os::TargetOs::kWindows));
   EXPECT_EQ(batch.jobs[0].result.engine.covered_blocks,
             standalone.engine().covered_blocks);
 }

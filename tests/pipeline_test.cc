@@ -25,8 +25,13 @@ core::PipelineResult PipelineFor(DriverId id) {
   core::EngineConfig cfg;
   cfg.pci = drivers::DriverPci(id);
   cfg.max_work = 250'000;
-  auto session =
-      core::CheckpointStore::Global().Resume(drivers::DriverName(id), drivers::DriverImage(id), cfg);
+  std::string error;
+  auto session = core::CheckpointStore::Global().Resume(
+      drivers::DriverName(id), drivers::DriverImage(id), cfg, "", &error);
+  if (session == nullptr) {
+    ADD_FAILURE() << error;
+    return {};
+  }
   session->RunAll();
   return session->TakeResult();
 }
@@ -69,10 +74,10 @@ TEST_P(PipelineTest, RecoveredFunctionsPlausible) {
 
 TEST_P(PipelineTest, CSourceLooksLikeListing1) {
   const core::PipelineResult& r = PipelineFor(GetParam());
-  EXPECT_NE(r.c_source.find("goto"), std::string::npos);
-  EXPECT_NE(r.c_source.find("struct revnic_cpu"), std::string::npos);
-  EXPECT_NE(r.c_source.find("revnic_os_call"), std::string::npos);
-  EXPECT_GT(r.c_source.size(), 10'000u);
+  EXPECT_NE(r.emitted.at(os::TargetOs::kWindows).find("goto"), std::string::npos);
+  EXPECT_NE(r.emitted.at(os::TargetOs::kWindows).find("struct revnic_cpu"), std::string::npos);
+  EXPECT_NE(r.emitted.at(os::TargetOs::kWindows).find("revnic_os_call"), std::string::npos);
+  EXPECT_GT(r.emitted.at(os::TargetOs::kWindows).size(), 10'000u);
 }
 
 TEST_P(PipelineTest, GeneratedCCompiles) {
@@ -87,7 +92,7 @@ TEST_P(PipelineTest, GeneratedCCompiles) {
     fclose(f);
     f = fopen((dir + "/driver.c").c_str(), "w");
     ASSERT_NE(f, nullptr);
-    fputs(r.c_source.c_str(), f);
+    fputs(r.emitted.at(os::TargetOs::kWindows).c_str(), f);
     fclose(f);
   }
   std::string cc = "cc -std=c11 -Wall -Wno-unused-but-set-variable -Werror -c " + dir +

@@ -43,7 +43,7 @@ TEST(Session, StagesProgressInOrderAndNotify) {
   EXPECT_EQ(s.stage(), Stage::kCfgRecovered);
   EXPECT_GT(s.module().NumFunctions(), 0u);
   ASSERT_TRUE(s.Synthesize());
-  EXPECT_FALSE(s.c_source().empty());
+  EXPECT_FALSE(s.emitted().at(os::TargetOs::kWindows).empty());
   ASSERT_TRUE(s.Emit());
   EXPECT_EQ(s.stage(), Stage::kEmitted);
   EXPECT_FALSE(s.runtime_header().empty());
@@ -102,7 +102,7 @@ TEST(Session, CancellationStopsExerciseEarly) {
   EXPECT_LT(s.engine().stats.work, full_work);
   // A cancelled run still synthesizes from the partial wiretap.
   ASSERT_TRUE(s.Synthesize());
-  EXPECT_FALSE(s.c_source().empty());
+  EXPECT_FALSE(s.emitted().at(os::TargetOs::kWindows).empty());
 }
 
 // ---- trace round-trip on a real exercised bundle ----
@@ -145,7 +145,8 @@ TEST(Session, CheckpointResumeReproducesCSourceByteForByte) {
   ASSERT_TRUE(resumed->RunAll());
 
   // The decisive property: downstream output is byte-identical.
-  EXPECT_EQ(resumed->c_source(), straight.c_source());
+  EXPECT_EQ(resumed->emitted().at(os::TargetOs::kWindows),
+            straight.emitted().at(os::TargetOs::kWindows));
   EXPECT_EQ(resumed->runtime_header(), straight.runtime_header());
   // And the reconstructed engine state matches.
   EXPECT_EQ(resumed->engine().covered_blocks, straight.engine().covered_blocks);
@@ -177,7 +178,7 @@ TEST(Session, CheckpointFileRoundTrip) {
   std::unique_ptr<core::Session> resumed = core::Session::LoadCheckpointFile(path, &err);
   ASSERT_NE(resumed, nullptr) << err;
   ASSERT_TRUE(resumed->RunAll());
-  EXPECT_EQ(resumed->c_source(), s.c_source());
+  EXPECT_EQ(resumed->emitted().at(os::TargetOs::kWindows), s.emitted().at(os::TargetOs::kWindows));
   remove(path.c_str());
 }
 
@@ -223,13 +224,16 @@ TEST(Session, CheckpointBeforeExerciseIsRejected) {
 
 TEST(Session, CheckpointStoreExercisesOnceAndResumesIdentically) {
   core::EngineConfig cfg = SmallConfig(DriverId::kPcnet);
-  auto a = core::CheckpointStore::Global().Resume("session_test/pcnet",
-                                                  drivers::DriverImage(DriverId::kPcnet), cfg);
-  auto b = core::CheckpointStore::Global().Resume("session_test/pcnet",
-                                                  drivers::DriverImage(DriverId::kPcnet), cfg);
+  std::string error;
+  auto a = core::CheckpointStore::Global().Resume(
+      "session_test/pcnet", drivers::DriverImage(DriverId::kPcnet), cfg, "", &error);
+  ASSERT_NE(a, nullptr) << error;
+  auto b = core::CheckpointStore::Global().Resume(
+      "session_test/pcnet", drivers::DriverImage(DriverId::kPcnet), cfg, "", &error);
+  ASSERT_NE(b, nullptr) << error;
   ASSERT_TRUE(a->RunAll());
   ASSERT_TRUE(b->RunAll());
-  EXPECT_EQ(a->c_source(), b->c_source());
+  EXPECT_EQ(a->emitted().at(os::TargetOs::kWindows), b->emitted().at(os::TargetOs::kWindows));
   EXPECT_EQ(a->engine().stats.work, b->engine().stats.work);
 }
 
@@ -244,11 +248,13 @@ TEST(Session, CheckpointStoreSaltSeparatesDistinctCancelPolicies) {
   eager.cancel = [] { return true; };  // stops almost immediately
   core::EngineConfig patient = SmallConfig(DriverId::kRtl8029);
   patient.cancel = [] { return false; };  // runs the full budget
+  core::CheckpointStore& store = core::CheckpointStore::Global();
+  std::string error;
 
-  auto cancelled =
-      core::CheckpointStore::Global().Resume("session_test/salt", image, eager, "eager");
-  auto full =
-      core::CheckpointStore::Global().Resume("session_test/salt", image, patient, "patient");
+  auto cancelled = store.Resume("session_test/salt", image, eager, "eager", &error);
+  ASSERT_NE(cancelled, nullptr) << error;
+  auto full = store.Resume("session_test/salt", image, patient, "patient", &error);
+  ASSERT_NE(full, nullptr) << error;
   ASSERT_TRUE(cancelled->RecoverCfg());
   ASSERT_TRUE(full->RecoverCfg());
   EXPECT_TRUE(cancelled->engine().cancelled);
@@ -256,57 +262,28 @@ TEST(Session, CheckpointStoreSaltSeparatesDistinctCancelPolicies) {
   EXPECT_GT(full->engine().stats.work, cancelled->engine().stats.work);
 
   // Same key + same salt still shares one exercise (the store's point).
-  auto full_again =
-      core::CheckpointStore::Global().Resume("session_test/salt", image, patient, "patient");
+  auto full_again = store.Resume("session_test/salt", image, patient, "patient", &error);
+  ASSERT_NE(full_again, nullptr) << error;
   ASSERT_TRUE(full_again->RecoverCfg());
   EXPECT_EQ(full_again->engine().stats.work, full->engine().stats.work);
 
   // Without distinct salts the collision is real: the presence-bit key hands
   // the patient caller the eager caller's cancelled blob.
-  auto collide_a =
-      core::CheckpointStore::Global().Resume("session_test/collide", image, eager);
-  auto collide_b =
-      core::CheckpointStore::Global().Resume("session_test/collide", image, patient);
+  auto collide_a = store.Resume("session_test/collide", image, eager, "", &error);
+  ASSERT_NE(collide_a, nullptr) << error;
+  auto collide_b = store.Resume("session_test/collide", image, patient, "", &error);
+  ASSERT_NE(collide_b, nullptr) << error;
   ASSERT_TRUE(collide_a->RecoverCfg());
   ASSERT_TRUE(collide_b->RecoverCfg());
   EXPECT_EQ(collide_b->engine().stats.work, collide_a->engine().stats.work);
   EXPECT_TRUE(collide_b->engine().cancelled);
 }
 
-TEST(Session, CheckpointStoreEvictionNeverChangesResumedBytes) {
-  auto& store = core::CheckpointStore::Global();
-  const isa::Image& image = drivers::DriverImage(DriverId::kRtl8029);
-  core::EngineConfig cfg = SmallConfig(DriverId::kRtl8029);
-
-  // Two fresh entries so the tightened budget below has a victim.
-  auto a = store.Resume("session_test/evict_a", image, cfg);
-  std::vector<uint8_t> a_bytes = a->SaveCheckpoint();
-  store.Resume("session_test/evict_b", image, cfg);
-  size_t resident = store.CachedBytes();
-  ASSERT_GT(resident, 0u);
-
-  // A one-byte budget drops everything except the most recently resumed
-  // entry (never a victim), so the total shrinks but stays nonzero.
-  size_t old_budget = store.SetBudgetBytes(1);
-  size_t survivor = store.CachedBytes();
-  EXPECT_LT(survivor, resident);
-  EXPECT_GT(survivor, 0u);
-
-  // Resuming the evicted entry re-exercises deterministically: the caller
-  // sees byte-identical checkpoint content, eviction is invisible.
-  auto again = store.Resume("session_test/evict_a", image, cfg);
-  EXPECT_EQ(again->SaveCheckpoint(), a_bytes);
-  // And the store stays bounded: still exactly one resident entry.
-  EXPECT_LE(store.CachedBytes(), std::max(survivor, a_bytes.size() * 2));
-
-  store.SetBudgetBytes(old_budget);
-}
-
 TEST(Session, AutoThreadsIsTheParallelClassOnEveryHost) {
   // plan.threads = 0 ("size for the hardware") selects the parallel output
   // class regardless of the host's core count: its checkpoint bytes equal
   // an explicit two-lane run's, and the checkpoint store keys both to one
-  // entry (a second Resume adds no bytes), while the sequential class gets
+  // entry (a second Resume adds no entry), while the sequential class gets
   // its own.
   const isa::Image& image = drivers::DriverImage(DriverId::kRtl8029);
   core::EngineConfig auto_cfg = SmallConfig(DriverId::kRtl8029, 30'000);
@@ -323,14 +300,16 @@ TEST(Session, AutoThreadsIsTheParallelClassOnEveryHost) {
   EXPECT_EQ(auto_run.SaveCheckpoint(), two_run.SaveCheckpoint());
 
   core::CheckpointStore store;
-  auto from_auto = store.Resume("session_test/auto", image, auto_cfg);
-  const size_t one_entry = store.CachedBytes();
-  ASSERT_GT(one_entry, 0u);
-  auto from_two = store.Resume("session_test/auto", image, two_cfg);
-  EXPECT_EQ(store.CachedBytes(), one_entry);
+  std::string error;
+  auto from_auto = store.Resume("session_test/auto", image, auto_cfg, "", &error);
+  ASSERT_NE(from_auto, nullptr) << error;
+  ASSERT_EQ(store.size(), 1u);
+  auto from_two = store.Resume("session_test/auto", image, two_cfg, "", &error);
+  ASSERT_NE(from_two, nullptr) << error;
+  EXPECT_EQ(store.size(), 1u);
   EXPECT_EQ(from_two->SaveCheckpoint(), from_auto->SaveCheckpoint());
-  store.Resume("session_test/auto", image, seq_cfg);
-  EXPECT_GT(store.CachedBytes(), one_entry);
+  ASSERT_NE(store.Resume("session_test/auto", image, seq_cfg, "", &error), nullptr) << error;
+  EXPECT_EQ(store.size(), 2u);
 }
 
 // ---- batch ----
@@ -362,14 +341,15 @@ TEST(Session, BatchOverRegistryMatchesSequentialRuns) {
     EXPECT_EQ(job.name, jobs[i].name);  // input order preserved
     // Coverage is reported per job.
     EXPECT_GT(job.result.engine.CoveragePercent(), 50.0) << job.name;
-    EXPECT_FALSE(job.result.c_source.empty());
+    EXPECT_FALSE(job.result.emitted.at(os::TargetOs::kWindows).empty());
     aggregate_queries += job.result.engine.substrate.solver_queries;
 
     // Per-session isolation makes the concurrent run identical to a
     // sequential one.
     core::Session seq(*jobs[i].image, jobs[i].config);
     ASSERT_TRUE(seq.RunAll());
-    EXPECT_EQ(job.result.c_source, seq.c_source()) << job.name;
+    EXPECT_EQ(job.result.emitted.at(os::TargetOs::kWindows),
+              seq.emitted().at(os::TargetOs::kWindows)) << job.name;
     EXPECT_EQ(job.result.engine.covered_blocks, seq.engine().covered_blocks) << job.name;
   }
   EXPECT_EQ(batch.aggregate.solver_queries, aggregate_queries);

@@ -106,7 +106,8 @@ TEST(SnapshotHandoff, DownstreamSynthesisMatchesSequential) {
 
     EXPECT_NEAR(par.engine().CoveragePercent(), seq.engine().CoveragePercent(), 0.5)
         << drivers::DriverName(id);
-    EXPECT_EQ(par.c_source(), seq.c_source()) << drivers::DriverName(id);
+    EXPECT_EQ(par.emitted().at(os::TargetOs::kWindows),
+              seq.emitted().at(os::TargetOs::kWindows)) << drivers::DriverName(id);
     // Every task must have restored its snapshot.
     EXPECT_EQ(par.engine().snapshot_restore_failures, 0u) << drivers::DriverName(id);
   }

@@ -446,8 +446,13 @@ core::PipelineResult PipelineFor(DriverId id, bool cleanup) {
   core::EngineConfig cfg;
   cfg.pci = drivers::DriverPci(id);
   cfg.max_work = 250'000;
-  auto session = core::CheckpointStore::Global().Resume(drivers::DriverName(id),
-                                                        drivers::DriverImage(id), cfg);
+  std::string error;
+  auto session = core::CheckpointStore::Global().Resume(
+      drivers::DriverName(id), drivers::DriverImage(id), cfg, "", &error);
+  if (session == nullptr) {
+    ADD_FAILURE() << error;
+    return {};
+  }
   core::EmitOptions emit;
   emit.cleanup_passes = cleanup;
   session->set_emit_options(emit);
@@ -482,8 +487,8 @@ TEST_P(SynthPipelineTest, CleanupNeverGrowsEmittedC) {
   core::PipelineResult on = PipelineFor(GetParam(), true);
   core::PipelineResult off = PipelineFor(GetParam(), false);
   synth::CEmitStats s_on, s_off;
-  std::string c_on = synth::EmitC(on.module, {}, &s_on);
-  std::string c_off = synth::EmitC(off.module, {}, &s_off);
+  std::string c_on = synth::EmitC(on.module, &s_on);
+  std::string c_off = synth::EmitC(off.module, &s_off);
   EXPECT_LE(s_on.blocks, s_off.blocks);
   EXPECT_LE(s_on.labels, s_off.labels);
   EXPECT_LE(s_on.gotos, s_off.gotos);
@@ -500,8 +505,8 @@ TEST(SynthPipeline, CleanupShrinksGotosOnAtLeastTwoDrivers) {
   size_t strictly_smaller = 0;
   for (DriverId id : RegisteredDrivers()) {
     synth::CEmitStats s_on, s_off;
-    synth::EmitC(PipelineFor(id, true).module, {}, &s_on);
-    synth::EmitC(PipelineFor(id, false).module, {}, &s_off);
+    synth::EmitC(PipelineFor(id, true).module, &s_on);
+    synth::EmitC(PipelineFor(id, false).module, &s_off);
     if (s_on.gotos < s_off.gotos && s_on.labels < s_off.labels) {
       ++strictly_smaller;
     }
