@@ -11,8 +11,10 @@
 #include "hw/ne2000.h"
 #include "os/winsim_host.h"
 #include "symex/executor.h"
+#include "symex/scheduler.h"
 #include "symex/solver.h"
 #include "trace/serialize.h"
+#include "util/rng.h"
 #include "vm/machine.h"
 
 namespace {
@@ -234,6 +236,32 @@ void BM_StateForkDeepPath(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StateForkDeepPath)->Arg(16)->Arg(256);
+
+// The exploration loop's pool cycle at a steady pool size: pick the state at
+// the least-executed block (the paper's heuristic), count its block, and put
+// it back at another pc. The pick reads every pooled state's block count.
+void BM_StatePoolSelect(benchmark::State& state) {
+  symex::ExprContext ctx;
+  vm::MemoryMap mm(1 << 16);
+  symex::StatePool pool;
+  Rng rng(5);
+  auto random_pc = [&rng] { return 0x400000 + 8 * rng.Below(1024); };
+  for (uint32_t i = 0; i < 4096; ++i) {
+    pool.NotifyExecuted(random_pc());
+  }
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    auto s = std::make_unique<symex::ExecutionState>(i, &ctx, &mm);
+    s->set_pc(random_pc());
+    pool.Add(std::move(s));
+  }
+  for (auto _ : state) {
+    std::unique_ptr<symex::ExecutionState> s = pool.SelectNext();
+    pool.NotifyExecuted(s->pc());
+    s->set_pc(random_pc());
+    pool.Add(std::move(s));
+  }
+}
+BENCHMARK(BM_StatePoolSelect)->Arg(64)->Arg(512);
 
 void BM_SymbolicStep(benchmark::State& state) {
   symex::ExprContext ctx;

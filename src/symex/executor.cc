@@ -89,8 +89,8 @@ uint32_t Executor::Concretize(ExecutionState* state, const ExprRef& value, const
   Verdict v = solver_->CheckSat(state->constraints(), &model, &state->model());
   uint32_t concrete;
   if (v == Verdict::kSat) {
-    state->model() = model;
     concrete = Eval(value, model);
+    state->model() = std::move(model);
   } else {
     concrete = Eval(value, state->model());
     RLOG_DEBUG("concretize(%s): solver %s, using cached model", why,
@@ -315,17 +315,15 @@ StepResult Executor::Step(ExecutionState* state, const ir::Block& block, trace::
         state->set_pc(next_pc);
         break;
       }
-      Model true_model;
-      Model false_model;
       ExprRef not_cond = ctx_->Not(cond);
-      Verdict vt = solver_->MayBeTrue(state->constraints(), cond, &true_model, &state->model());
-      Verdict vf = solver_->MayBeTrue(state->constraints(), not_cond, &false_model, &state->model());
-      bool can_true = vt == Verdict::kSat;
-      bool can_false = vf == Verdict::kSat;
+      Solver::BranchVerdicts branch =
+          solver_->MayBeTrueBoth(state->constraints(), cond, not_cond, &state->model());
+      bool can_true = branch.if_true == Verdict::kSat;
+      bool can_false = branch.if_false == Verdict::kSat;
       if (can_true && can_false) {
         auto fork = state->Fork(AllocStateId());
         fork->AddConstraint(not_cond);
-        fork->model() = false_model;
+        fork->model() = std::move(branch.false_model);
         fork->set_pc(block.fallthrough);
         ++stats_.forks;
         if (sink != nullptr) {
@@ -338,17 +336,17 @@ StepResult Executor::Step(ExecutionState* state, const ir::Block& block, trace::
         }
         result.forks.push_back(std::move(fork));
         state->AddConstraint(cond);
-        state->model() = true_model;
+        state->model() = std::move(branch.true_model);
         next_pc = block.target;
         state->set_pc(next_pc);
       } else if (can_true) {
         state->AddConstraint(cond);
-        state->model() = true_model;
+        state->model() = std::move(branch.true_model);
         next_pc = block.target;
         state->set_pc(next_pc);
       } else if (can_false) {
         state->AddConstraint(not_cond);
-        state->model() = false_model;
+        state->model() = std::move(branch.false_model);
         next_pc = block.fallthrough;
         state->set_pc(next_pc);
       } else {

@@ -4,14 +4,22 @@
 
 namespace revnic::symex {
 
+uint32_t StatePool::SlotOf(uint32_t pc) {
+  auto [it, fresh] = slot_of_.emplace(pc, static_cast<uint32_t>(counts_.size()));
+  if (fresh) {
+    counts_.emplace_back();
+  }
+  return it->second;
+}
+
 void StatePool::Add(std::unique_ptr<ExecutionState> state) {
-  if (states_.size() >= options_.max_states) {
+  if (states_.size() >= kMaxStates) {
     // Cull the state whose current block is most-executed (least likely to
     // discover new code), keeping the pool bounded (§3.4 memory pressure).
     size_t worst = 0;
     uint64_t worst_count = 0;
     for (size_t i = 0; i < states_.size(); ++i) {
-      uint64_t c = BlockCount(states_[i]->pc());
+      uint64_t c = counts_[states_[i].slot].count;
       if (c >= worst_count) {
         worst_count = c;
         worst = i;
@@ -20,7 +28,8 @@ void StatePool::Add(std::unique_ptr<ExecutionState> state) {
     states_.erase(states_.begin() + static_cast<long>(worst));
     ++total_culled_;
   }
-  states_.push_back(std::move(state));
+  uint32_t slot = SlotOf(state->pc());
+  states_.push_back({std::move(state), slot});
 }
 
 std::unique_ptr<ExecutionState> StatePool::SelectNext() {
@@ -32,7 +41,7 @@ std::unique_ptr<ExecutionState> StatePool::SelectNext() {
     case SelectionStrategy::kMinBlockCount: {
       uint64_t best = ~0ull;
       for (size_t i = 0; i < states_.size(); ++i) {
-        uint64_t c = BlockCount(states_[i]->pc());
+        uint64_t c = counts_[states_[i].slot].count;
         if (c < best) {
           best = c;
           pick = i;
@@ -50,7 +59,7 @@ std::unique_ptr<ExecutionState> StatePool::SelectNext() {
       pick = rng_.Below(static_cast<uint32_t>(states_.size()));
       break;
   }
-  std::unique_ptr<ExecutionState> out = std::move(states_[pick]);
+  std::unique_ptr<ExecutionState> out = std::move(states_[pick].state);
   states_.erase(states_.begin() + static_cast<long>(pick));
   return out;
 }
@@ -60,7 +69,7 @@ size_t StatePool::CollapseToOneRandom() {
     return 0;
   }
   size_t keep = rng_.Below(static_cast<uint32_t>(states_.size()));
-  std::unique_ptr<ExecutionState> survivor = std::move(states_[keep]);
+  Pooled survivor = std::move(states_[keep]);
   size_t killed = states_.size() - 1;
   total_culled_ += killed;
   states_.clear();
@@ -69,7 +78,11 @@ size_t StatePool::CollapseToOneRandom() {
 }
 
 std::vector<std::unique_ptr<ExecutionState>> StatePool::TakeAllSortedById() {
-  std::vector<std::unique_ptr<ExecutionState>> out = std::move(states_);
+  std::vector<std::unique_ptr<ExecutionState>> out;
+  out.reserve(states_.size());
+  for (Pooled& p : states_) {
+    out.push_back(std::move(p.state));
+  }
   states_.clear();
   std::sort(out.begin(), out.end(),
             [](const std::unique_ptr<ExecutionState>& a,
@@ -79,14 +92,34 @@ std::vector<std::unique_ptr<ExecutionState>> StatePool::TakeAllSortedById() {
 
 size_t StatePool::KillStatesAt(uint32_t pc) {
   size_t before = states_.size();
-  states_.erase(std::remove_if(states_.begin(), states_.end(),
-                               [pc](const std::unique_ptr<ExecutionState>& s) {
-                                 return s->pc() == pc;
-                               }),
-                states_.end());
+  std::erase_if(states_, [pc](const Pooled& p) { return p.state->pc() == pc; });
   size_t killed = before - states_.size();
   total_culled_ += killed;
   return killed;
+}
+
+std::map<uint32_t, uint64_t> StatePool::block_counts() const {
+  std::map<uint32_t, uint64_t> out;
+  for (const auto& [pc, slot] : slot_of_) {
+    if (counts_[slot].seen) {
+      out.emplace(pc, counts_[slot].count);
+    }
+  }
+  return out;
+}
+
+void StatePool::RestoreBookkeeping(const std::map<uint32_t, uint64_t>& block_counts,
+                                   uint64_t rng_state, uint64_t total_culled) {
+  slot_of_.clear();
+  counts_.clear();
+  for (const auto& [pc, count] : block_counts) {
+    counts_[SlotOf(pc)] = {count, true};
+  }
+  for (Pooled& p : states_) {
+    p.slot = SlotOf(p.state->pc());
+  }
+  rng_.set_state(rng_state);
+  total_culled_ = total_culled;
 }
 
 }  // namespace revnic::symex

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "symex/state.h"
@@ -26,11 +27,13 @@ enum class SelectionStrategy {
   kRandom,             // baseline for the ablation
 };
 
+// Hard cap on runnable states; past it the most-executed state is culled.
+inline constexpr size_t kMaxStates = 512;
+
 class StatePool {
  public:
   struct Options {
     SelectionStrategy strategy = SelectionStrategy::kMinBlockCount;
-    size_t max_states = 512;  // hard cap; lowest-priority states are culled
   };
 
   StatePool() : StatePool(Options(), 7) {}
@@ -43,15 +46,11 @@ class StatePool {
   std::unique_ptr<ExecutionState> SelectNext();
 
   // Global execution count bookkeeping: call after each executed block.
-  void NotifyExecuted(uint32_t block_pc) { ++block_counts_[block_pc]; }
-  uint64_t BlockCount(uint32_t block_pc) const {
-    auto it = block_counts_.find(block_pc);
-    return it == block_counts_.end() ? 0 : it->second;
+  void NotifyExecuted(uint32_t block_pc) {
+    PcCount& c = counts_[SlotOf(block_pc)];
+    ++c.count;
+    c.seen = true;
   }
-
-  // Has any state ever executed this block? (Coverage bookkeeping is the
-  // engine's job; this is the scheduler-local notion.)
-  bool Seen(uint32_t block_pc) const { return block_counts_.count(block_pc) != 0; }
 
   size_t NumRunnable() const { return states_.size(); }
   bool Empty() const { return states_.empty(); }
@@ -79,21 +78,33 @@ class StatePool {
   // The global block execution counters persist across script steps (the
   // paper's primary selection heuristic reads them), so a restored chain
   // state must carry them or step-k selection order diverges from the
-  // uninterrupted run.
-  const std::map<uint32_t, uint64_t>& block_counts() const { return block_counts_; }
+  // uninterrupted run. block_counts() lists every executed (or restored)
+  // block, sorted by pc; the pc -> slot index is derived and rebuilt here.
+  std::map<uint32_t, uint64_t> block_counts() const;
   uint64_t rng_state() const { return rng_.state(); }
-  void RestoreBookkeeping(std::map<uint32_t, uint64_t> block_counts, uint64_t rng_state,
-                          uint64_t total_culled) {
-    block_counts_ = std::move(block_counts);
-    rng_.set_state(rng_state);
-    total_culled_ = total_culled;
-  }
+  void RestoreBookkeeping(const std::map<uint32_t, uint64_t>& block_counts, uint64_t rng_state,
+                          uint64_t total_culled);
 
  private:
+  struct PcCount {
+    uint64_t count = 0;
+    bool seen = false;  // executed or restored: listed by block_counts()
+  };
+  // A runnable state and the counts_ slot of its (fixed while pooled) pc, so
+  // a pick reads each state's count without a lookup.
+  struct Pooled {
+    std::unique_ptr<ExecutionState> state;
+    uint32_t slot;
+  };
+
+  // The counts_ slot of `pc`, appended (unseen, count 0) on first use.
+  uint32_t SlotOf(uint32_t pc);
+
   Options options_;
   Rng rng_;
-  std::vector<std::unique_ptr<ExecutionState>> states_;
-  std::map<uint32_t, uint64_t> block_counts_;
+  std::vector<Pooled> states_;  // pool order
+  std::unordered_map<uint32_t, uint32_t> slot_of_;  // pc -> counts_ index
+  std::vector<PcCount> counts_;
   uint64_t total_culled_ = 0;
 };
 

@@ -389,8 +389,9 @@ bool ReadStateSections(const SnapshotReader& r, ExprContext* ctx,
 
 void WriteSchedulerSection(SnapshotWriter* w, const StatePool& pool) {
   trace::ByteWriter& s = w->Section(kSectionScheduler);
-  s.U32(static_cast<uint32_t>(pool.block_counts().size()));
-  for (const auto& [pc, count] : pool.block_counts()) {
+  const std::map<uint32_t, uint64_t> counts = pool.block_counts();
+  s.U32(static_cast<uint32_t>(counts.size()));
+  for (const auto& [pc, count] : counts) {
     s.U32(pc);
     s.U64(count);
   }
@@ -425,7 +426,7 @@ bool ReadSchedulerSection(const SnapshotReader& r, StatePool* pool, std::string*
     *error = "malformed scheduler section tail";
     return false;
   }
-  pool->RestoreBookkeeping(std::move(counts), rng_state, culled);
+  pool->RestoreBookkeeping(counts, rng_state, culled);
   return true;
 }
 

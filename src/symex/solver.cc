@@ -217,28 +217,23 @@ bool EvalAll(const std::vector<ExprRef>& constraints, const Model& model) {
   return true;
 }
 
-// Canonical component order: interned-node hash, ties broken by address
-// (stable within a process since equal nodes share one interned object).
-void CanonicalSort(std::vector<ExprRef>* group) {
-  std::sort(group->begin(), group->end(), [](const ExprRef& x, const ExprRef& y) {
-    return x->hash != y->hash ? x->hash < y->hash : x.get() < y.get();
-  });
-}
+const Expr& Node(const ExprRef& e) { return *e; }
+const Expr& Node(const ExprRef* e) { return **e; }
 
-uint64_t Fingerprint(const std::vector<ExprRef>& group) {
+uint64_t Fingerprint(const auto& group) {
   uint64_t fp = 0xCBF29CE484222325ull;
-  for (const ExprRef& c : group) {
-    fp = Fnv1a(&c->hash, sizeof(c->hash), fp);
+  for (const auto& c : group) {
+    fp = Fnv1a(&Node(c).hash, sizeof(Node(c).hash), fp);
   }
   return fp;
 }
 
-bool SameConstraints(const std::vector<ExprRef>& a, const std::vector<ExprRef>& b) {
+bool SameConstraints(const std::vector<ExprRef>& a, std::span<const ExprRef* const> b) {
   if (a.size() != b.size()) {
     return false;
   }
   for (size_t i = 0; i < a.size(); ++i) {
-    if (!Expr::Equal(a[i], b[i])) {
+    if (!Expr::Equal(a[i], *b[i])) {
       return false;
     }
   }
@@ -248,102 +243,176 @@ bool SameConstraints(const std::vector<ExprRef>& a, const std::vector<ExprRef>& 
 }  // namespace
 
 Verdict Solver::CheckSat(ConstraintView constraints, Model* model, const Model* hint) {
+  return Check(constraints, nullptr, model, hint);
+}
+
+Verdict Solver::Check(ConstraintView path, const ExprRef* extra, Model* model,
+                      const Model* hint) {
   ++stats_.queries;
   if (model != nullptr) {
     model->clear();
   }
+  partitioned_ = false;
 
   // Fast scan: constant constraints decide themselves; symbol-free symbolic
   // leftovers (which the simplifier normally folds away) evaluate directly.
-  std::vector<ExprRef> work;
-  work.reserve(constraints.size());
-  for (const ExprRef& c : constraints) {
+  work_.clear();
+  auto scan = [this](const ExprRef& c) {
     if (c->IsConst() || c->syms->empty()) {
-      if (Eval(c, Model()) == 0) {
-        ++stats_.unsat;
-        return Verdict::kUnsat;
-      }
-      continue;
+      return Eval(c, Model()) != 0;
     }
-    work.push_back(c);
+    work_.push_back(&c);
+    return true;
+  };
+  for (const ExprRef& c : path) {
+    if (!scan(c)) {
+      ++stats_.unsat;
+      return Verdict::kUnsat;
+    }
   }
-  if (work.empty()) {
+  if (extra != nullptr && !scan(*extra)) {
+    ++stats_.unsat;
+    return Verdict::kUnsat;
+  }
+  if (work_.empty()) {
     ++stats_.sat;
     return Verdict::kSat;
   }
 
-  // Partition into independent components: union-find keyed by shared
-  // symbols (each node carries its symbol set, so no DAG walks here). The
-  // conjunction is sat iff every component is, and component models merge
-  // without interference -- so each component can be solved and cached on
-  // its own.
-  std::vector<std::vector<ExprRef>> groups;
-  if (!options_.enable_independence) {
-    groups.push_back(std::move(work));
-  } else {
-    std::vector<size_t> parent(work.size());
-    std::iota(parent.begin(), parent.end(), 0);
-    auto find = [&parent](size_t x) {
-      while (parent[x] != x) {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-      }
-      return x;
-    };
-    std::map<uint32_t, size_t> sym_owner;  // sym id -> representative constraint
-    for (size_t i = 0; i < work.size(); ++i) {
-      for (uint32_t sym : *work[i]->syms) {
-        auto [it, fresh] = sym_owner.emplace(sym, i);
-        if (!fresh) {
-          parent[find(i)] = find(it->second);
-        }
-      }
-    }
-    std::map<size_t, size_t> root_to_group;
-    for (size_t i = 0; i < work.size(); ++i) {
-      auto [it, fresh] = root_to_group.emplace(find(i), groups.size());
-      if (fresh) {
-        groups.emplace_back();
-      }
-      groups[it->second].push_back(work[i]);
-    }
-  }
+  Partition();
+  return SolveComponents(model, hint);
+}
 
+Verdict Solver::SolveComponents(Model* model, const Model* hint) {
+  // The conjunction is sat iff every component is, and component models
+  // merge without interference -- so each component is solved and cached on
+  // its own, and its model goes straight into `model`.
   bool any_unknown = false;
-  const bool single = groups.size() == 1;
-  Model merged;
-  for (auto& group : groups) {
+  uint32_t begin = 0;
+  for (size_t g = 0; g < group_end_.size(); ++g) {
     ++stats_.components;
-    Model group_model;
-    Verdict v = SolveGroupCached(std::move(group), model != nullptr ? &group_model : nullptr,
-                                 hint);
+    const uint32_t end = group_end_[g];
+    Verdict v = SolveGroupCached(std::span<Member>(members_.data() + begin, end - begin), model,
+                                 hint, &answers_[g]);
+    begin = end;
     if (v == Verdict::kUnsat) {
       ++stats_.unsat;
+      if (model != nullptr) {
+        model->clear();
+      }
       return Verdict::kUnsat;
     }
-    if (v == Verdict::kUnknown) {
-      any_unknown = true;
-    } else if (model != nullptr) {
-      if (single) {
-        merged = std::move(group_model);
-      } else {
-        merged.insert(group_model.begin(), group_model.end());
-      }
-    }
+    any_unknown |= v == Verdict::kUnknown;
   }
   if (any_unknown) {
     ++stats_.unknown;
+    if (model != nullptr) {
+      model->clear();
+    }
     return Verdict::kUnknown;
   }
   ++stats_.sat;
-  if (model != nullptr) {
-    *model = std::move(merged);
-  }
   return Verdict::kSat;
 }
 
-Verdict Solver::SolveGroupCached(std::vector<ExprRef> group, Model* model, const Model* hint) {
-  CanonicalSort(&group);
+void Solver::Partition() {
+  const auto n = static_cast<uint32_t>(work_.size());
+  partitioned_ = true;
+  members_.clear();
+  group_end_.clear();
+  if (!options_.enable_independence) {
+    members_.assign(work_.begin(), work_.end());
+    group_end_.push_back(n);
+    answers_.assign(1, Answer{});
+    return;
+  }
+  // Union-find keyed by shared symbols (each node carries its symbol set, so
+  // no DAG walks here). sym_owner_ entries from earlier queries are stale by
+  // epoch, so the table is never cleared.
+  parent_.resize(n);
+  std::iota(parent_.begin(), parent_.end(), 0u);
+  auto find = [this](uint32_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
+    }
+    return x;
+  };
+  if (++epoch_ == 0) {
+    for (SymOwner& o : sym_owner_) {
+      o.epoch = 0;
+    }
+    epoch_ = 1;
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t sym : *(*work_[i])->syms) {
+      if (sym >= sym_owner_.size()) {
+        sym_owner_.resize(static_cast<size_t>(sym) + 1);
+      }
+      SymOwner& o = sym_owner_[sym];
+      if (o.epoch != epoch_) {
+        o = {epoch_, i};
+      } else {
+        parent_[find(i)] = find(o.owner);
+      }
+    }
+  }
+  // Number the components by first member, then lay them out back to back
+  // (a stable counting sort keeps each one in position order).
+  constexpr uint32_t kNone = ~0u;
+  root_slot_.assign(n, kNone);
+  component_.resize(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    uint32_t& slot = root_slot_[find(i)];
+    if (slot == kNone) {
+      slot = static_cast<uint32_t>(group_end_.size());
+      group_end_.push_back(0);
+    }
+    component_[i] = slot;
+    ++group_end_[slot];
+  }
+  uint32_t end = 0;
+  for (size_t g = 0; g < group_end_.size(); ++g) {
+    root_slot_[g] = end;  // fill cursor
+    end += group_end_[g];
+    group_end_[g] = end;
+  }
+  members_.resize(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    members_[root_slot_[component_[i]]++] = work_[i];
+  }
+  answers_.assign(group_end_.size(), Answer{});
+}
+
+Verdict Solver::SolveGroupCached(std::span<Member> group, Model* model, const Model* hint,
+                                 Answer* answer) {
+  auto merge = [model](const Model& m) {
+    if (model != nullptr) {
+      model->insert(m.begin(), m.end());
+    }
+  };
+  if (answer->gen == cache_gen_) {
+    // Same members, and no cache entry changed since this component's last
+    // answer: a lookup would find the same entry again.
+    ++stats_.cache_hits;
+    if (answer->entry->verdict == Verdict::kSat) {
+      merge(answer->entry->model);
+    }
+    return answer->entry->verdict;
+  }
+  // Canonical component order: interned-node hash, ties broken by address
+  // (stable within a process since equal nodes share one interned object).
+  std::sort(group.begin(), group.end(), [](Member x, Member y) {
+    return (*x)->hash != (*y)->hash ? (*x)->hash < (*y)->hash : x->get() < y->get();
+  });
+  auto owned = [&group] {
+    std::vector<ExprRef> out;
+    out.reserve(group.size());
+    for (Member c : group) {
+      out.push_back(*c);
+    }
+    return out;
+  };
   uint64_t fp = 0;
   if (options_.enable_query_cache) {
     fp = Fingerprint(group);
@@ -351,9 +420,10 @@ Verdict Solver::SolveGroupCached(std::vector<ExprRef> group, Model* model, const
     if (it != cache_.end() && SameConstraints(it->second.constraints, group)) {
       if (it->second.verdict != Verdict::kUnknown) {
         ++stats_.cache_hits;
-        if (it->second.verdict == Verdict::kSat && model != nullptr) {
-          *model = it->second.model;
+        if (it->second.verdict == Verdict::kSat) {
+          merge(it->second.model);
         }
+        *answer = {&it->second, cache_gen_};
         return it->second.verdict;
       }
       // kUnknown is only "search gave up", not "infeasible". A later caller
@@ -363,36 +433,35 @@ Verdict Solver::SolveGroupCached(std::vector<ExprRef> group, Model* model, const
       // the cached entry so the whole run benefits; only hintless repeats
       // are answered from the cache.
       if (hint != nullptr) {
+        std::vector<ExprRef> constraints = owned();
         Model trial;
-        for (const ExprRef& c : group) {
+        for (const ExprRef& c : constraints) {
           for (uint32_t sym : *c->syms) {
             auto hv = hint->find(sym);
             trial[sym] = hv == hint->end() ? 0 : hv->second;
           }
         }
         ++stats_.evals;
-        if (EvalAll(group, trial)) {
+        if (EvalAll(constraints, trial)) {
           ++stats_.cache_hits;
           it->second.verdict = Verdict::kSat;
           it->second.model = trial;
           ShelveModel(trial);
-          if (model != nullptr) {
-            *model = std::move(trial);
-          }
+          merge(trial);
+          *answer = {&it->second, ++cache_gen_};
           return Verdict::kSat;
         }
         ++stats_.cache_misses;
         Model found;
-        Verdict v = SolveGroup(group, &found, hint);
+        Verdict v = SolveGroup(constraints, &found, hint);
         if (v != Verdict::kUnknown) {
           it->second.verdict = v;
           if (v == Verdict::kSat) {
             ShelveModel(found);
-            it->second.model = found;
-            if (model != nullptr) {
-              *model = std::move(found);
-            }
+            merge(found);
+            it->second.model = std::move(found);
           }
+          *answer = {&it->second, ++cache_gen_};
         }
         return v;
       }
@@ -401,25 +470,29 @@ Verdict Solver::SolveGroupCached(std::vector<ExprRef> group, Model* model, const
     }
   }
   ++stats_.cache_misses;
+  std::vector<ExprRef> constraints = owned();
   Model found;
-  Verdict v = SolveGroup(group, &found, hint);
+  Verdict v = SolveGroup(constraints, &found, hint);
   if (v == Verdict::kSat) {
     ShelveModel(found);
+    merge(found);
   }
   if (options_.enable_query_cache) {
     if (cache_.size() >= kMaxCacheEntries) {
       cache_.clear();  // wholesale reset; refills from the live working set
+      ++cache_gen_;
     }
-    CacheEntry entry;
-    entry.constraints = std::move(group);
+    auto [it, fresh] = cache_.try_emplace(fp);
+    if (!fresh) {
+      ++cache_gen_;  // a fingerprint collision replaces the entry
+    }
+    CacheEntry& entry = it->second;
+    entry.constraints = std::move(constraints);
     entry.verdict = v;
-    if (v == Verdict::kSat) {
-      entry.model = found;
+    entry.model = v == Verdict::kSat ? std::move(found) : Model();
+    if (v != Verdict::kUnknown) {
+      *answer = {&entry, cache_gen_};
     }
-    cache_[fp] = std::move(entry);
-  }
-  if (v == Verdict::kSat && model != nullptr) {
-    *model = std::move(found);
   }
   return v;
 }
@@ -787,6 +860,7 @@ bool Solver::DeserializeFrom(trace::ByteReader* r,
   }
   rng_.set_state(rng_state);
   cache_ = std::move(cache);
+  ++cache_gen_;
   shelf_ = std::move(shelf);
   return true;
 }
@@ -795,7 +869,7 @@ Verdict Solver::MayBeTrue(ConstraintView constraints, const ExprRef& cond, Model
                           const Model* hint) {
   if (cond->IsConst()) {
     if (cond->value != 0) {
-      return CheckSat(constraints, model, hint);
+      return Check(constraints, nullptr, model, hint);
     }
     ++stats_.queries;
     ++stats_.unsat;
@@ -804,15 +878,33 @@ Verdict Solver::MayBeTrue(ConstraintView constraints, const ExprRef& cond, Model
     }
     return Verdict::kUnsat;
   }
-  std::vector<ExprRef> all(constraints.begin(), constraints.end());
-  all.push_back(cond);
-  return CheckSat(all, model, hint);
+  return Check(constraints, &cond, model, hint);
+}
+
+Solver::BranchVerdicts Solver::MayBeTrueBoth(ConstraintView constraints, const ExprRef& cond,
+                                             const ExprRef& not_cond, const Model* hint) {
+  BranchVerdicts out;
+  out.if_true = MayBeTrue(constraints, cond, &out.true_model, hint);
+  // The first query partitioned the path with `cond` as its last member iff
+  // it got past the fast scan with a symbolic `cond`. A `not_cond` over the
+  // same symbols joins the same components, so only its own component needs
+  // a fresh look; the rest keep their answers while the cache is unchanged.
+  if (!partitioned_ || not_cond->syms->empty() || *not_cond->syms != *cond->syms) {
+    out.if_false = MayBeTrue(constraints, not_cond, &out.false_model, hint);
+    return out;
+  }
+  ++stats_.queries;
+  const uint32_t g = options_.enable_independence ? component_[work_.size() - 1] : 0;
+  const uint32_t begin = g == 0 ? 0 : group_end_[g - 1];
+  std::replace(members_.begin() + begin, members_.begin() + group_end_[g], &cond, &not_cond);
+  answers_[g] = {};
+  out.if_false = SolveComponents(&out.false_model, hint);
+  return out;
 }
 
 bool Solver::MustBeTrue(ConstraintView constraints, const ExprRef& cond, ExprContext* ctx) {
-  std::vector<ExprRef> all(constraints.begin(), constraints.end());
-  all.push_back(ctx->Not(cond));
-  return CheckSat(all, nullptr) == Verdict::kUnsat;
+  ExprRef negated = ctx->Not(cond);
+  return Check(constraints, &negated, nullptr, nullptr) == Verdict::kUnsat;
 }
 
 }  // namespace revnic::symex

@@ -16,10 +16,19 @@
 //   - Constraint independence: the conjunction is partitioned into
 //     components that share no symbols and each component is solved (and
 //     cached) on its own. An incremental query "old path + one new branch
-//     condition" only does fresh work for the component the new condition
-//     touches; everything else is a cache hit. Sound and complete: a
-//     conjunction is satisfiable iff every independent component is, and
-//     per-component models merge without interference.
+//     condition" only solves the component the new condition joins; every
+//     other component is a cache hit. The hit path is kept cheap: the new
+//     condition rides along as an extra member instead of being appended
+//     to a copy of the path, the union-find runs over flat tables reused
+//     by every query (symbol -> first constraint, root -> component), and
+//     a component is a list of pointers into the caller's constraints until
+//     a miss stores a copy. A hit costs one fingerprint, one lookup and the
+//     insertion of the cached model straight into the caller's model.
+//     MayBeTrueBoth asks both polarities of a branch over one partition;
+//     the second query looks up only the component its condition joins and
+//     reuses the first query's hits while no cache entry has changed. Sound
+//     and complete: a conjunction is satisfiable iff every independent
+//     component is, and per-component models merge without interference.
 //   - Query cache: each component is fingerprinted (sorted interned-node
 //     hashes) and its verdict + model memoized, including kUnknown (retrying
 //     an exhausted search on the identical component would just burn the
@@ -39,6 +48,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -105,6 +115,21 @@ class Solver {
     return MayBeTrue(ConstraintView(constraints.begin(), constraints.size()), cond, model, hint);
   }
 
+  // Both polarities of one branch condition: exactly MayBeTrue(constraints,
+  // cond) followed by MayBeTrue(constraints, not_cond), with the same
+  // verdicts, models and effects on stats, cache, shelf and rng. When the two
+  // conditions have the same symbols the second query reuses the first one's
+  // partition, and each component the cache answered is answered again
+  // without a lookup while no cache entry has changed.
+  struct BranchVerdicts {
+    Verdict if_true = Verdict::kUnknown;
+    Verdict if_false = Verdict::kUnknown;
+    Model true_model;
+    Model false_model;
+  };
+  BranchVerdicts MayBeTrueBoth(ConstraintView constraints, const ExprRef& cond,
+                               const ExprRef& not_cond, const Model* hint);
+
   // Must `cond` hold? True iff constraints && !cond is unsat.
   bool MustBeTrue(ConstraintView constraints, const ExprRef& cond, ExprContext* ctx);
 
@@ -138,11 +163,34 @@ class Solver {
     Verdict verdict = Verdict::kUnknown;
     Model model;  // valid iff verdict == kSat
   };
+  // A component member: the caller's ExprRef, wherever it lives (the path
+  // view or the extra condition). Components are non-owning until a cache
+  // miss stores one.
+  using Member = const ExprRef*;
+  // A component's last definite cache answer, valid while cache_gen_ still
+  // equals `gen`. cache_gen_ moves whenever an existing entry changes or goes
+  // away (a new entry moves no other), and 0 is never current.
+  struct Answer {
+    const CacheEntry* entry = nullptr;
+    uint64_t gen = 0;
+  };
 
+  // CheckSat of `path` plus `extra` (when non-null), without concatenating.
+  Verdict Check(ConstraintView path, const ExprRef* extra, Model* model, const Model* hint);
+  // Solves the components of the current partition in order.
+  Verdict SolveComponents(Model* model, const Model* hint);
+  // Splits work_ into components: members_ holds them back to back, ordered
+  // by their first member's position, each in position order; group_end_
+  // holds each one's end offset.
+  void Partition();
   // Runs the propagation/search pipeline on one component.
   Verdict SolveGroup(const std::vector<ExprRef>& constraints, Model* model, const Model* hint);
-  // SolveGroup behind the fingerprint cache and the model shelf.
-  Verdict SolveGroupCached(std::vector<ExprRef> group, Model* model, const Model* hint);
+  // SolveGroup behind the fingerprint cache and the model shelf, answered
+  // from `answer` while it is current. Sorts `group` into canonical order;
+  // on kSat merges the component's model into `model` (when non-null);
+  // records a definite cached verdict in `answer`.
+  Verdict SolveGroupCached(std::span<Member> group, Model* model, const Model* hint,
+                           Answer* answer);
   Verdict Search(const std::vector<ExprRef>& constraints, Model seed, Model* model);
   void ShelveModel(const Model& model);
 
@@ -151,6 +199,25 @@ class Solver {
   SolverStats stats_;
   std::unordered_map<uint64_t, CacheEntry> cache_;
   std::deque<Model> shelf_;  // most recent satisfying assignments
+
+  // Partition scratch, reused by every query so a query whose components
+  // all hit the cache allocates nothing but its output model. Derived per
+  // query; never serialized.
+  struct SymOwner {
+    uint32_t epoch = 0;  // query that last claimed the symbol
+    uint32_t owner = 0;  // work_ index of the symbol's first constraint
+  };
+  std::vector<Member> work_;          // non-constant constraints, in position order
+  std::vector<uint32_t> parent_;      // union-find over work_ indices
+  std::vector<uint32_t> component_;   // work_ index -> component
+  std::vector<uint32_t> root_slot_;   // root -> component, then component -> fill cursor
+  std::vector<SymOwner> sym_owner_;   // indexed by symbol id
+  uint32_t epoch_ = 0;
+  std::vector<Member> members_;
+  std::vector<uint32_t> group_end_;
+  std::vector<Answer> answers_;  // per component
+  bool partitioned_ = false;     // the last query got as far as Partition()
+  uint64_t cache_gen_ = 1;
 };
 
 }  // namespace revnic::symex

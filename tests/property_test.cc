@@ -675,6 +675,328 @@ TEST_P(CompiledEvalProperty, SearchModelsKeepTheSeedKeySet) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledEvalProperty, ::testing::Range<uint64_t>(1, 9));
 
+// ---- constraint-independence partition (Solver::CheckSat) ----
+//
+// The solver splits every query into symbol-disjoint components with flat,
+// reused tables, takes the extra condition of MayBeTrue/MustBeTrue without
+// copying the path, and lets MayBeTrueBoth's second polarity reuse the
+// first one's partition and cache answers. Its answers must equal the
+// std::map union-find it replaced, copied below: a reference solver gets the
+// same queries, split by that copy, one component per CheckSat call (a
+// connected component is one group under any partition). Verdict, model,
+// the SolverStats delta each query owes, the cache size and the serialized
+// solver state must all agree, also after a serialize -> deserialize round
+// trip.
+
+// The pre-flat-table partition: components ordered by their first
+// constraint, each in position order.
+std::vector<std::vector<symex::ExprRef>> MapPartition(const std::vector<symex::ExprRef>& work) {
+  std::vector<size_t> parent(work.size());
+  for (size_t i = 0; i < parent.size(); ++i) {
+    parent[i] = i;
+  }
+  auto find = [&parent](size_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  std::map<uint32_t, size_t> sym_owner;
+  for (size_t i = 0; i < work.size(); ++i) {
+    for (uint32_t sym : *work[i]->syms) {
+      auto [it, fresh] = sym_owner.emplace(sym, i);
+      if (!fresh) {
+        parent[find(i)] = find(it->second);
+      }
+    }
+  }
+  std::vector<std::vector<symex::ExprRef>> groups;
+  std::map<size_t, size_t> root_to_group;
+  for (size_t i = 0; i < work.size(); ++i) {
+    auto [it, fresh] = root_to_group.emplace(find(i), groups.size());
+    if (fresh) {
+      groups.emplace_back();
+    }
+    groups[it->second].push_back(work[i]);
+  }
+  return groups;
+}
+
+// Answers the conjunction of `constraints` on `ref` the pre-flat-table way
+// and adds the stats delta one query must produce to `*expected`.
+symex::Verdict ReferenceQuery(symex::Solver* ref, bool independence,
+                              const std::vector<symex::ExprRef>& constraints,
+                              const symex::Model* hint, symex::Model* model,
+                              symex::SolverStats* expected) {
+  model->clear();
+  const symex::SolverStats before = ref->stats();
+  auto finish = [&](symex::Verdict v) {
+    symex::SolverStats delta = ref->stats();
+    delta -= before;
+    delta.queries = 1;
+    delta.sat = v == symex::Verdict::kSat ? 1 : 0;
+    delta.unsat = v == symex::Verdict::kUnsat ? 1 : 0;
+    delta.unknown = v == symex::Verdict::kUnknown ? 1 : 0;
+    *expected += delta;
+    if (v != symex::Verdict::kSat) {
+      model->clear();
+    }
+    return v;
+  };
+  std::vector<symex::ExprRef> work;
+  for (const symex::ExprRef& c : constraints) {
+    if (c->IsConst() || c->syms->empty()) {
+      if (symex::Eval(c, symex::Model()) == 0) {
+        return finish(symex::Verdict::kUnsat);
+      }
+      continue;
+    }
+    work.push_back(c);
+  }
+  std::vector<std::vector<symex::ExprRef>> groups;
+  if (independence) {
+    groups = MapPartition(work);
+  } else if (!work.empty()) {
+    groups.push_back(work);
+  }
+  bool unknown = false;
+  for (const std::vector<symex::ExprRef>& group : groups) {
+    symex::Model part;
+    symex::Verdict v = ref->CheckSat(group, &part, hint);
+    if (v == symex::Verdict::kUnsat) {
+      return finish(v);
+    }
+    unknown |= v == symex::Verdict::kUnknown;
+    model->insert(part.begin(), part.end());
+  }
+  return finish(unknown ? symex::Verdict::kUnknown : symex::Verdict::kSat);
+}
+
+// Serializes a solver with expressions numbered through `table`.
+std::vector<uint8_t> SolverBytes(const symex::Solver& solver, std::vector<symex::ExprRef>* table) {
+  trace::ByteWriter w;
+  solver.SerializeTo(&w, [table](const symex::ExprRef& e) {
+    for (size_t i = 0; i < table->size(); ++i) {
+      if ((*table)[i].get() == e.get()) {
+        return static_cast<uint32_t>(i);
+      }
+    }
+    table->push_back(e);
+    return static_cast<uint32_t>(table->size() - 1);
+  });
+  return w.Take();
+}
+
+void ExpectSameStats(const symex::SolverStats& got, const symex::SolverStats& want,
+                     const std::string& where) {
+  for (size_t f = 0; f < std::size(symex::SolverStats::kFields); ++f) {
+    EXPECT_EQ(got.*symex::SolverStats::kFields[f], want.*symex::SolverStats::kFields[f])
+        << where << ": SolverStats field " << f;
+  }
+}
+
+struct PartitionCase {
+  uint64_t seed;
+  bool independence;
+};
+
+class PartitionDifferential : public ::testing::TestWithParam<PartitionCase> {};
+
+TEST_P(PartitionDifferential, FlatTablesMatchTheMapUnionFind) {
+  const PartitionCase pc = GetParam();
+  Rng rng(pc.seed * 0x9E3779B9u + 11);
+  symex::ExprContext ctx;
+  symex::Solver::Options opts;
+  opts.enable_independence = pc.independence;
+  opts.repair_iters = 40;  // leave some searches kUnknown
+  auto solver = std::make_unique<symex::Solver>(opts, pc.seed);
+  auto ref = std::make_unique<symex::Solver>(opts, pc.seed);
+  symex::SolverStats expected = solver->stats();
+
+  std::vector<symex::ExprRef> syms;
+  for (int i = 0; i < 12; ++i) {
+    syms.push_back(ctx.Sym(StrFormat("p%d", i)));
+  }
+  auto sym = [&] { return syms[rng.Below(static_cast<uint32_t>(syms.size()))]; };
+  auto small = [&] { return ctx.Const(rng.Below(64)); };
+  std::vector<symex::ExprRef> path;
+  auto random_cond = [&]() -> symex::ExprRef {
+    switch (rng.Below(9)) {
+      case 0:
+        return ctx.Eq(sym(), small());
+      case 1:
+        return ctx.Bin(symex::BinOp::kNe, sym(), small());
+      case 2:
+        return ctx.Bin(symex::BinOp::kUlt, sym(), ctx.Const(1 + rng.Below(200)));
+      case 3:
+        return ctx.Eq(ctx.And(sym(), ctx.Const(0xF0)), ctx.Const(rng.Below(16) << 4));
+      case 4:  // two symbols: joins components
+        return ctx.Bin(symex::BinOp::kUle, ctx.Add(sym(), sym()), ctx.Const(rng.Below(300)));
+      case 5:  // three symbols, through a multiply the propagation ignores
+        return ctx.Eq(
+            ctx.Bin(symex::BinOp::kXor, ctx.Bin(symex::BinOp::kMul, sym(), sym()), sym()),
+            ctx.Const(rng.Next32()));
+      case 6:  // constants: almost always true, rarely false
+        return ctx.Const(rng.Below(16) == 0 ? 0 : 1, 1);
+      case 7:  // a duplicate of a path constraint
+        if (!path.empty()) {
+          return path[rng.Below(static_cast<uint32_t>(path.size()))];
+        }
+        return ctx.Eq(sym(), small());
+      default:
+        return ctx.Bin(symex::BinOp::kUle, ctx.Const(rng.Below(32)), sym());
+    }
+  };
+
+  symex::Model hint;
+  int sat_components = 0;
+  int multi_component = 0;
+  for (int q = 0; q < 400; ++q) {
+    const std::string where =
+        StrFormat("seed %llu query %d", static_cast<unsigned long long>(pc.seed), q);
+    if (q == 200) {
+      // Round trip both solvers mid-run; the restored pair carries on.
+      std::vector<symex::ExprRef> table;
+      std::vector<uint8_t> bytes = SolverBytes(*solver, &table);
+      ASSERT_EQ(bytes, SolverBytes(*ref, &table)) << where;
+      auto decode = [&table](uint32_t id, symex::ExprRef* out) {
+        if (id >= table.size()) {
+          return false;
+        }
+        *out = table[id];
+        return true;
+      };
+      auto restored = std::make_unique<symex::Solver>(opts);
+      auto restored_ref = std::make_unique<symex::Solver>(opts);
+      std::string error;
+      trace::ByteReader r1(bytes), r2(bytes);
+      ASSERT_TRUE(restored->DeserializeFrom(&r1, decode, &error)) << error;
+      ASSERT_TRUE(restored_ref->DeserializeFrom(&r2, decode, &error)) << error;
+      expected = restored->stats();  // stats are counters, not solver state
+      solver = std::move(restored);
+      ref = std::move(restored_ref);
+    }
+    // A fork sibling keeps only a prefix of the path.
+    if (rng.Below(12) == 0 && !path.empty()) {
+      path.resize(rng.Below(static_cast<uint32_t>(path.size())));
+    }
+    symex::ExprRef cond = random_cond();
+    std::vector<symex::ExprRef> with_cond = path;
+    with_cond.push_back(cond);
+    const symex::Model* h = rng.Below(4) == 0 ? nullptr : &hint;
+
+    symex::Model got, want;
+    symex::Verdict v;
+    symex::Verdict rv;
+    switch (rng.Below(5)) {
+      case 0:  // MustBeTrue: the extra condition is the negation
+        with_cond.back() = ctx.Not(cond);
+        v = solver->MustBeTrue(path, cond, &ctx) ? symex::Verdict::kUnsat : symex::Verdict::kSat;
+        rv = ReferenceQuery(ref.get(), pc.independence, with_cond, nullptr, &want, &expected);
+        rv = rv == symex::Verdict::kUnsat ? rv : symex::Verdict::kSat;
+        want.clear();
+        break;
+      case 1:  // CheckSat of the whole list
+        v = solver->CheckSat(with_cond, &got, h);
+        rv = ReferenceQuery(ref.get(), pc.independence, with_cond, h, &want, &expected);
+        break;
+      case 2:  // MayBeTrue: the path plus one condition
+        v = solver->MayBeTrue(path, cond, &got, h);
+        rv = ReferenceQuery(ref.get(), pc.independence, with_cond, h, &want, &expected);
+        break;
+      default: {  // both polarities of one branch, as the executor asks
+        symex::ExprRef not_cond = ctx.Not(cond);
+        symex::Solver::BranchVerdicts both = solver->MayBeTrueBoth(path, cond, not_cond, h);
+        v = both.if_true;
+        got = both.true_model;
+        rv = ReferenceQuery(ref.get(), pc.independence, with_cond, h, &want, &expected);
+        with_cond.back() = not_cond;
+        symex::Model want_false;
+        ASSERT_EQ(both.if_false, ReferenceQuery(ref.get(), pc.independence, with_cond, h,
+                                                &want_false, &expected))
+            << where;
+        ASSERT_EQ(both.false_model, want_false) << where;
+        with_cond.back() = cond;
+        break;
+      }
+    }
+    ASSERT_EQ(v, rv) << where;
+    ASSERT_EQ(got, want) << where;
+    ExpectSameStats(solver->stats(), expected, where);
+    ASSERT_EQ(solver->cache_size(), ref->cache_size()) << where;
+    ASSERT_EQ(solver->rng_state(), ref->rng_state()) << where;
+    if (v == symex::Verdict::kSat && !got.empty()) {
+      hint = got;
+      ++sat_components;
+    }
+    if (pc.independence && MapPartition(with_cond).size() > 1) {
+      ++multi_component;
+    }
+    if (v == symex::Verdict::kSat && !cond->IsConst() && rng.Below(3) != 0) {
+      path.push_back(cond);
+    } else if (path.size() > 40) {
+      path.clear();
+    }
+  }
+  std::vector<symex::ExprRef> table;
+  EXPECT_EQ(SolverBytes(*solver, &table), SolverBytes(*ref, &table));
+  EXPECT_GT(sat_components, 50);
+  EXPECT_GT(solver->stats().cache_hits, 0u);
+  EXPECT_GT(solver->stats().cache_misses, 0u);
+  if (pc.independence) {
+    EXPECT_GT(multi_component, 50);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PartitionDifferential,
+                         ::testing::Values(PartitionCase{1, true}, PartitionCase{2, true},
+                                           PartitionCase{3, true}, PartitionCase{4, true},
+                                           PartitionCase{5, true}, PartitionCase{6, true},
+                                           PartitionCase{7, false}, PartitionCase{8, false}));
+
+// The query cache resets wholesale once it holds 8192 entries. A branch
+// pair whose first polarity triggers that reset must look its path's
+// components up again in the second polarity instead of reusing the
+// answers the first one found before the reset. Every branch condition here
+// is over a fresh symbol, so each polarity stores one entry and the reset
+// falls inside some pair, after the path's components were answered. The
+// sizes at which the polarities store alternate in parity, so one of the two
+// path lengths puts the reset in a first polarity.
+TEST(PartitionDifferential, BranchPairsAcrossTheCacheReset) {
+  for (int path_len : {5, 6}) {
+    symex::ExprContext ctx;
+    symex::Solver solver;
+    symex::Solver ref;
+    symex::SolverStats expected = solver.stats();
+    std::vector<symex::ExprRef> path;
+    for (int i = 0; i < path_len; ++i) {
+      path.push_back(ctx.Bin(symex::BinOp::kUlt, ctx.Sym(StrFormat("path%d", i)),
+                             ctx.Const(100 + static_cast<uint32_t>(i))));
+    }
+    uint64_t resets = 0;
+    size_t last_size = 0;
+    for (int q = 0; q < 4200; ++q) {
+      symex::ExprRef cond = ctx.Eq(ctx.Sym(StrFormat("fresh%d", q)), ctx.Const(7));
+      symex::ExprRef not_cond = ctx.Not(cond);
+      symex::Solver::BranchVerdicts both = solver.MayBeTrueBoth(path, cond, not_cond, nullptr);
+      std::vector<symex::ExprRef> with_cond = path;
+      with_cond.push_back(cond);
+      symex::Model want;
+      ASSERT_EQ(both.if_true, ReferenceQuery(&ref, true, with_cond, nullptr, &want, &expected));
+      ASSERT_EQ(both.true_model, want);
+      with_cond.back() = not_cond;
+      ASSERT_EQ(both.if_false, ReferenceQuery(&ref, true, with_cond, nullptr, &want, &expected));
+      ASSERT_EQ(both.false_model, want);
+      ExpectSameStats(solver.stats(), expected, StrFormat("pair %d", q));
+      ASSERT_EQ(solver.cache_size(), ref.cache_size());
+      resets += solver.cache_size() < last_size ? 1 : 0;
+      last_size = solver.cache_size();
+    }
+    EXPECT_EQ(resets, 1u) << "path length " << path_len;
+  }
+}
+
 // Property: the assembler's output disassembles back to text that
 // re-assembles to the identical image (for label-free programs).
 TEST(AssemblerProperty, DriversDisassembleCleanly) {

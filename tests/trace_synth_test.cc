@@ -2,10 +2,19 @@
 // reconstruction on hand-built traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "symex/scheduler.h"
 #include "synth/cemit.h"
 #include "synth/cfg.h"
 #include "trace/serialize.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace revnic {
 namespace {
@@ -253,15 +262,238 @@ TEST(Scheduler, CollapseToOneRandom) {
 TEST(Scheduler, MaxStatesCulls) {
   symex::ExprContext ctx;
   vm::MemoryMap mm(1 << 16);
-  symex::StatePool::Options opts;
-  opts.max_states = 4;
-  symex::StatePool pool(opts);
-  for (int i = 0; i < 10; ++i) {
+  symex::StatePool pool;
+  const size_t extra = 10;
+  for (size_t i = 0; i < symex::kMaxStates + extra; ++i) {
     pool.Add(std::make_unique<symex::ExecutionState>(i, &ctx, &mm));
   }
-  EXPECT_LE(pool.NumRunnable(), 4u);
-  EXPECT_GT(pool.total_culled(), 0u);
+  EXPECT_EQ(pool.NumRunnable(), symex::kMaxStates);
+  EXPECT_EQ(pool.total_culled(), extra);
 }
+
+// ---- StatePool against a naive reference pool ----
+//
+// The pool keeps a dense per-pc count slot on every pooled state instead of
+// looking each state's count up on every pick. This reference is the pool
+// as it was before: one std::map of counts, looked up per state per pick.
+// Seeded operation sequences must pick, cull and report identically under
+// every strategy, across the kMaxStates cull and across RestoreBookkeeping.
+class ReferencePool {
+ public:
+  ReferencePool(symex::SelectionStrategy strategy, uint64_t seed)
+      : strategy_(strategy), rng_(seed) {}
+
+  void Add(std::unique_ptr<symex::ExecutionState> state) {
+    if (states_.size() >= symex::kMaxStates) {
+      size_t worst = 0;
+      uint64_t worst_count = 0;
+      for (size_t i = 0; i < states_.size(); ++i) {
+        uint64_t c = Count(states_[i]->pc());
+        if (c >= worst_count) {
+          worst_count = c;
+          worst = i;
+        }
+      }
+      states_.erase(states_.begin() + static_cast<long>(worst));
+      ++culled_;
+    }
+    states_.push_back(std::move(state));
+  }
+
+  std::unique_ptr<symex::ExecutionState> SelectNext() {
+    if (states_.empty()) {
+      return nullptr;
+    }
+    size_t pick = 0;
+    switch (strategy_) {
+      case symex::SelectionStrategy::kMinBlockCount: {
+        uint64_t best = ~0ull;
+        for (size_t i = 0; i < states_.size(); ++i) {
+          uint64_t c = Count(states_[i]->pc());
+          if (c < best) {
+            best = c;
+            pick = i;
+          }
+        }
+        break;
+      }
+      case symex::SelectionStrategy::kDfs:
+        pick = states_.size() - 1;
+        break;
+      case symex::SelectionStrategy::kBfs:
+        pick = 0;
+        break;
+      case symex::SelectionStrategy::kRandom:
+        pick = rng_.Below(static_cast<uint32_t>(states_.size()));
+        break;
+    }
+    std::unique_ptr<symex::ExecutionState> out = std::move(states_[pick]);
+    states_.erase(states_.begin() + static_cast<long>(pick));
+    return out;
+  }
+
+  void NotifyExecuted(uint32_t pc) { ++counts_[pc]; }
+
+  size_t CollapseToOneRandom() {
+    if (states_.size() <= 1) {
+      return 0;
+    }
+    size_t keep = rng_.Below(static_cast<uint32_t>(states_.size()));
+    std::unique_ptr<symex::ExecutionState> survivor = std::move(states_[keep]);
+    size_t killed = states_.size() - 1;
+    culled_ += killed;
+    states_.clear();
+    states_.push_back(std::move(survivor));
+    return killed;
+  }
+
+  size_t KillStatesAt(uint32_t pc) {
+    size_t before = states_.size();
+    std::erase_if(states_, [pc](const auto& s) { return s->pc() == pc; });
+    culled_ += before - states_.size();
+    return before - states_.size();
+  }
+
+  std::vector<uint64_t> TakeAllIds() {
+    std::vector<uint64_t> ids;
+    for (const auto& s : states_) {
+      ids.push_back(s->id());
+    }
+    std::sort(ids.begin(), ids.end());
+    states_.clear();
+    return ids;
+  }
+
+  void RestoreBookkeeping(std::map<uint32_t, uint64_t> counts, uint64_t rng_state,
+                          uint64_t culled) {
+    counts_ = std::move(counts);
+    rng_.set_state(rng_state);
+    culled_ = culled;
+  }
+
+  const std::map<uint32_t, uint64_t>& counts() const { return counts_; }
+  uint64_t rng_state() const { return rng_.state(); }
+  uint64_t culled() const { return culled_; }
+  size_t size() const { return states_.size(); }
+
+ private:
+  uint64_t Count(uint32_t pc) const {
+    auto it = counts_.find(pc);
+    return it == counts_.end() ? 0 : it->second;
+  }
+
+  symex::SelectionStrategy strategy_;
+  Rng rng_;
+  std::vector<std::unique_ptr<symex::ExecutionState>> states_;
+  std::map<uint32_t, uint64_t> counts_;
+  uint64_t culled_ = 0;
+};
+
+class StatePoolDifferential
+    : public ::testing::TestWithParam<std::tuple<symex::SelectionStrategy, uint64_t>> {};
+
+TEST_P(StatePoolDifferential, PicksMatchTheReferencePool) {
+  const auto [strategy, seed] = GetParam();
+  symex::ExprContext ctx;
+  vm::MemoryMap mm(1 << 16);
+  Rng rng(seed * 0x2545F491u + 3);
+  symex::StatePool pool({.strategy = strategy}, seed);
+  ReferencePool ref(strategy, seed);
+  uint64_t next_id = 0;
+  auto random_pc = [&rng] { return 0x400000 + 4 * rng.Below(24); };  // few pcs: many ties
+  auto add = [&](uint32_t pc) {
+    auto a = std::make_unique<symex::ExecutionState>(next_id, &ctx, &mm);
+    auto b = std::make_unique<symex::ExecutionState>(next_id, &ctx, &mm);
+    ++next_id;
+    a->set_pc(pc);
+    b->set_pc(pc);
+    pool.Add(std::move(a));
+    ref.Add(std::move(b));
+  };
+  std::vector<uint64_t> picks;
+  size_t restores = 0;
+  size_t peak = 0;
+  for (int op = 0; op < 6000; ++op) {
+    const std::string where = StrFormat("op %d", op);
+    // Growth phases only add and pick, pushing the pool past kMaxStates so
+    // the cull runs.
+    const bool growing = (op / 1000) % 2 == 0;
+    const uint32_t r = growing ? rng.Below(80) : rng.Below(100);
+    if (r < (growing ? 60u : 25u)) {
+      add(random_pc());
+    } else if (r < 80) {
+      std::unique_ptr<symex::ExecutionState> got = pool.SelectNext();
+      std::unique_ptr<symex::ExecutionState> want = ref.SelectNext();
+      ASSERT_EQ(got == nullptr, want == nullptr) << where;
+      if (got == nullptr) {
+        continue;
+      }
+      ASSERT_EQ(got->id(), want->id()) << where;
+      picks.push_back(got->id());
+      // The picked state runs its block, then goes back with a new pc.
+      pool.NotifyExecuted(got->pc());
+      ref.NotifyExecuted(want->pc());
+      if (rng.Below(5) != 0) {
+        uint32_t pc = random_pc();
+        got->set_pc(pc);
+        want->set_pc(pc);
+        pool.Add(std::move(got));
+        ref.Add(std::move(want));
+      }
+    } else if (r < 90) {
+      uint32_t pc = random_pc();
+      pool.NotifyExecuted(pc);
+      ref.NotifyExecuted(pc);
+    } else if (r < 94) {
+      uint32_t pc = random_pc();
+      ASSERT_EQ(pool.KillStatesAt(pc), ref.KillStatesAt(pc)) << where;
+    } else if (r < 95) {
+      ASSERT_EQ(pool.CollapseToOneRandom(), ref.CollapseToOneRandom()) << where;
+    } else if (r < 96) {
+      std::vector<std::unique_ptr<symex::ExecutionState>> taken = pool.TakeAllSortedById();
+      std::vector<uint64_t> ids;
+      for (const auto& s : taken) {
+        ids.push_back(s->id());
+      }
+      ASSERT_EQ(ids, ref.TakeAllIds()) << where;
+      // A sub-shard replica re-adds one root.
+      if (!taken.empty()) {
+        size_t k = rng.Below(static_cast<uint32_t>(taken.size()));
+        uint32_t pc = taken[k]->pc();
+        auto twin = std::make_unique<symex::ExecutionState>(taken[k]->id(), &ctx, &mm);
+        twin->set_pc(pc);
+        pool.Add(std::move(taken[k]));
+        ref.Add(std::move(twin));
+      }
+    } else {
+      // Restore bookkeeping mid-run, with states still pooled: the counts of
+      // a snapshot (a listed zero count included) replace the live ones.
+      std::map<uint32_t, uint64_t> counts = ref.counts();
+      counts[random_pc()] = rng.Below(3);
+      counts.erase(random_pc());
+      uint64_t rng_state = rng.Next32() | 1;
+      pool.RestoreBookkeeping(counts, rng_state, op);
+      ref.RestoreBookkeeping(counts, rng_state, op);
+      ++restores;
+    }
+    ASSERT_EQ(pool.NumRunnable(), ref.size()) << where;
+    ASSERT_EQ(pool.total_culled(), ref.culled()) << where;
+    ASSERT_EQ(pool.rng_state(), ref.rng_state()) << where;
+    ASSERT_EQ(pool.block_counts(), ref.counts()) << where;
+    peak = std::max(peak, pool.NumRunnable());
+  }
+  EXPECT_GT(picks.size(), 1000u);
+  EXPECT_GT(restores, 50u);
+  EXPECT_EQ(peak, symex::kMaxStates);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, StatePoolDifferential,
+    ::testing::Combine(::testing::Values(symex::SelectionStrategy::kMinBlockCount,
+                                         symex::SelectionStrategy::kDfs,
+                                         symex::SelectionStrategy::kBfs,
+                                         symex::SelectionStrategy::kRandom),
+                       ::testing::Values(1u, 2u)));
 
 }  // namespace
 }  // namespace revnic
