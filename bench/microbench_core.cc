@@ -134,20 +134,16 @@ void BM_SolverIndependentSlices(benchmark::State& state) {
 }
 BENCHMARK(BM_SolverIndependentSlices)->Arg(8)->Arg(64);
 
-// The local search on a component shaped like rtl8139's searched ones: 20
-// constraints of about 50 nodes over 6 shared symbols (arithmetic and mask
-// chains through byte extractions), plus an unsatisfiable straggler -- two
-// equalities pinning one chain to different values, which neither
-// propagation nor the structural check sees -- so Search runs to its plateau
-// exit. Cache and shelf are off and each iteration gets a fresh solver, so
-// every iteration repeats the same search.
-void BM_SolverSearch(benchmark::State& state) {
+// A component shaped like rtl8139's searched ones: 20 constraints of about
+// 50 nodes over the 6 symbols in `syms` (arithmetic and mask chains through
+// byte extractions), plus an unsatisfiable straggler -- two equalities
+// pinning one chain to different values, which neither propagation nor the
+// structural check sees -- so a search runs to its plateau exit. The second
+// equality is returned separately, as the branch condition of a query.
+std::vector<symex::ExprRef> SearchComponent(symex::ExprContext* ctx,
+                                            const std::vector<symex::ExprRef>& syms,
+                                            symex::ExprRef* straggler_cond) {
   using symex::BinOp;
-  symex::ExprContext ctx;
-  std::vector<symex::ExprRef> syms;
-  for (int i = 0; i < 6; ++i) {
-    syms.push_back(ctx.Sym("hw_in", 32));
-  }
   auto chain = [&](int seed) {
     static const BinOp kOps[] = {BinOp::kAdd, BinOp::kXor, BinOp::kAnd, BinOp::kOr,
                                  BinOp::kMul, BinOp::kSub, BinOp::kLShr};
@@ -155,22 +151,36 @@ void BM_SolverSearch(benchmark::State& state) {
     for (int j = 0; j < 22; ++j) {
       const symex::ExprRef& s = syms[static_cast<size_t>(seed + 2 * j + 1) % 6];
       symex::ExprRef term =
-          j % 2 == 0 ? ctx.ZExt(ctx.ExtractByte(s, static_cast<unsigned>(j) % 4), 32)
-                     : ctx.Bin(BinOp::kAnd, s, ctx.Const(0xF0u >> (j % 4)));
-      e = ctx.Bin(kOps[(seed + j) % 7], e,
-                  j % 3 == 2 ? ctx.Const(static_cast<uint32_t>(3 + j)) : term);
+          j % 2 == 0 ? ctx->ZExt(ctx->ExtractByte(s, static_cast<unsigned>(j) % 4), 32)
+                     : ctx->Bin(BinOp::kAnd, s, ctx->Const(0xF0u >> (j % 4)));
+      e = ctx->Bin(kOps[(seed + j) % 7], e,
+                   j % 3 == 2 ? ctx->Const(static_cast<uint32_t>(3 + j)) : term);
     }
     return e;
   };
   std::vector<symex::ExprRef> constraints;
   for (int i = 0; i < 20; ++i) {
-    constraints.push_back(
-        ctx.Bin(i % 2 == 0 ? BinOp::kUle : BinOp::kNe, chain(i),
-                ctx.Const(0x1000u * static_cast<uint32_t>(i + 1))));
+    constraints.push_back(ctx->Bin(i % 2 == 0 ? BinOp::kUle : BinOp::kNe, chain(i),
+                                   ctx->Const(0x1000u * static_cast<uint32_t>(i + 1))));
   }
   symex::ExprRef straggler = chain(20);
-  constraints.push_back(ctx.Eq(straggler, ctx.Const(0x11)));
-  constraints.push_back(ctx.Eq(straggler, ctx.Const(0x22)));
+  constraints.push_back(ctx->Eq(straggler, ctx->Const(0x11)));
+  *straggler_cond = ctx->Eq(straggler, ctx->Const(0x22));
+  return constraints;
+}
+
+// The local search alone on SearchComponent (straggler included). Cache and
+// shelf are off and each iteration gets a fresh solver, so every iteration
+// repeats the same search.
+void BM_SolverSearch(benchmark::State& state) {
+  symex::ExprContext ctx;
+  std::vector<symex::ExprRef> syms;
+  for (int i = 0; i < 6; ++i) {
+    syms.push_back(ctx.Sym("hw_in", 32));
+  }
+  symex::ExprRef cond;
+  std::vector<symex::ExprRef> constraints = SearchComponent(&ctx, syms, &cond);
+  constraints.push_back(cond);
 
   symex::Solver::Options opts;
   opts.enable_query_cache = false;
@@ -189,6 +199,48 @@ void BM_SolverSearch(benchmark::State& state) {
       static_cast<double>(evals), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SolverSearch);
+
+// rtl8139's miss path end to end, on one default-configured solver: a path
+// of SearchComponent plus 16 independent one-symbol constraints, and a
+// branch condition that makes the component unsatisfiable. Each query is
+// hinted, so the cached kUnknown does not answer it: the independent
+// components hit the cache, and the missed one runs the hint trial, the
+// seed, representative and shelf trials, and a search that ends kUnknown
+// at the plateau.
+void BM_SolverSearchMiss(benchmark::State& state) {
+  symex::ExprContext ctx;
+  std::vector<symex::ExprRef> syms;
+  for (int i = 0; i < 6; ++i) {
+    syms.push_back(ctx.Sym("hw_in", 32));
+  }
+  symex::ExprRef cond;
+  std::vector<symex::ExprRef> path = SearchComponent(&ctx, syms, &cond);
+  for (int i = 0; i < 16; ++i) {
+    symex::ExprRef v = ctx.Sym("hw_status", 32);
+    path.push_back(ctx.Eq(ctx.And(v, ctx.Const(0xFF)), ctx.Const(0x40)));
+  }
+  symex::Solver solver;
+  symex::Model hint;
+  if (solver.CheckSat(path, &hint) != symex::Verdict::kSat) {
+    state.SkipWithError("path unsatisfiable");
+    return;
+  }
+  uint64_t evals = 0;
+  uint64_t unknown = 0;
+  for (auto _ : state) {
+    symex::Model model;
+    const uint64_t before = solver.stats().evals;
+    auto v = solver.MayBeTrue(path, cond, &model, &hint);
+    benchmark::DoNotOptimize(v);
+    evals += solver.stats().evals - before;
+    unknown += v == symex::Verdict::kUnknown ? 1 : 0;
+  }
+  state.counters["evals_per_query"] = benchmark::Counter(
+      static_cast<double>(evals), benchmark::Counter::kAvgIterations);
+  state.counters["unknown_ratio"] = benchmark::Counter(
+      static_cast<double>(unknown), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SolverSearchMiss);
 
 // Hash-consed construction: rebuilding an already-interned expression shape
 // must cost a table probe, not an allocation chain.

@@ -142,7 +142,7 @@ struct Engine::Impl {
         mm(os::kGuestRamSize),
         winsim(config.pci),
         shell(&ctx, config.pci),
-        solver(config.solver, config.seed),
+        solver(symex::Solver::Options(), config.seed),
         executor(&ctx, &solver, &shell),
         fetcher(&mm),
         dbt(&fetcher),

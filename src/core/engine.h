@@ -71,7 +71,6 @@ struct EngineConfig {
   std::vector<std::pair<uint32_t, uint32_t>> registry = {
       {os::kCfgDuplexMode, 2}, {os::kCfgWakeOnLan, 1}, {os::kCfgLedMode, 3}};
   symex::StatePool::Options pool;
-  symex::Solver::Options solver;
   uint64_t seed = 1;
   // How the exercise stage is parallelized and perturbed: output class and
   // fleet lanes, intra-step sub-shards, worker processes, and the

@@ -562,7 +562,6 @@ std::string ConfigFingerprint(const EngineConfig& c) {
     mix(m.symbolic_return ? 1 : 0);
   }
   mix(static_cast<uint64_t>(c.pool.strategy));
-  mix(c.solver.repair_iters);
   char buf[20];
   snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
   return buf;

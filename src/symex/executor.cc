@@ -321,9 +321,8 @@ StepResult Executor::Step(ExecutionState* state, const ir::Block& block, trace::
       bool can_true = branch.if_true == Verdict::kSat;
       bool can_false = branch.if_false == Verdict::kSat;
       if (can_true && can_false) {
-        auto fork = state->Fork(AllocStateId());
+        auto fork = state->Fork(AllocStateId(), std::move(branch.false_model));
         fork->AddConstraint(not_cond);
-        fork->model() = std::move(branch.false_model);
         fork->set_pc(block.fallthrough);
         ++stats_.forks;
         if (sink != nullptr) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "util/bits.h"
@@ -80,52 +81,77 @@ SymSetRef UnionSyms(const Expr& e) {
   return std::make_shared<const SymSet>(std::move(merged));
 }
 
-uint32_t FoldBin(BinOp op, uint32_t a, uint32_t b, uint8_t width) {
+// One binary operator's semantics at operand width `width`; every
+// evaluator (the simplifier, Eval, CompiledComponent) folds through it.
+template <BinOp kOp>
+[[gnu::always_inline]] inline uint32_t FoldOp(uint32_t a, uint32_t b, uint8_t width) {
   uint32_t mask = revnic::LowMask(width);
   a &= mask;
   b &= mask;
   auto sext = [&](uint32_t v) { return static_cast<int32_t>(revnic::SignExtend(v, width)); };
-  switch (op) {
-    case BinOp::kAdd:
-      return (a + b) & mask;
-    case BinOp::kSub:
-      return (a - b) & mask;
-    case BinOp::kMul:
-      return (a * b) & mask;
-    case BinOp::kUDiv:
-      return b == 0 ? mask : (a / b) & mask;  // div-by-zero saturates
-    case BinOp::kURem:
-      return b == 0 ? a : (a % b) & mask;
-    case BinOp::kAnd:
-      return a & b;
-    case BinOp::kOr:
-      return a | b;
-    case BinOp::kXor:
-      return a ^ b;
-    case BinOp::kShl:
-      return b >= width ? 0 : (a << b) & mask;
-    case BinOp::kLShr:
-      return b >= width ? 0 : (a >> b) & mask;
-    case BinOp::kAShr: {
-      if (b >= width) {
-        return (sext(a) < 0 ? mask : 0);
-      }
-      return static_cast<uint32_t>(sext(a) >> b) & mask;
+  if constexpr (kOp == BinOp::kAdd) {
+    return (a + b) & mask;
+  } else if constexpr (kOp == BinOp::kSub) {
+    return (a - b) & mask;
+  } else if constexpr (kOp == BinOp::kMul) {
+    return (a * b) & mask;
+  } else if constexpr (kOp == BinOp::kUDiv) {
+    return b == 0 ? mask : (a / b) & mask;  // div-by-zero saturates
+  } else if constexpr (kOp == BinOp::kURem) {
+    return b == 0 ? a : (a % b) & mask;
+  } else if constexpr (kOp == BinOp::kAnd) {
+    return a & b;
+  } else if constexpr (kOp == BinOp::kOr) {
+    return a | b;
+  } else if constexpr (kOp == BinOp::kXor) {
+    return a ^ b;
+  } else if constexpr (kOp == BinOp::kShl) {
+    return b >= width ? 0 : (a << b) & mask;
+  } else if constexpr (kOp == BinOp::kLShr) {
+    return b >= width ? 0 : (a >> b) & mask;
+  } else if constexpr (kOp == BinOp::kAShr) {
+    if (b >= width) {
+      return (sext(a) < 0 ? mask : 0);
     }
-    case BinOp::kEq:
-      return a == b ? 1 : 0;
-    case BinOp::kNe:
-      return a != b ? 1 : 0;
-    case BinOp::kUlt:
-      return a < b ? 1 : 0;
-    case BinOp::kUle:
-      return a <= b ? 1 : 0;
-    case BinOp::kSlt:
-      return sext(a) < sext(b) ? 1 : 0;
-    case BinOp::kSle:
-      return sext(a) <= sext(b) ? 1 : 0;
+    return static_cast<uint32_t>(sext(a) >> b) & mask;
+  } else if constexpr (kOp == BinOp::kEq) {
+    return a == b ? 1 : 0;
+  } else if constexpr (kOp == BinOp::kNe) {
+    return a != b ? 1 : 0;
+  } else if constexpr (kOp == BinOp::kUlt) {
+    return a < b ? 1 : 0;
+  } else if constexpr (kOp == BinOp::kUle) {
+    return a <= b ? 1 : 0;
+  } else if constexpr (kOp == BinOp::kSlt) {
+    return sext(a) < sext(b) ? 1 : 0;
+  } else {
+    static_assert(kOp == BinOp::kSle);
+    return sext(a) <= sext(b) ? 1 : 0;
+  }
+}
+
+#define REVNIC_FOR_EACH_BINOP(X) \
+  X(kAdd) X(kSub) X(kMul) X(kUDiv) X(kURem) X(kAnd) X(kOr) X(kXor) X(kShl) X(kLShr) X(kAShr) \
+  X(kEq) X(kNe) X(kUlt) X(kUle) X(kSlt) X(kSle)
+
+uint32_t FoldBin(BinOp op, uint32_t a, uint32_t b, uint8_t width) {
+  switch (op) {
+#define REVNIC_FOLD_CASE(k) \
+  case BinOp::k:            \
+    return FoldOp<BinOp::k>(a, b, width);
+    REVNIC_FOR_EACH_BINOP(REVNIC_FOLD_CASE)
+#undef REVNIC_FOLD_CASE
   }
   return 0;
+}
+
+// FoldOp over `n` lanes; an operand with stride 0 is the same in every lane.
+template <BinOp kOp>
+void FoldLanes(const uint32_t* a, size_t sa, const uint32_t* b, size_t sb, uint8_t width,
+               uint32_t* out, size_t n) {
+  for (size_t l = 0; l < n; ++l) {
+    out[l] = FoldOp<kOp>(a[l * sa], b[l * sb], width);
+  }
 }
 
 }  // namespace
@@ -530,6 +556,33 @@ ExprRef ExprContext::Not(ExprRef a) {
   return Bin(BinOp::kXor, a, Const(1, 1));
 }
 
+Model::const_iterator Model::LowerBound(uint32_t sym) const {
+  return std::lower_bound(pairs_.begin(), pairs_.end(), sym,
+                          [](const value_type& p, uint32_t s) { return p.first < s; });
+}
+
+uint32_t Model::at(uint32_t sym) const {
+  auto it = find(sym);
+  if (it == pairs_.end()) {
+    throw std::out_of_range("Model::at: unmapped symbol");
+  }
+  return it->second;
+}
+
+void Model::Canonicalize() {
+  auto not_ascending = [](const value_type& x, const value_type& y) { return x.first >= y.first; };
+  if (std::adjacent_find(pairs_.begin(), pairs_.end(), not_ascending) == pairs_.end()) {
+    return;
+  }
+  std::stable_sort(pairs_.begin(), pairs_.end(),
+                   [](const value_type& x, const value_type& y) { return x.first < y.first; });
+  pairs_.erase(std::unique(pairs_.begin(), pairs_.end(),
+                           [](const value_type& x, const value_type& y) {
+                             return x.first == y.first;
+                           }),
+               pairs_.end());
+}
+
 uint32_t Eval(const ExprRef& e, const Model& model) {
   switch (e->kind) {
     case ExprKind::kConst:
@@ -660,6 +713,142 @@ void CompiledComponent::Store(Model* model) const {
   for (size_t s = 0; s < slot_syms_.size(); ++s) {
     (*model)[slot_syms_[s]] = slot_values_[s];
   }
+}
+
+const uint32_t* CompiledComponent::LaneOperand(uint32_t x, size_t* stride) const {
+  const uint32_t row = lane_row_[x];
+  if (row == kNoRow) {
+    *stride = 0;
+    return &values_[x];
+  }
+  *stride = 1;
+  return lanes_.data() + static_cast<size_t>(row) * num_lanes_;
+}
+
+void CompiledComponent::EvalLanes(uint32_t slot, std::span<const uint32_t> lanes) {
+  if (lane_row_.empty()) {
+    lane_row_.assign(nodes_.size(), kNoRow);
+  }
+  if (lanes_slot_ >= 0) {
+    for (uint32_t i : cones_[static_cast<size_t>(lanes_slot_)]) {
+      lane_row_[i] = kNoRow;
+    }
+  }
+  const std::vector<uint32_t>& cone = cones_[slot];
+  const size_t n = lanes.size();
+  lanes_slot_ = slot;
+  num_lanes_ = n;
+  lanes_.resize(cone.size() * n);
+  // Postorder: a cone node's in-cone operands already have their rows.
+  for (size_t r = 0; r < cone.size(); ++r) {
+    const Node& node = nodes_[cone[r]];
+    lane_row_[cone[r]] = static_cast<uint32_t>(r);
+    uint32_t* out = lanes_.data() + r * n;
+    size_t sa = 0, sb = 0, sc = 0;
+    const uint32_t mask = LowMask(node.width);
+    switch (node.kind) {
+      case ExprKind::kConst:
+        std::fill(out, out + n, node.value);
+        break;
+      case ExprKind::kSym:  // the slot's own symbol
+        for (size_t l = 0; l < n; ++l) {
+          out[l] = lanes[l] & mask;
+        }
+        break;
+      case ExprKind::kBin: {
+        const uint32_t* a = LaneOperand(node.a, &sa);
+        const uint32_t* b = LaneOperand(node.b, &sb);
+        switch (node.bin_op) {
+#define REVNIC_LANES_CASE(k)                                       \
+  case BinOp::k:                                                   \
+    FoldLanes<BinOp::k>(a, sa, b, sb, node.operand_width, out, n); \
+    break;
+          REVNIC_FOR_EACH_BINOP(REVNIC_LANES_CASE)
+#undef REVNIC_LANES_CASE
+          default:
+            std::fill(out, out + n, 0u);  // as FoldBin
+            break;
+        }
+        break;
+      }
+      case ExprKind::kExtract: {
+        const uint32_t* a = LaneOperand(node.a, &sa);
+        for (size_t l = 0; l < n; ++l) {
+          out[l] = (a[l * sa] >> (8 * node.value)) & 0xFF;
+        }
+        break;
+      }
+      case ExprKind::kZExt: {
+        const uint32_t* a = LaneOperand(node.a, &sa);
+        for (size_t l = 0; l < n; ++l) {
+          out[l] = a[l * sa] & mask;
+        }
+        break;
+      }
+      case ExprKind::kSExt: {
+        const uint32_t* a = LaneOperand(node.a, &sa);
+        for (size_t l = 0; l < n; ++l) {
+          out[l] = SignExtend(a[l * sa], node.operand_width) & mask;
+        }
+        break;
+      }
+      case ExprKind::kSelect: {
+        const uint32_t* a = LaneOperand(node.a, &sa);
+        const uint32_t* b = LaneOperand(node.b, &sb);
+        const uint32_t* c = LaneOperand(node.c, &sc);
+        for (size_t l = 0; l < n; ++l) {
+          out[l] = c[l * sc] != 0 ? a[l * sa] : b[l * sb];
+        }
+        break;
+      }
+    }
+  }
+}
+
+#undef REVNIC_FOR_EACH_BINOP
+
+const std::vector<uint32_t>& CompiledComponent::constants(size_t ci) {
+  if (constants_.empty()) {
+    constants_.resize(roots_.size());
+    constants_ready_.assign(roots_.size(), false);
+  }
+  std::vector<uint32_t>& out = constants_[ci];
+  if (constants_ready_[ci]) {
+    return out;
+  }
+  constants_ready_[ci] = true;
+  // Operands precede their users in the node array, so one descending scan
+  // from the root marks everything the constraint reaches.
+  const uint32_t root = roots_[ci];
+  std::vector<bool> reached(static_cast<size_t>(root) + 1);
+  reached[root] = true;
+  for (uint32_t i = root + 1; i-- > 0;) {
+    if (!reached[i]) {
+      continue;
+    }
+    const Node& n = nodes_[i];
+    switch (n.kind) {
+      case ExprKind::kConst:
+        out.push_back(n.value);
+        break;
+      case ExprKind::kSym:
+        break;
+      case ExprKind::kSelect:
+        reached[n.c] = true;
+        [[fallthrough]];
+      case ExprKind::kBin:
+        reached[n.b] = true;
+        [[fallthrough]];
+      case ExprKind::kExtract:
+      case ExprKind::kZExt:
+      case ExprKind::kSExt:
+        reached[n.a] = true;
+        break;
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 namespace {

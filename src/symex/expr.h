@@ -9,13 +9,14 @@
 #define REVNIC_SYMEX_EXPR_H_
 
 #include <cstdint>
-#include <map>
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace revnic::symex {
@@ -87,8 +88,78 @@ class Expr {
   static bool Equal(const ExprRef& x, const ExprRef& y);
 };
 
-// Assignment of concrete values to symbolic variables.
-using Model = std::map<uint32_t, uint32_t>;
+// Assignment of concrete values to symbolic variables: one vector of
+// (symbol, value) pairs in ascending symbol order, each symbol at most once.
+// It keeps the part of the std::map interface the engine uses, with the
+// same meaning: find/count/at, operator[] (inserting 0), keep-first range
+// insert, ordered iteration and ==. Lookups are binary searches, and
+// appending in ascending order (how every producer builds a model) costs
+// no reordering. The solver's hit path appends whole component models
+// with Append and restores the order once per query with Canonicalize.
+class Model {
+ public:
+  using value_type = std::pair<uint32_t, uint32_t>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  Model() = default;
+  Model(std::initializer_list<value_type> pairs) { insert(pairs.begin(), pairs.end()); }
+
+  const_iterator begin() const { return pairs_.begin(); }
+  const_iterator end() const { return pairs_.end(); }
+  size_t size() const { return pairs_.size(); }
+  bool empty() const { return pairs_.empty(); }
+  void clear() { pairs_.clear(); }
+
+  const_iterator find(uint32_t sym) const {
+    auto it = LowerBound(sym);
+    return it != pairs_.end() && it->first == sym ? it : pairs_.end();
+  }
+  size_t count(uint32_t sym) const { return find(sym) != pairs_.end() ? 1 : 0; }
+  // Throws std::out_of_range for an unmapped symbol, as std::map::at does.
+  uint32_t at(uint32_t sym) const;
+  uint32_t& operator[](uint32_t sym) {
+    if (pairs_.empty() || pairs_.back().first < sym) {
+      return pairs_.emplace_back(sym, 0).second;
+    }
+    auto it = pairs_.begin() + (LowerBound(sym) - pairs_.cbegin());
+    if (it == pairs_.end() || it->first != sym) {
+      it = pairs_.emplace(it, sym, 0);
+    }
+    return it->second;
+  }
+  // Inserts each pair whose symbol is not mapped yet; of repeated symbols
+  // the first one wins, as in std::map::insert.
+  template <typename It>
+  void insert(It first, It last) {
+    pairs_.insert(pairs_.end(), first, last);
+    Canonicalize();
+  }
+
+  // Appends (sym, value) if `sym` is above every mapped symbol; returns
+  // false and changes nothing otherwise. Decoders read models with it, so
+  // input that is out of order or repeats a symbol fails in O(1).
+  bool PushBack(uint32_t sym, uint32_t value) {
+    if (!pairs_.empty() && pairs_.back().first >= sym) {
+      return false;
+    }
+    pairs_.emplace_back(sym, value);
+    return true;
+  }
+  // Appends `other` without restoring the order: until Canonicalize()
+  // runs, only iteration, size and Append are meaningful.
+  void Append(const Model& other) {
+    pairs_.insert(pairs_.end(), other.pairs_.begin(), other.pairs_.end());
+  }
+  // Sorts by symbol, keeping the first pair of each symbol.
+  void Canonicalize();
+
+  bool operator==(const Model& other) const = default;
+
+ private:
+  const_iterator LowerBound(uint32_t sym) const;
+
+  std::vector<value_type> pairs_;
+};
 
 // Non-owning contiguous view over path constraints; what the solver
 // consumes. Implicitly built from a vector or a ConstraintSet (span's range
@@ -278,9 +349,12 @@ uint32_t Eval(const ExprRef& e, const Model& model);
 //   - Cones: a slot's cone is the ascending list of nodes whose value depends
 //     on that slot. Assign() re-runs exactly that list and reads every other
 //     operand from the cache, so afterwards the cache again equals a full
-//     evaluation of the new assignment.
-// Node semantics are Eval's: both route binary operators through one
-// FoldBin, and property_test holds the two equal on every kind, op and width.
+//     evaluation of the new assignment. EvalLanes() runs the same list once
+//     for a whole batch of candidate values, lane-major: one dispatch per
+//     node, then a tight loop over the lanes.
+// Node semantics are Eval's: every evaluator folds binary operators through
+// one FoldOp<op> (expr.cc), and property_test holds them equal on every kind,
+// op and width.
 class CompiledComponent {
  public:
   explicit CompiledComponent(std::span<const ExprRef> constraints);
@@ -306,6 +380,19 @@ class CompiledComponent {
   // Writes every slot's value into `model` under its symbol id.
   void Store(Model* model) const;
 
+  // Evaluates `slot`'s cone once per value in `lanes`, as Assign(slot,
+  // lanes[l]) would, without changing the assignment or the node cache.
+  // Afterwards lane_value(ci, l) is the value constraint `ci` would have;
+  // valid for the constraints that mention `slot`, until the next call.
+  void EvalLanes(uint32_t slot, std::span<const uint32_t> lanes);
+  uint32_t lane_value(size_t ci, size_t lane) const {
+    return lanes_[static_cast<size_t>(lane_row_[roots_[ci]]) * num_lanes_ + lane];
+  }
+
+  // Constraint `ci`'s constant literals, ascending and unique (what
+  // CollectConstants finds), read off the node array on first use.
+  const std::vector<uint32_t>& constants(size_t ci);
+
  private:
   struct Node {
     ExprKind kind;
@@ -316,9 +403,14 @@ class CompiledComponent {
     uint32_t a, b, c;       // operand node indices
   };
 
+  static constexpr uint32_t kNoRow = ~0u;
+
   uint32_t SlotOf(uint32_t sym) const;
   uint32_t Flatten(const ExprRef& e, std::unordered_map<const Expr*, uint32_t>* index);
   uint32_t EvalNode(const Node& n) const;
+  // Operand `x` of a cone node in lane form: its lane row and a stride of
+  // 1 when it is in the cone, else its cached value and a stride of 0.
+  const uint32_t* LaneOperand(uint32_t x, size_t* stride) const;
 
   std::vector<Node> nodes_;
   std::vector<uint32_t> values_;  // per node, under the current assignment
@@ -328,6 +420,15 @@ class CompiledComponent {
   std::vector<std::vector<uint32_t>> con_slots_;
   std::vector<std::vector<uint32_t>> slot_cons_;
   std::vector<std::vector<uint32_t>> cones_;
+  // EvalLanes scratch: per node, its row in lanes_ (kNoRow outside the
+  // last evaluated cone); lanes_ holds num_lanes_ values per row.
+  std::vector<uint32_t> lane_row_;
+  std::vector<uint32_t> lanes_;
+  size_t num_lanes_ = 0;
+  int64_t lanes_slot_ = -1;
+  // constants(): per constraint, filled on first use.
+  std::vector<std::vector<uint32_t>> constants_;
+  std::vector<bool> constants_ready_;
 };
 
 // Collects the symbolic variable ids appearing in `e`. O(|syms|): reads the

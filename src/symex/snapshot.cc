@@ -333,7 +333,9 @@ bool ReadStateSections(const SnapshotReader& r, ExprContext* ctx,
     if (!s.U32(&sym) || !s.U32(&value)) {
       return fail("truncated model");
     }
-    st->model()[sym] = value;
+    if (!st->model().PushBack(sym, value)) {  // written in ascending symbol order
+      return fail("model symbols out of order");
+    }
   }
   if (!s.U32(&n) || n > s.remaining() / 8) {
     return fail("implausible visit count");

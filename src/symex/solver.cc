@@ -286,7 +286,8 @@ Verdict Solver::Check(ConstraintView path, const ExprRef* extra, Model* model,
 Verdict Solver::SolveComponents(Model* model, const Model* hint) {
   // The conjunction is sat iff every component is, and component models
   // merge without interference -- so each component is solved and cached on
-  // its own, and its model goes straight into `model`.
+  // its own, and its model is appended to `model`, which is sorted once at
+  // the end.
   bool any_unknown = false;
   uint32_t begin = 0;
   for (size_t g = 0; g < group_end_.size(); ++g) {
@@ -310,6 +311,9 @@ Verdict Solver::SolveComponents(Model* model, const Model* hint) {
       model->clear();
     }
     return Verdict::kUnknown;
+  }
+  if (model != nullptr) {
+    model->Canonicalize();
   }
   ++stats_.sat;
   return Verdict::kSat;
@@ -388,7 +392,7 @@ Verdict Solver::SolveGroupCached(std::span<Member> group, Model* model, const Mo
                                  Answer* answer) {
   auto merge = [model](const Model& m) {
     if (model != nullptr) {
-      model->insert(m.begin(), m.end());
+      model->Append(m);
     }
   };
   if (answer->gen == cache_gen_) {
@@ -638,12 +642,6 @@ Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Mode
   // (comparison/mask chains) converge in a handful of steps.
   CompiledComponent comp(constraints);
   const size_t n = constraints.size();
-  std::vector<std::vector<uint32_t>> con_consts(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::set<uint32_t> cs;
-    CollectConstants(constraints[i], &cs);
-    con_consts[i].assign(cs.begin(), cs.end());
-  }
 
   comp.Load(seed);
   std::vector<bool> sat(n);
@@ -656,6 +654,7 @@ Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Mode
     }
   }
 
+  std::vector<uint32_t> lanes;
   size_t best_unsat = unsat_list.size();
   size_t stagnant = 0;
   for (size_t iter = 0; iter < options_.repair_iters && !unsat_list.empty(); ++iter) {
@@ -675,35 +674,24 @@ Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Mode
     uint32_t slot = slots[rng_.Below(static_cast<uint32_t>(slots.size()))];
     const std::vector<uint32_t>& affected = comp.slot_constraints(slot);
 
+    // Gather the step's candidate values in order. `original` scores 0 and
+    // a repeat scores what its first occurrence did, so neither can beat
+    // the first strict maximum and only distinct new values get a lane;
+    // every candidate still counts as evaluated.
     uint32_t original = comp.slot_value(slot);
-    // Delta score of assigning `v`: newly-satisfied minus newly-violated
-    // among affected constraints. Leaves the slot at `v`; the commit below
-    // re-assigns it, so the node cache is consistent again afterwards.
-    auto delta_of = [&](uint32_t v) -> int64_t {
-      comp.Assign(slot, v);
-      stats_.evals += affected.size();
-      int64_t delta = 0;
-      for (uint32_t ci : affected) {
-        bool now = comp.value(ci) != 0;
-        delta += static_cast<int64_t>(now) - static_cast<int64_t>(sat[ci]);
-      }
-      return delta;
-    };
-
-    uint32_t best_value = original;
-    int64_t best_delta = 0;
+    lanes.clear();
+    size_t considered = 0;
     auto consider = [&](uint32_t v) {
       if (v == original) {
         return;
       }
-      int64_t d = delta_of(v);
-      if (d > best_delta) {
-        best_delta = d;
-        best_value = v;
+      ++considered;
+      if (std::find(lanes.begin(), lanes.end(), v) == lanes.end()) {
+        lanes.push_back(v);
       }
     };
     size_t budget = kCandidatesPerStep;
-    for (uint32_t k : con_consts[violated]) {
+    for (uint32_t k : comp.constants(violated)) {
       if (budget == 0) {
         break;
       }
@@ -721,6 +709,23 @@ Verdict Solver::Search(const std::vector<ExprRef>& constraints, Model seed, Mode
     consider(0xFFFFFFFFu);
     consider(original ^ (1u << rng_.Below(32)));
     consider(rng_.Next32());
+    stats_.evals += considered * affected.size();
+
+    // Score every lane in one pass over the cone: the delta of a value is
+    // newly-satisfied minus newly-violated among the affected constraints.
+    comp.EvalLanes(slot, lanes);
+    uint32_t best_value = original;
+    int64_t best_delta = 0;
+    for (size_t l = 0; l < lanes.size(); ++l) {
+      int64_t delta = 0;
+      for (uint32_t ci : affected) {
+        delta += static_cast<int64_t>(comp.lane_value(ci, l) != 0) - static_cast<int64_t>(sat[ci]);
+      }
+      if (delta > best_delta) {
+        best_delta = delta;
+        best_value = lanes[l];
+      }
+    }
 
     uint32_t chosen = best_delta > 0 ? best_value
                       : (rng_.Below(2) == 0 ? original ^ (1u << rng_.Below(32))
@@ -758,6 +763,8 @@ void PutModel(trace::ByteWriter* w, const Model& model) {
   }
 }
 
+// Models are written in ascending symbol order; anything else (including a
+// repeated symbol) is rejected.
 bool GetModel(trace::ByteReader* r, Model* model) {
   uint32_t n;
   if (!r->U32(&n) || n > r->remaining() / 8) {  // 8 bytes per entry
@@ -765,10 +772,9 @@ bool GetModel(trace::ByteReader* r, Model* model) {
   }
   for (uint32_t k = 0; k < n; ++k) {
     uint32_t sym, value;
-    if (!r->U32(&sym) || !r->U32(&value)) {
+    if (!r->U32(&sym) || !r->U32(&value) || !model->PushBack(sym, value)) {
       return false;
     }
-    (*model)[sym] = value;
   }
   return true;
 }
@@ -839,7 +845,7 @@ bool Solver::DeserializeFrom(trace::ByteReader* r,
     }
     entry.verdict = static_cast<Verdict>(verdict);
     if (!GetModel(r, &entry.model)) {
-      return fail("truncated solver cache model");
+      return fail("truncated or unordered solver cache model");
     }
     // The entry's canonical order was preserved verbatim, so the recomputed
     // fingerprint (over structural node hashes) matches the source solver's.
@@ -854,7 +860,7 @@ bool Solver::DeserializeFrom(trace::ByteReader* r,
   for (uint32_t k = 0; k < n_shelf; ++k) {
     Model m;
     if (!GetModel(r, &m)) {
-      return fail("truncated solver shelf model");
+      return fail("truncated or unordered solver shelf model");
     }
     shelf.push_back(std::move(m));
   }

@@ -9,8 +9,13 @@
 //   2. candidate enumeration over constants harvested from the constraints
 //      covers small multi-variable systems;
 //   3. guided random/local search is the fallback. It runs on a
-//      CompiledComponent (expr.h), so a candidate value re-evaluates only
-//      the nodes that depend on the changed variable.
+//      CompiledComponent (expr.h): a repair step gathers its candidate
+//      values (in a fixed order, with fixed rng draws), drops the current
+//      value and repeats -- neither can win the strict-maximum pick -- and
+//      scores the rest in one lane-major pass over the nodes that depend
+//      on the changed variable (EvalLanes). A violated constraint's
+//      candidate constants are read off the compiled node array the first
+//      time the search picks it.
 //
 // Two KLEE-style layers sit in front of that pipeline:
 //   - Constraint independence: the conjunction is partitioned into
@@ -22,8 +27,11 @@
 //     to a copy of the path, the union-find runs over flat tables reused
 //     by every query (symbol -> first constraint, root -> component), and
 //     a component is a list of pointers into the caller's constraints until
-//     a miss stores a copy. A hit costs one fingerprint, one lookup and the
-//     insertion of the cached model straight into the caller's model.
+//     a miss stores a copy. A hit costs one fingerprint, one lookup and
+//     appending the cached model to the caller's model. A Model (expr.h)
+//     is one sorted vector of (symbol, value) pairs, so a query sorts its
+//     appended component models once at the end instead of inserting node
+//     by node.
 //     MayBeTrueBoth asks both polarities of a branch over one partition;
 //     the second query looks up only the component its condition joins and
 //     reuses the first query's hits while no cache entry has changed. Sound
@@ -187,8 +195,8 @@ class Solver {
   Verdict SolveGroup(const std::vector<ExprRef>& constraints, Model* model, const Model* hint);
   // SolveGroup behind the fingerprint cache and the model shelf, answered
   // from `answer` while it is current. Sorts `group` into canonical order;
-  // on kSat merges the component's model into `model` (when non-null);
-  // records a definite cached verdict in `answer`.
+  // on kSat appends the component's model to `model` (when non-null; the
+  // caller canonicalizes it); records a definite cached verdict in `answer`.
   Verdict SolveGroupCached(std::span<Member> group, Model* model, const Model* hint,
                            Answer* answer);
   Verdict Search(const std::vector<ExprRef>& constraints, Model seed, Model* model);

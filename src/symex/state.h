@@ -38,8 +38,11 @@ class ExecutionState {
   }
 
   // Forks a copy with a fresh id; memory pages are shared COW.
-  std::unique_ptr<ExecutionState> Fork(uint64_t new_id) const {
-    return std::unique_ptr<ExecutionState>(new ExecutionState(*this, new_id));
+  std::unique_ptr<ExecutionState> Fork(uint64_t new_id) const { return Fork(new_id, model_); }
+  // Forks a copy that takes `model` as its cached model instead of copying
+  // the parent's (a branch fork already has its own).
+  std::unique_ptr<ExecutionState> Fork(uint64_t new_id, Model model) const {
+    return std::unique_ptr<ExecutionState>(new ExecutionState(*this, new_id, std::move(model)));
   }
 
   uint64_t id() const { return id_; }
@@ -113,13 +116,13 @@ class ExecutionState {
   void set_call_depth(int depth) { call_depth_ = depth; }
 
  private:
-  ExecutionState(const ExecutionState& other, uint64_t new_id)
+  ExecutionState(const ExecutionState& other, uint64_t new_id, Model model)
       : id_(new_id),
         regs_(other.regs_),
         pc_(other.pc_),
         mem_(other.mem_),
         constraints_(other.constraints_),
-        model_(other.model_),
+        model_(std::move(model)),
         status_(other.status_),
         blocks_executed_(other.blocks_executed_),
         visits_(other.visits_),

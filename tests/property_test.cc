@@ -12,7 +12,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "isa/assembler.h"
@@ -673,7 +676,228 @@ TEST_P(CompiledEvalProperty, SearchModelsKeepTheSeedKeySet) {
   EXPECT_GT(searched, 0);
 }
 
+// Search scores a repair step's candidate values with one EvalLanes pass
+// over the slot's cone instead of one Assign per value. Every lane must
+// equal what Assign of that value computes for each constraint mentioning
+// the slot -- with repeated values, values equal to the current one, and
+// zero lanes -- and EvalLanes must leave the assignment and node cache as
+// they were. Constraints() is the catalogue FullEvaluationMatchesEval
+// checks for every kind, operator, width, SExt source and shared subtree.
+TEST_P(CompiledEvalProperty, EvalLanesMatchesPerCandidateAssign) {
+  Rng rng(GetParam() * 15485863);
+  symex::ExprContext ctx;
+  WidthDag dag(&ctx, &rng);
+  std::vector<symex::ExprRef> constraints = dag.Constraints(24);
+  symex::CompiledComponent comp(constraints);
+  symex::CompiledComponent probe(constraints);
+  symex::Model model = dag.RandomModel();
+  comp.Load(model);
+  const auto num_slots = static_cast<uint32_t>(comp.num_slots());
+  for (int step = 0; step < 80; ++step) {
+    const uint32_t slot = rng.Below(num_slots);
+    const uint32_t original = comp.slot_value(slot);
+    std::vector<uint32_t> lanes(rng.Below(40));
+    for (size_t l = 0; l < lanes.size(); ++l) {
+      switch (rng.Below(4)) {
+        case 0:
+          lanes[l] = l > 0 ? lanes[rng.Below(static_cast<uint32_t>(l))] : original;  // a repeat
+          break;
+        case 1:
+          lanes[l] = original;
+          break;
+        default:
+          lanes[l] = dag.RandomSlotValue();
+          break;
+      }
+    }
+    std::vector<uint32_t> before(constraints.size());
+    for (size_t ci = 0; ci < constraints.size(); ++ci) {
+      before[ci] = comp.value(ci);
+    }
+    comp.EvalLanes(slot, lanes);
+    ASSERT_EQ(comp.slot_value(slot), original);
+    for (size_t ci = 0; ci < constraints.size(); ++ci) {
+      ASSERT_EQ(comp.value(ci), before[ci]) << "step " << step << " constraint " << ci;
+    }
+    probe.Load(model);
+    for (size_t l = 0; l < lanes.size(); ++l) {
+      probe.Assign(slot, lanes[l]);
+      for (uint32_t ci : comp.slot_constraints(slot)) {
+        ASSERT_EQ(comp.lane_value(ci, l), probe.value(ci))
+            << "step " << step << " lane " << l << ": " << symex::ToString(constraints[ci]);
+      }
+    }
+    // Commit one value, as the search does, so later steps start elsewhere.
+    const uint32_t chosen = lanes.empty()
+                                ? dag.RandomSlotValue()
+                                : lanes[rng.Below(static_cast<uint32_t>(lanes.size()))];
+    comp.Assign(slot, chosen);
+    model[comp.slot_sym(slot)] = chosen;
+  }
+}
+
+// Search reads a violated constraint's candidate constants off the node
+// array the first time it picks that constraint; CollectConstants is the
+// reference. Constraints are asked in random order, some twice.
+TEST_P(CompiledEvalProperty, ConstantsMatchCollectConstants) {
+  Rng rng(GetParam() * 32452843);
+  symex::ExprContext ctx;
+  WidthDag dag(&ctx, &rng);
+  std::vector<symex::ExprRef> constraints = dag.Constraints(24);
+  symex::CompiledComponent comp(constraints);
+  std::vector<size_t> order(constraints.size());
+  std::iota(order.begin(), order.end(), 0);
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.Below(static_cast<uint32_t>(i))]);
+  }
+  order.insert(order.end(), order.begin(), order.begin() + static_cast<long>(order.size() / 2));
+  for (size_t ci : order) {
+    std::set<uint32_t> want;
+    symex::CollectConstants(constraints[ci], &want);
+    ASSERT_EQ(comp.constants(ci), std::vector<uint32_t>(want.begin(), want.end()))
+        << symex::ToString(constraints[ci]);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CompiledEvalProperty, ::testing::Range<uint64_t>(1, 9));
+
+// ---- flat Model (symex::Model) ----
+//
+// Model is a sorted vector of (symbol, value) pairs standing in for the
+// std::map it replaced. Random operation sequences over a small symbol
+// universe (so symbols collide) must leave it equal to a std::map reference
+// after every step: operator[] writes and reads, keep-first range insert,
+// the solver's append-then-canonicalize merge of disjoint or overlapping
+// runs, the decoders' PushBack, and find/count/at. The result must also
+// survive the RSS1 state section's serialize -> deserialize round trip.
+using ModelReference = std::map<uint32_t, uint32_t>;
+
+bool SameAsReference(const symex::Model& m, const ModelReference& ref) {
+  return std::equal(m.begin(), m.end(), ref.begin(), ref.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first && x.second == y.second;
+                    });
+}
+
+class FlatModelProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FlatModelProperty, MatchesAStdMapReference) {
+  Rng rng(GetParam() * 49979687);
+  symex::Model m;
+  ModelReference ref;
+  auto sym = [&] { return rng.Below(48); };
+  auto random_pairs = [&](bool ascending) {
+    std::vector<std::pair<uint32_t, uint32_t>> pairs(rng.Below(12));
+    for (auto& p : pairs) {
+      p = {sym(), rng.Next32()};
+    }
+    if (ascending) {  // a component model: sorted, each symbol once
+      std::sort(pairs.begin(), pairs.end());
+      pairs.erase(std::unique(pairs.begin(), pairs.end(),
+                              [](const auto& x, const auto& y) { return x.first == y.first; }),
+                  pairs.end());
+    }
+    return pairs;
+  };
+  for (int op = 0; op < 400; ++op) {
+    switch (rng.Below(7)) {
+      case 0: {
+        uint32_t s = sym();
+        uint32_t v = rng.Next32();
+        m[s] = v;
+        ref[s] = v;
+        break;
+      }
+      case 1: {  // a read through operator[] maps the symbol to 0
+        uint32_t s = sym();
+        ASSERT_EQ(m[s], ref[s]);
+        break;
+      }
+      case 2: {
+        auto pairs = random_pairs(/*ascending=*/false);
+        m.insert(pairs.begin(), pairs.end());
+        ref.insert(pairs.begin(), pairs.end());
+        break;
+      }
+      case 3: {  // the solver's merge: append runs, canonicalize once
+        symex::Model merged;
+        ModelReference merged_ref;
+        for (uint32_t run = rng.Below(5); run > 0; --run) {
+          auto pairs = random_pairs(/*ascending=*/true);
+          symex::Model part;
+          for (const auto& [s, v] : pairs) {
+            part[s] = v;
+          }
+          merged.Append(part);
+          merged_ref.insert(pairs.begin(), pairs.end());
+        }
+        merged.Canonicalize();
+        ASSERT_TRUE(SameAsReference(merged, merged_ref));
+        m = std::move(merged);
+        ref = std::move(merged_ref);
+        break;
+      }
+      case 4:
+        for (uint32_t s = 0; s < 48; ++s) {
+          auto it = m.find(s);
+          auto rit = ref.find(s);
+          ASSERT_EQ(m.count(s), ref.count(s));
+          ASSERT_EQ(it == m.end(), rit == ref.end());
+          if (rit == ref.end()) {
+            EXPECT_THROW((void)m.at(s), std::out_of_range);
+          } else {
+            ASSERT_EQ(it->second, rit->second);
+            ASSERT_EQ(m.at(s), rit->second);
+          }
+        }
+        break;
+      case 5: {  // the decoders' append: only above every mapped symbol
+        uint32_t s = sym();
+        uint32_t v = rng.Next32();
+        bool above = ref.empty() || ref.rbegin()->first < s;
+        ASSERT_EQ(m.PushBack(s, v), above);
+        if (above) {
+          ref[s] = v;
+        }
+        break;
+      }
+      default:
+        if (rng.Below(8) == 0) {
+          m.clear();
+          ref.clear();
+        }
+        break;
+    }
+    ASSERT_TRUE(SameAsReference(m, ref)) << "op " << op;
+    // The same pairs written by operator[] in any symbol order compare equal.
+    symex::Model rebuilt;
+    std::vector<std::pair<uint32_t, uint32_t>> shuffled(ref.begin(), ref.end());
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.Below(static_cast<uint32_t>(i))]);
+    }
+    for (const auto& [s, v] : shuffled) {
+      rebuilt[s] = v;
+    }
+    ASSERT_TRUE(rebuilt == m) << "op " << op;
+  }
+
+  symex::ExprContext ctx;
+  vm::MemoryMap base(1 << 16);
+  symex::ExecutionState st(7, &ctx, &base);
+  st.model() = m;
+  symex::SnapshotWriter writer;
+  symex::WriteStateSections(&writer, st);
+  std::vector<uint8_t> bytes = writer.Finish(ctx);
+  symex::ExprContext ctx2;
+  symex::SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Init(bytes, &ctx2, &error)) << error;
+  std::unique_ptr<symex::ExecutionState> st2;
+  ASSERT_TRUE(symex::ReadStateSections(reader, &ctx2, &base, &st2, &error)) << error;
+  EXPECT_TRUE(SameAsReference(st2->model(), ref));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlatModelProperty, ::testing::Range<uint64_t>(1, 9));
 
 // ---- constraint-independence partition (Solver::CheckSat) ----
 //

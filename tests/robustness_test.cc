@@ -6,7 +6,9 @@
 // `sanitize` ctest label (CMakeLists.txt), so ASan/UBSan CI runs the sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -220,6 +222,106 @@ TEST(SnapshotRobustness, WrongMagicAndVersionRejected) {
   std::vector<uint8_t> bad_version = blob;
   bad_version[4] += 1;
   EXPECT_FALSE(TryParseSnapshot(bad_version));
+}
+
+// ---- model decoders require strictly ascending symbols ----
+//
+// A model is a sorted vector, so an out-of-order entry would cost a shift
+// per insert and a crafted blob could make decoding quadratic. Every writer
+// emits ascending symbols; both decoders (the solver's cache and shelf
+// models, and the RSS1 state model) reject a descending pair or a repeated
+// symbol instead.
+
+enum class ModelOrder { kAscending, kDescending, kDuplicate };
+
+// The two model entries (0x5EC0001, 0xA1), (0x5EC0002, 0xB2) in `order`.
+std::vector<uint8_t> ModelEntries(ModelOrder order) {
+  uint32_t s1 = 0x5EC0001, s2 = 0x5EC0002;
+  if (order == ModelOrder::kDescending) {
+    std::swap(s1, s2);
+  } else if (order == ModelOrder::kDuplicate) {
+    s2 = s1;
+  }
+  trace::ByteWriter w;
+  w.U32(s1);
+  w.U32(0xA1);
+  w.U32(s2);
+  w.U32(0xB2);
+  return w.Take();
+}
+
+// A serialized solver whose only model sits in a cache entry or on the
+// shelf.
+bool SolverDecodes(ModelOrder order, bool on_shelf) {
+  symex::ExprContext ctx;
+  symex::ExprRef c = ctx.Eq(ctx.Sym("v"), ctx.Const(3));
+  std::vector<uint8_t> entries = ModelEntries(order);
+  trace::ByteWriter w;
+  w.U64(1);                // rng state
+  w.U32(on_shelf ? 0 : 1);  // cache entries
+  if (!on_shelf) {
+    w.U32(1);  // constraints
+    w.U32(0);  // expr id
+    w.U8(static_cast<uint8_t>(symex::Verdict::kSat));
+    w.U32(2);
+    w.Raw(entries.data(), entries.size());
+  }
+  w.U32(on_shelf ? 1 : 0);  // shelf models
+  if (on_shelf) {
+    w.U32(2);
+    w.Raw(entries.data(), entries.size());
+  }
+  std::vector<uint8_t> bytes = w.Take();
+  trace::ByteReader r(bytes);
+  symex::Solver solver;
+  std::string error;
+  bool ok = solver.DeserializeFrom(
+      &r,
+      [&c](uint32_t id, symex::ExprRef* out) {
+        *out = c;
+        return id == 0;
+      },
+      &error);
+  EXPECT_EQ(ok, error.empty()) << error;
+  return ok;
+}
+
+TEST(ModelDecoderRobustness, SolverModelsMustAscend) {
+  for (bool on_shelf : {false, true}) {
+    EXPECT_TRUE(SolverDecodes(ModelOrder::kAscending, on_shelf)) << "shelf " << on_shelf;
+    EXPECT_FALSE(SolverDecodes(ModelOrder::kDescending, on_shelf)) << "shelf " << on_shelf;
+    EXPECT_FALSE(SolverDecodes(ModelOrder::kDuplicate, on_shelf)) << "shelf " << on_shelf;
+  }
+}
+
+TEST(ModelDecoderRobustness, StateModelMustAscend) {
+  symex::ExprContext ctx;
+  vm::MemoryMap base(1 << 16);
+  symex::ExecutionState st(1, &ctx, &base);
+  st.model()[0x5EC0001] = 0xA1;
+  st.model()[0x5EC0002] = 0xB2;
+  symex::SnapshotWriter writer;
+  symex::WriteStateSections(&writer, st);
+  const std::vector<uint8_t> blob = writer.Finish(ctx);
+  const std::vector<uint8_t> written = ModelEntries(ModelOrder::kAscending);
+  auto at = std::search(blob.begin(), blob.end(), written.begin(), written.end());
+  ASSERT_NE(at, blob.end());
+  for (ModelOrder order : {ModelOrder::kAscending, ModelOrder::kDescending,
+                           ModelOrder::kDuplicate}) {
+    std::vector<uint8_t> bytes = blob;
+    std::vector<uint8_t> entries = ModelEntries(order);
+    std::copy(entries.begin(), entries.end(), bytes.begin() + (at - blob.begin()));
+    symex::ExprContext ctx2;
+    symex::SnapshotReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.Init(bytes, &ctx2, &error)) << error;
+    std::unique_ptr<symex::ExecutionState> restored;
+    bool ok = symex::ReadStateSections(reader, &ctx2, &base, &restored, &error);
+    EXPECT_EQ(ok, order == ModelOrder::kAscending) << static_cast<int>(order) << ": " << error;
+    if (!ok) {
+      EXPECT_EQ(error, "model symbols out of order");
+    }
+  }
 }
 
 TEST(CheckpointRobustness, TruncatedCheckpointsRejected) {
