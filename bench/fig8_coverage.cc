@@ -18,10 +18,6 @@
 //                          PR 8 tentpole) -- shorter critical path, byte-
 //                          identical for every K >= 1. 0 (default) =
 //                          whole-step fan-out.
-//   --dist-workers=N       run fan-out tasks on N forked worker processes
-//                          (RDP1 over socketpairs); byte-identical to the
-//                          in-process modes, with in-process failover on any
-//                          worker failure. 0 (default) = in-process.
 //   --fleet=N              size the batch fleet (the PR 10 tentpole) to N
 //                          lanes instead of the thread count; with threads
 //                          at 1 the drivers run parallel-class on it.
@@ -67,8 +63,6 @@ int main(int argc, char** argv) {
       }
     } else if (strncmp(argv[i], "--sub-shards=", 13) == 0) {
       plan.sub_shards = static_cast<unsigned>(atoi(argv[i] + 13));
-    } else if (strncmp(argv[i], "--dist-workers=", 15) == 0) {
-      plan.worker_processes = static_cast<unsigned>(atoi(argv[i] + 15));
     } else if (strncmp(argv[i], "--fleet=", 8) == 0) {
       plan.fleet = static_cast<unsigned>(atoi(argv[i] + 8));
     } else if (strcmp(argv[i], "--no-steal") == 0) {
@@ -123,9 +117,8 @@ int main(int argc, char** argv) {
   double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   printf("(batch: %zu drivers on %u job threads, exercise-threads=%u, sub-shards=%u, "
-         "dist-workers=%u, wall %.1fs)\n",
-         batch.jobs.size(), batch.concurrency, plan.threads, plan.sub_shards,
-         plan.worker_processes, wall_s);
+         "wall %.1fs)\n",
+         batch.jobs.size(), batch.concurrency, plan.threads, plan.sub_shards, wall_s);
   if (batch.fleet_used) {
     printf("(fleet: workers=%u steal=%s tasks=%u real-steals=%u makespan-model=%llu)\n",
            batch.fleet.workers, batch.fleet.steal ? "on" : "off", batch.fleet.tasks,

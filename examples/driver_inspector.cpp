@@ -46,9 +46,6 @@ void PrintUsage(const char* argv0) {
          "  --sub-shards <k>     split each exercise step across k deterministic\n"
          "                       sub-partitions (0 = whole-step fan-out;\n"
          "                       byte-identical for every k >= 1)\n"
-         "  --dist-workers <n>   run fan-out tasks on n forked worker processes\n"
-         "                       (0 = in-process; byte-identical either way,\n"
-         "                       worker failures fail over in-process)\n"
          "  --fleet <n>          schedule fan-out tasks on an n-lane fleet\n"
          "                       scheduler (longest-chain-first queue, work\n"
          "                       stealing; byte-identical for every n)\n"
@@ -111,8 +108,6 @@ int main(int argc, char** argv) {
       plan.threads = static_cast<unsigned>(atoi(value("--exercise-threads")));
     } else if (strcmp(argv[i], "--sub-shards") == 0) {
       plan.sub_shards = static_cast<unsigned>(atoi(value("--sub-shards")));
-    } else if (strcmp(argv[i], "--dist-workers") == 0) {
-      plan.worker_processes = static_cast<unsigned>(atoi(value("--dist-workers")));
     } else if (strcmp(argv[i], "--fleet") == 0) {
       plan.fleet = static_cast<unsigned>(atoi(value("--fleet")));
       if (plan.fleet >= 1 && plan.threads == 1) {

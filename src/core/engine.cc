@@ -8,7 +8,6 @@
 
 #include "core/fanout.h"
 #include "core/fleet.h"
-#include "dist/coordinator.h"
 #include "isa/isa.h"
 #include "symex/coverage.h"
 #include "symex/executor.h"
@@ -103,7 +102,7 @@ StepKnobs SpineStepKnobs(const EngineConfig& c) {
 // reaches via its survivor chain. Sub-shard tasks keep the config's knobs:
 // each enumerated root gets the full per-step gating to itself, so the
 // doubling would multiply, not recover, work. Computed from the config alone
-// so in-process fleet lanes and forked dist workers derive identical knobs.
+// so every task of a step derives identical knobs.
 StepKnobs FanoutFullKnobs(const EngineConfig& c, uint32_t sub_shards) {
   StepKnobs k = StepKnobs::Of(c);
   if (sub_shards == 0) {
@@ -659,11 +658,11 @@ struct Engine::Impl {
     return s;
   }
 
-  // The executed plan: the script minus disabled IRQ steps, with fault-plan
-  // IRQ perturbations applied. Shaping is keyed by the IRQ step's ordinal via
-  // the cursor-independent PlanIrqDecision, so every replica -- spine,
-  // restored fan-out task, lockstep-oracle replica -- builds the identical
-  // plan regardless of how far its fault cursor has advanced.
+  // The executed plan: the script with fault-plan IRQ perturbations
+  // applied. Shaping is keyed by the IRQ step's ordinal via the
+  // cursor-independent PlanIrqDecision, so every replica -- spine, restored
+  // fan-out task, lockstep-oracle replica -- builds the identical plan
+  // regardless of how far its fault cursor has advanced.
   std::vector<Step> BuildPlan() {
     std::vector<Step> script = BuildScript();
     std::vector<Step> plan;
@@ -671,9 +670,6 @@ struct Engine::Impl {
     std::vector<Step> delayed;  // kDelay stash: lands after the next step
     uint32_t irq_ordinal = 0;
     for (Step& step : script) {
-      if (step.is_irq && !config.inject_irqs) {
-        continue;
-      }
       if (step.is_irq) {
         switch (hw::FaultSchedule::PlanIrqDecision(config.plan.faults, irq_ordinal++)) {
           case hw::IrqFault::kDrop:
@@ -1121,11 +1117,9 @@ struct Engine::Impl {
   // Runs one fan-out task -- a (step, sub-shard) pair -- start to finish:
   // builds the replica substrate(s), restores the step's RSS1 snapshot into
   // each, explores, and returns the sliced segment slot(s). This is the
-  // ONE task body: in-process fleet lanes call it directly and forked
-  // dist workers call it on the deserialized work item, so the two modes are
-  // byte-identical by construction. `live`/`gwork`/`gfaults` are the
-  // coordinator's monitoring hooks (null in a worker process -- monitoring
-  // there is coordinator-side, on result receipt).
+  // ONE task body every fleet lane runs, whichever lane (home or stolen)
+  // picks the task up. `live`/`gwork`/`gfaults` are the run's monitoring
+  // hooks (null under Engine::ExecuteFanoutTask).
   static FanoutTaskResult RunFanoutTask(const isa::Image& image, const EngineConfig& cfg,
                                         const FanoutTask& task,
                                         const std::vector<uint8_t>& snapshot,
@@ -1335,9 +1329,8 @@ struct Engine::Impl {
       };
     }
 
-    // The effective plan was resolved by the Engine ctor; every replica and
-    // worker derives its knobs (FanoutFullKnobs) from the same config, so
-    // the byte-identity guarantee spans process boundaries too.
+    // The effective plan was resolved by the Engine ctor; every replica
+    // derives its knobs (FanoutFullKnobs) from the same config.
     const ExercisePlan plan = config.plan;
     const uint32_t sub_shards = plan.sub_shards;
     StepKnobs spine_knobs = SpineStepKnobs(config);
@@ -1377,58 +1370,28 @@ struct Engine::Impl {
     uint64_t sum_enum = 0;
     uint64_t restore_failures = 0;
     size_t first_failed_step = steps_total;
-    uint32_t failovers = 0;
-    uint32_t workers_forked = 0;
     uint32_t fleet_workers = 0;
     uint32_t fleet_steals = 0;
-    uint64_t handoff_bytes = 0;
-    uint64_t snap_shipped = 0;
-    uint64_t snap_reused = 0;
     // A RunBatch-injected shared fleet wins; otherwise the run builds a
-    // private single-job fleet (below, after the worker pool forks) and is
-    // job 0 of it and of its one-entry worker job table.
+    // private single-job fleet (below) and is job 0 of it.
     FleetScheduler* fleet = config.fleet;
     const uint32_t job = fleet != nullptr ? config.fleet_job : 0;
     if (!merged.cancelled) {
-      // Multi-process mode: fork the worker pool BEFORE the fleet's worker
-      // threads start (forking a threaded process is fragile; the spine ran
-      // on this thread, so this is the quietest point of the run -- though
-      // callers like RunBatch may hold outer threads, which is why every
-      // exchange has a deadline and an in-process failover; see
-      // src/dist/README.md). Hooks do not cross the fork, so workers never
-      // observe a cancel -- a cancelled multi-process run drains without a
-      // byte pin, exactly like today's cancelled runs.
-      std::unique_ptr<dist::WorkerPool> wpool;
-      if (fleet == nullptr && plan.worker_processes >= 1) {
-        wpool = ForkFanoutWorkers({{&image, config}}, plan.worker_processes);
-      }
-      // Under a batch fleet, a job that asked for worker processes uses the
-      // batch's shared pool; an in-process job stays in process.
-      dist::WorkerPool* dpool = wpool.get();
-      if (fleet != nullptr && plan.worker_processes >= 1) {
-        dpool = fleet->dist();
-      }
-      workers_forked = dpool != nullptr ? dpool->alive() : 0;
-      // Private single-job fleet (standalone run): built AFTER the pool
-      // forks -- fork-from-threads stays off the menu.
+      // Private single-job fleet (standalone run).
       std::unique_ptr<FleetScheduler> own_fleet;
       if (fleet == nullptr) {
         FleetScheduler::Options fopts;
         fopts.workers = FleetLanes(plan);
         fopts.steal = plan.steal;
-        fopts.dist_pool = dpool;
         own_fleet = std::make_unique<FleetScheduler>(fopts);
         fleet = own_fleet.get();
       }
 
       // The fan-out item body every fleet task closure runs: snapshot
-      // selection, dist dispatch with in-process failover, and canonical
-      // result recording are independent of the lane (or the job's steal)
-      // that executes it -- the whole byte-identity argument for the
-      // fleet. `scratch` is the worker's reusable serialization buffer.
-      auto run_item = [&](size_t step, uint32_t shard,
-                          std::vector<uint8_t>* scratch) -> uint64_t {
-        FanoutTask task{step, shard, sub_shards};
+      // selection and canonical result recording are independent of the
+      // lane (or the job's steal) that executes it -- the whole
+      // byte-identity argument for the fleet.
+      auto run_item = [&](size_t step, uint32_t shard) -> uint64_t {
         // The task starts step k with the spine coverage of steps 0..k-1 in
         // its restored `covered` set, so the no-progress gating skips
         // re-exploring those paths -- the same baseline the sequential
@@ -1437,50 +1400,16 @@ struct Engine::Impl {
         // blocks only later steps touch, breaking the +/-0.5% parity bar.)
         std::vector<uint8_t> local_snapshot;
         const std::vector<uint8_t>* snapshot = &snapshots[step];
-        if (sub_shards == 0 && dpool == nullptr) {
+        if (sub_shards == 0) {
           // Single consumer per step: moving the blob out frees it as the
           // fan-out progresses instead of holding all S of them until the
-          // last task finishes. (The step's K tasks and the dist failover
-          // path share one snapshot; the pool stays alive until the
-          // fan-out ends.)
+          // last task finishes. (A step's K sub-shard tasks share one
+          // snapshot.)
           local_snapshot = std::move(snapshots[step]);
           snapshot = &local_snapshot;
         }
-        FanoutTaskResult r;
-        bool done = false;
-        if (dpool != nullptr && !shared.cancel.load(std::memory_order_relaxed)) {
-          // The snapshot travels as a context blob keyed by (job, step):
-          // Execute ships it only to a worker that doesn't hold it yet, so
-          // the step's other shards -- and stolen tasks on a warm worker --
-          // cost just the small kWork frame.
-          const std::string key = "j" + std::to_string(job) + "/s" + std::to_string(step);
-          SerializeFanoutWorkInto(job, task, key, scratch);
-          std::vector<uint8_t> reply;
-          std::string err;
-          bool shipped = false;
-          if (dpool->Execute(*scratch, &reply, &err, key, *snapshot, &shipped) &&
-              DeserializeFanoutResult(reply, &r, &err)) {
-            done = true;
-            // Monitoring: fold the worker's executed work into the live
-            // counter on receipt (workers have no shared-memory hooks).
-            shared.work.fetch_add(r.task_work, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(results_mu);
-            handoff_bytes += scratch->size();
-            (shipped ? snap_shipped : snap_reused) += snapshot->size();
-          } else {
-            // Worker crash / timeout / malformed reply: the shard fails
-            // over to in-process execution -- never the run -- and the
-            // merged bytes are unchanged (same task body, same inputs).
-            RLOG_WARN("dist task (step %zu, shard %u) failed over in-process: %s",
-                      step, shard, err.c_str());
-            std::lock_guard<std::mutex> lock(results_mu);
-            ++failovers;
-          }
-        }
-        if (!done) {
-          r = RunFanoutTask(image, cfg, task, *snapshot, &live, &shared.work,
-                            &shared.faults);
-        }
+        FanoutTaskResult r = RunFanoutTask(image, cfg, FanoutTask{step, shard, sub_shards},
+                                           *snapshot, &live, &shared.work, &shared.faults);
         const uint64_t executed = r.task_work;
         std::lock_guard<std::mutex> lock(results_mu);
         root_counts[step] = std::max(root_counts[step], r.root_count);
@@ -1511,17 +1440,14 @@ struct Engine::Impl {
           t.step = k;
           t.shard = s;
           t.estimate = est;
-          t.run = [&run_item, k, s](FleetScheduler::WorkerContext& wc) {
-            return run_item(k, s, &wc.scratch);
-          };
+          t.run = [&run_item, k, s] { return run_item(k, s); };
           ftasks.push_back(std::move(t));
         }
       }
       fleet->RunJobTasks(job, std::move(ftasks));
       fleet_workers = fleet->workers();
       fleet_steals = fleet->JobRealSteals(job);
-      // own_fleet (if any) joins its workers here, then wpool goes out of
-      // scope: kShutdown + reap before the merge.
+      // own_fleet (if any) joins its workers here, before the merge.
     }
 
     // ---- canonical merge, in step order ----
@@ -1687,26 +1613,20 @@ struct Engine::Impl {
       merged.parallel.critical_path = critical;
       merged.parallel.enum_work = sum_enum;
       merged.parallel.tasks = static_cast<uint32_t>(total_tasks);
-      merged.parallel.worker_processes = workers_forked;
-      merged.parallel.failovers = failovers;
       merged.parallel.fleet_workers = fleet_workers;
       merged.parallel.fleet_steals = fleet_steals;
-      merged.parallel.handoff_bytes = handoff_bytes;
-      merged.parallel.snapshot_bytes_shipped = snap_shipped;
-      merged.parallel.snapshot_bytes_reused = snap_reused;
       // A shared fleet's owner (RunBatch) prints one batch-level block.
       if (config.fleet == nullptr && getenv("REVNIC_PARALLEL_STATS") != nullptr) {
         fprintf(stderr,
-                "[parallel-exercise] sub-shards=%u workers=%u "
+                "[parallel-exercise] sub-shards=%u "
                 "fleet=%u steals=%u spine=%llu work, "
                 "enum-overhead=%llu, %u segments (sum=%llu max=%llu), tasks=%zu, "
-                "critical path=%llu (%.2fx vs serial merge), failovers=%u\n",
-                sub_shards, workers_forked, fleet_workers, fleet_steals,
+                "critical path=%llu (%.2fx vs serial merge)\n",
+                sub_shards, fleet_workers, fleet_steals,
                 (unsigned long long)spine_work, (unsigned long long)sum_enum, begun_slots,
                 (unsigned long long)sum_seg, (unsigned long long)max_seg, total_tasks,
                 (unsigned long long)critical,
-                critical == 0 ? 1.0 : (double)merged.stats.work / (double)critical,
-                failovers);
+                critical == 0 ? 1.0 : (double)merged.stats.work / (double)critical);
         if (config.plan.faults.Enabled()) {
           fprintf(stderr, "[parallel-exercise] %s\n",
                   hw::FormatFaultStats(merged.fault_stats).c_str());

@@ -65,21 +65,19 @@ struct EngineConfig {
     bool symbolic_return = true;   // e.g. a modeled register read
   };
   std::vector<FunctionModel> function_models;
-  // Symbolic interrupt injection after entry-point returns (§3.2 heuristic 3).
-  bool inject_irqs = true;
   // Registry keys visible to the driver during exercising.
   std::vector<std::pair<uint32_t, uint32_t>> registry = {
       {os::kCfgDuplexMode, 2}, {os::kCfgWakeOnLan, 1}, {os::kCfgLedMode, 3}};
   symex::StatePool::Options pool;
   uint64_t seed = 1;
   // How the exercise stage is parallelized and perturbed: output class and
-  // fleet lanes, intra-step sub-shards, worker processes, and the
-  // deterministic fault plan -- one struct (see core/exercise_plan.h).
-  // plan.threads == 1 with everything else at its default runs the legacy
-  // sequential exerciser, byte-for-byte. For a fixed seed the merged result
-  // is byte-identical across lane counts, sub-shard counts >= 1 and worker
-  // processes, clean and under faults (the fault schedule is a pure function
-  // of plan.faults; the cursor rides in RSS1 snapshots). plan.faults
+  // fleet lanes, intra-step sub-shards and the deterministic fault plan --
+  // one struct (see core/exercise_plan.h). plan.threads == 1 with
+  // everything else at its default runs the legacy sequential exerciser,
+  // byte-for-byte. For a fixed seed the merged result is byte-identical
+  // across lane counts and sub-shard counts >= 1, clean and under faults
+  // (the fault schedule is a pure function of plan.faults; the cursor rides
+  // in RSS1 snapshots). plan.faults
   // participates in the checkpoint config fingerprint. Removed knobs and
   // their replacements: migration table in src/core/README.md.
   ExercisePlan plan;
@@ -138,7 +136,7 @@ struct EngineStats {
 };
 static_assert(FieldListCovers<EngineStats>());
 
-// Parallel/distributed exercising diagnostics, populated whenever the staged
+// Parallel exercising diagnostics, populated whenever the staged
 // parallel architecture runs (ParallelClass(plan)). All figures are
 // deterministic work units, not wall-clock; REVNIC_PARALLEL_STATS=1 prints
 // them to stderr. Runtime diagnostic -- not serialized into checkpoints
@@ -150,16 +148,9 @@ struct ParallelExerciseStats {
   uint64_t critical_path = 0;       // spine_work + max_task_chain
   uint64_t enum_work = 0;           // sub-shard enumeration re-run overhead
   uint32_t tasks = 0;               // fan-out tasks dispatched (steps x shards)
-  uint32_t worker_processes = 0;    // workers the coordinator actually forked
-  uint32_t failovers = 0;           // shard tasks that fell back in-process
   // Fleet-scheduler figures.
   uint32_t fleet_workers = 0;       // lanes of the fleet the job's tasks used
   uint32_t fleet_steals = 0;        // tasks this job ran off their home lane
-  // Snapshot-handoff byte accounting (multi-process mode; zero in-process).
-  uint64_t handoff_bytes = 0;            // kWork payload bytes sent
-  uint64_t snapshot_bytes_shipped = 0;   // snapshot bytes that crossed the wire
-  uint64_t snapshot_bytes_reused = 0;    // snapshot bytes served from the
-                                         // worker's context cache instead
 };
 
 struct EngineResult {
@@ -199,7 +190,7 @@ struct EngineResult {
   uint64_t snapshot_restore_failures = 0;
   // Empty unless the run failed (see snapshot_restore_failures).
   std::string error;
-  // Parallel/distributed exercising diagnostics (all zero on the sequential
+  // Parallel exercising diagnostics (all zero on the sequential
   // path). Runtime diagnostic -- not serialized into checkpoints.
   ParallelExerciseStats parallel;
 
@@ -223,8 +214,7 @@ class Engine {
   // sub-shard roots. A snapshot that fails to restore yields no begun slot
   // and counts FanoutTaskResult::restore_failures -- there is no other way
   // to the start state. Stateless with respect to any Engine instance --
-  // this is the entry point the worker-process handler uses, and it is what
-  // makes a stolen task byte-identical to a home-lane one.
+  // which is what makes a stolen task byte-identical to a home-lane one.
   static FanoutTaskResult ExecuteFanoutTask(const isa::Image& image, const EngineConfig& config,
                                             const FanoutTask& task,
                                             const std::vector<uint8_t>& snapshot);

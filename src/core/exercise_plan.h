@@ -3,14 +3,12 @@
 //
 // Parallel exercising grew knob by knob -- `EngineConfig::exercise_threads`
 // (PR 3), the fault plan (PR 6), `BatchOptions::thread_budget` -- and the
-// coordinator/worker split doubles the surface again (sub-shards, worker
-// processes). Instead of extending the scatter, every dimension now lives in
-// this one struct:
+// sub-shard split would have grown it again. Instead of extending the
+// scatter, every dimension lives in this one struct:
 //
 //   core::ExercisePlan plan;
 //   plan.threads = 4;            // parallel class, 4 fleet lanes
 //   plan.sub_shards = 4;         // split heavy steps into K pool partitions
-//   plan.worker_processes = 2;   // hand shard tasks to forked workers (RDP1)
 //   plan.faults = my_fault_plan;
 //   config.plan = plan;
 //
@@ -23,12 +21,11 @@
 // ParallelClass() below, the one predicate the engine, RunBatch and the
 // checkpoint-store fingerprint share. Within a class every plan with the
 // same seed produces byte-identical merged results -- across lane counts,
-// sub-shard counts >= 1 and worker-process counts, clean and under faults.
-// Every parallel-class fan-out task runs on a core::FleetScheduler
-// (core/fleet.h) and starts from the RSS1 snapshot the spine captured at its
-// step boundary -- the one handoff there is. The determinism argument
-// lives in src/symex/README.md; src/dist/README.md covers the wire protocol
-// and failover semantics of the multi-process mode.
+// fleet sizes, stealing on/off and sub-shard counts >= 1, clean and under
+// faults. Every parallel-class fan-out task runs in process on a
+// core::FleetScheduler lane (core/fleet.h) and starts from the RSS1 snapshot
+// the spine captured at its step boundary -- the one handoff there is. The
+// determinism argument lives in src/symex/README.md.
 #ifndef REVNIC_CORE_EXERCISE_PLAN_H_
 #define REVNIC_CORE_EXERCISE_PLAN_H_
 
@@ -41,7 +38,7 @@ namespace revnic::core {
 
 struct ExercisePlan {
   // 1 (default) = the legacy sequential exerciser, byte-for-byte -- unless
-  // sub_shards or worker_processes engage the parallel architecture below.
+  // sub_shards engages the parallel architecture below.
   // Any other value selects the parallel class and, unless `fleet` is set,
   // the fan-out lane count; 0 = size the lanes for the hardware (and, under
   // RunBatch with a batch-level plan, inherit the batch template). The
@@ -57,14 +54,6 @@ struct ExercisePlan {
   // routes root ownership; each root explores in an isolated replica), but
   // K = 0 and K >= 1 are distinct exploration shapes with distinct bytes.
   unsigned sub_shards = 0;
-  // Multi-process exercising: 0 (default) runs every fan-out task in
-  // process. N >= 1 forks N worker processes at fan-out start and hands
-  // (snapshot, sub-shard) work items to them over the "RDP1" framed protocol
-  // (src/dist/). A worker crash, timeout, or malformed reply fails the shard
-  // over to in-process execution -- never the run -- and the merged bytes
-  // are identical either way (the workers run the exact in-process task
-  // code on serialized inputs).
-  unsigned worker_processes = 0;
   // Deterministic fault injection at the shell-device boundary (register
   // read-back corruption, DMA stall/bus-error poisoning, perturbed scripted
   // IRQs). Disabled by default. See src/hw/README.md.
@@ -90,19 +79,17 @@ struct ExercisePlan {
 // every host, so the class -- and the checkpoint bytes -- are
 // machine-independent.
 inline bool ParallelClass(const ExercisePlan& plan) {
-  return plan.threads != 1 || plan.sub_shards >= 1 || plan.worker_processes >= 1;
+  return plan.threads != 1 || plan.sub_shards >= 1;
 }
 
 // Fleet lanes a parallel-class plan asks for: plan.fleet if set, else
-// plan.threads (0 = hardware concurrency), and never fewer than
-// worker_processes -- a lane blocks while its task runs on a worker
-// process, so fewer lanes would leave workers idle.
+// plan.threads (0 = hardware concurrency).
 inline unsigned FleetLanes(const ExercisePlan& plan) {
   unsigned lanes = plan.fleet != 0 ? plan.fleet : plan.threads;
   if (lanes == 0) {
     lanes = std::max(1u, std::thread::hardware_concurrency());
   }
-  return std::max(lanes, plan.worker_processes);
+  return lanes;
 }
 
 }  // namespace revnic::core

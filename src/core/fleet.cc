@@ -83,7 +83,6 @@ uint32_t FleetScheduler::JobRealSteals(uint32_t job) const {
 }
 
 void FleetScheduler::WorkerLoop(unsigned lane) {
-  WorkerContext ctx;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     // Own lane first; with stealing on, an idle worker takes the globally
@@ -119,7 +118,7 @@ void FleetScheduler::WorkerLoop(unsigned lane) {
       ++real_steals_[task.job];
     }
     lock.unlock();
-    const uint64_t work = task.run ? task.run(ctx) : 0;
+    const uint64_t work = task.run ? task.run() : 0;
     lock.lock();
     works_.push_back(work);
     if (--outstanding_[task.job] == 0) {

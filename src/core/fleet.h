@@ -13,8 +13,8 @@
 // Determinism. Scheduling changes placement and timing, never results:
 // every fan-out task is a pure function of its RSS1 snapshot, and the
 // engine's canonical merge walks fixed (step, slot-ordinal) positions, so
-// merged checkpoints are byte-identical for every fleet size, stealing
-// on/off, in-process and multi-process (tests/dist_test.cc pins the grid).
+// merged checkpoints are byte-identical for every fleet size and stealing
+// on/off (tests/dist_test.cc pins the grid).
 //
 // Estimates come from the run's own spine: the engine seeds each task with
 // its spine step's measured work (recorded during the spine pass), split
@@ -39,10 +39,6 @@
 #include <thread>
 #include <vector>
 
-namespace revnic::dist {
-class WorkerPool;
-}
-
 namespace revnic::core {
 
 // Batch-level scheduling stats: what ran, plus one labelled model.
@@ -56,26 +52,13 @@ struct FleetBatchStats {
   uint64_t max_spine_work = 0;    // heaviest job spine
   uint64_t makespan = 0;          // model: LPT over task work, floored by the spine
   uint32_t real_steals = 0;       // live off-home executions (monitoring only)
-  uint32_t failovers = 0;         // dist tasks that fell back in-process
 };
 
 class FleetScheduler {
  public:
   struct Options {
-    unsigned workers = 1;  // in-process fleet worker threads
+    unsigned workers = 1;  // fleet worker threads
     bool steal = true;     // cross-job stealing when a lane idles
-    // Shared RDP1 worker pool (owned by the caller, e.g. RunBatch forks it
-    // before any thread starts); null = fully in-process. Task closures
-    // reach it via dist().
-    dist::WorkerPool* dist_pool = nullptr;
-  };
-
-  // Per-worker state handed to every task closure the worker runs. The
-  // scratch buffer is the one serialization buffer per worker for RSS1
-  // work-item handoff: closures serialize into it in place, so steady-state
-  // fan-out does no per-task payload reallocation.
-  struct WorkerContext {
-    std::vector<uint8_t> scratch;
   };
 
   // One fan-out unit. `run` executes on a fleet worker and returns the work
@@ -85,7 +68,7 @@ class FleetScheduler {
     uint64_t step = 0;
     uint32_t shard = 0;
     uint64_t estimate = 1;
-    std::function<uint64_t(WorkerContext&)> run;
+    std::function<uint64_t()> run;
   };
 
   explicit FleetScheduler(const Options& options);
@@ -105,13 +88,10 @@ class FleetScheduler {
   // Live off-home executions charged to this job so far (monitoring only).
   uint32_t JobRealSteals(uint32_t job) const;
 
-  dist::WorkerPool* dist() const { return options_.dist_pool; }
   unsigned workers() const { return options_.workers; }
   bool steal() const { return options_.steal; }
 
   // Stats over everything executed so far; call after all jobs finished.
-  // failovers is left 0 (the engine counts those per job; RunBatch folds
-  // them in).
   FleetBatchStats ComputeStats() const;
 
  private:

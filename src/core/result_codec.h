@@ -1,11 +1,10 @@
 // The one wire layout of an EngineResult: every exercise-stage field the
 // downstream stages, the canonical merge and the run reports consume.
 //
-// Two containers carry it. An "RCP1" checkpoint (core/session.cc) is magic,
-// version, label, this layout, then the optional final-state RSS1 snapshot;
-// a fan-out result frame ("FWR3", core/fanout.cc) is a header plus this
-// layout once per begun slot. Changing the layout changes both at once --
-// bump both magics/versions and the exercise_pin_test RCP1 pins.
+// An "RCP1" checkpoint (core/session.cc) carries it: magic, version, label,
+// this layout, then the optional final-state RSS1 snapshot. Changing the
+// layout means bumping the checkpoint version and the exercise_pin_test
+// RCP1 pins.
 //
 // Counter blocks are each struct's field list (util/fields.h). The
 // runtime-only diagnostics (final_snapshot, parallel, error,

@@ -7,9 +7,7 @@
 #include <cstring>
 #include <thread>
 
-#include "core/fanout.h"
 #include "core/result_codec.h"
-#include "dist/coordinator.h"
 #include "synth/emit.h"
 #include "synth/passes.h"
 #include "trace/serialize.h"
@@ -324,18 +322,15 @@ void PrintBatchParallelStats(const BatchResult& batch) {
       continue;  // a sequential job, off the fleet
     }
     fprintf(stderr,
-            "[batch-parallel] job=%s spine=%llu tasks=%u critical=%llu "
-            "steals=%u failovers=%u handoff=%lluB reused=%lluB\n",
+            "[batch-parallel] job=%s spine=%llu tasks=%u critical=%llu steals=%u\n",
             j.name.c_str(), (unsigned long long)p.spine_work, p.tasks,
-            (unsigned long long)p.critical_path, p.fleet_steals, p.failovers,
-            (unsigned long long)p.handoff_bytes,
-            (unsigned long long)p.snapshot_bytes_reused);
+            (unsigned long long)p.critical_path, p.fleet_steals);
   }
   const FleetBatchStats& f = batch.fleet;
   fprintf(stderr,
-          "[batch-parallel] fleet workers=%u steal=%s tasks=%u steals=%u failovers=%u "
+          "[batch-parallel] fleet workers=%u steal=%s tasks=%u steals=%u "
           "makespan-model=%llu spine-floor=%llu\n",
-          f.workers, f.steal ? "on" : "off", f.tasks, f.real_steals, f.failovers,
+          f.workers, f.steal ? "on" : "off", f.tasks, f.real_steals,
           (unsigned long long)f.makespan, (unsigned long long)f.max_spine_work);
 }
 
@@ -347,15 +342,14 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
   if (jobs.empty()) {
     return batch;
   }
-  // Effective per-job configs, resolved up front: the shared worker pool
-  // forks before any batch thread starts, and the forked handler needs the
-  // final job table (image + resolved config per job). Jobs that deferred
-  // their sizing (plan.threads == 0) inherit the template's plan but keep
-  // their own fault plan: deferring the sizing must not silently swap which
-  // faults a job runs under. Every parallel-class job joins the batch fleet.
+  // Effective per-job configs, resolved up front: the batch fleet is sized
+  // from every parallel-class job's plan before any job starts. Jobs that
+  // deferred their sizing (plan.threads == 0) inherit the template's plan
+  // but keep their own fault plan: deferring the sizing must not silently
+  // swap which faults a job runs under. Every parallel-class job joins the
+  // batch fleet.
   std::vector<EngineConfig> eff(jobs.size());
   unsigned job_lanes = 0;
-  unsigned worker_processes = 0;
   bool steal = true;
   for (size_t i = 0; i < jobs.size(); ++i) {
     eff[i] = jobs[i].config;
@@ -369,7 +363,6 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
     }
     if (ParallelClass(cfg.plan)) {
       job_lanes = std::max(job_lanes, FleetLanes(cfg.plan));
-      worker_processes = std::max(worker_processes, cfg.plan.worker_processes);
       steal = steal && cfg.plan.steal;
     }
   }
@@ -389,28 +382,13 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
   concurrency = std::min(concurrency, static_cast<unsigned>(jobs.size()));
   batch.concurrency = concurrency;
 
-  // Shared RDP1 worker pool, sized to the largest worker_processes any fleet
-  // job asked for and forked while this process is still single-threaded
-  // (the quietest fork point RunBatch has; the job table crosses into the
-  // children via fork, so only snapshots ever cross the wire). Work items
-  // carry their batch job index -- one pool serves every driver.
-  std::unique_ptr<dist::WorkerPool> pool;
   std::unique_ptr<FleetScheduler> fleet;
   if (fleet_mode) {
-    if (worker_processes >= 1) {
-      std::vector<FanoutJob> table;
-      table.reserve(jobs.size());
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        table.push_back({jobs[i].image, eff[i]});
-      }
-      pool = ForkFanoutWorkers(std::move(table), worker_processes);
-    }
     // Lanes and stealing come from the fleet jobs' effective plans (a job
     // that deferred its sizing already carries the template's).
     FleetScheduler::Options fopts;
     fopts.workers = job_lanes;
     fopts.steal = steal;
-    fopts.dist_pool = pool.get();
     fleet = std::make_unique<FleetScheduler>(fopts);
   }
 
@@ -461,11 +439,6 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
   if (fleet != nullptr) {
     batch.fleet_used = true;
     batch.fleet = fleet->ComputeStats();
-    for (const BatchJobResult& j : batch.jobs) {
-      batch.fleet.failovers += j.result.engine.parallel.failovers;
-    }
-    fleet.reset();  // join fleet workers before the pool shuts down
-    pool.reset();
   }
   if (getenv("REVNIC_PARALLEL_STATS") != nullptr) {
     PrintBatchParallelStats(batch);
@@ -517,7 +490,6 @@ std::string ConfigFingerprint(const EngineConfig& c) {
   mix(c.entry_success_cap);
   mix(c.no_progress_window);
   mix(c.polling_visit_threshold);
-  mix(c.inject_irqs ? 1 : 0);
   mix(c.seed);
   mix(c.sample_every);
   mix(c.cancel ? 1 : 0);
@@ -525,10 +497,10 @@ std::string ConfigFingerprint(const EngineConfig& c) {
   mix(c.capture_final_snapshot ? 1 : 0);
   // The fault plan reshapes the explored tree; rates are mixed as raw
   // IEEE-754 bits -- any representational change is a schedule change.
-  // threads and worker_processes are NOT mixed beyond the parallel class,
-  // and neither are plan.fleet / plan.steal (placement-only; pinned
-  // byte-identical by tests/dist_test.cc) -- but sub_shards changes the
-  // merged slot layout, so its exact value is output-relevant.
+  // threads is NOT mixed beyond the parallel class, and neither are
+  // plan.fleet / plan.steal (placement-only; pinned byte-identical by
+  // tests/dist_test.cc) -- but sub_shards changes the merged slot layout,
+  // so its exact value is output-relevant.
   const ExercisePlan& plan = c.plan;
   mix(plan.faults.seed);
   for (double rate : plan.faults.rates) {
@@ -539,10 +511,9 @@ std::string ConfigFingerprint(const EngineConfig& c) {
   }
   mix(plan.sub_shards);
   // Parallel exercising changes the explored tree, so the architecture is
-  // output-relevant -- but every lane count (and any worker-process count)
-  // produces byte-identical results, so the key only distinguishes the
-  // sequential engine from the parallel one, through the same predicate
-  // Engine::Run uses.
+  // output-relevant -- but every lane count produces byte-identical
+  // results, so the key only distinguishes the sequential engine from the
+  // parallel one, through the same predicate Engine::Run uses.
   mix(ParallelClass(plan) ? 2 : 1);
   // Container sizes are mixed before their elements so adjacent
   // variable-length fields cannot alias each other's streams.

@@ -132,7 +132,7 @@ class Session {
   // SaveCheckpointFile() fails with an error.
   //
   // Format "RCP1" version 3: magic, version, label, the EngineResult body
-  // (core/result_codec.h, shared with the fan-out result frame), then an
+  // (core/result_codec.h), then an
   // optional trailing snapshot section carrying the engine's final chain
   // state (the "RSS1" blob from EngineResult::final_snapshot). Version 1
   // and 2 blobs are rejected with "unsupported checkpoint version".
@@ -215,11 +215,9 @@ struct BatchOptions {
   //
   // Every parallel-class job (ParallelClass of its effective plan) joins
   // ONE shared FleetScheduler: the largest FleetLanes() and the common
-  // stealing mode of those jobs' effective plans. When any such job
-  // asks for worker processes, ONE shared RDP1 worker pool sized to the
-  // largest request is forked before any batch thread starts. Scheduling is
+  // stealing mode of those jobs' effective plans. Scheduling is
   // placement-only -- merged bytes equal standalone runs' across fleet
-  // sizes, stealing on/off, and process counts -- and RunBatch prints one
+  // sizes and stealing on/off -- and RunBatch prints one
   // aggregated REVNIC_PARALLEL_STATS block for the whole batch instead of
   // one per job.
   std::optional<ExercisePlan> plan;

@@ -1,24 +1,14 @@
-// Distributed exercising (PR 8): the ExercisePlan grid guarantee -- fixed
-// seed => byte-identical merged checkpoints across {threads} x {sub-shards} x
-// {in-process, multi-process}, clean and faulted -- plus the RDP1 wire
-// protocol units, the worker context cache, the FleetScheduler on synthetic
-// tasks, worker-crash failover, and the pcnet critical-path ledger bound.
+// The ExercisePlan grid guarantee -- fixed seed => byte-identical merged
+// checkpoints across {threads} x {sub-shards} x {fleet size, stealing},
+// clean and faulted -- plus the FleetScheduler on synthetic tasks and the
+// pcnet critical-path ledger bound.
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
 #include <atomic>
-#include <map>
 #include <thread>
 
-#include "core/fanout.h"
 #include "core/fleet.h"
 #include "core/session.h"
-#include "dist/coordinator.h"
-#include "dist/wire.h"
 #include "drivers/drivers.h"
 #include "hw/faults.h"
 
@@ -38,7 +28,6 @@ core::EngineConfig SmallConfig(DriverId id, uint64_t max_work = 60'000) {
 struct PlanSpec {
   unsigned threads = 2;
   unsigned sub_shards = 2;
-  unsigned workers = 0;
   const char* faults = nullptr;
   unsigned fleet = 0;  // private single-job fleet lanes (0 = from threads)
   bool steal = true;
@@ -48,7 +37,6 @@ core::EngineConfig PlanConfig(DriverId id, const PlanSpec& spec, uint64_t max_wo
   core::EngineConfig cfg = SmallConfig(id, max_work);
   cfg.plan.threads = spec.threads;
   cfg.plan.sub_shards = spec.sub_shards;
-  cfg.plan.worker_processes = spec.workers;
   cfg.plan.fleet = spec.fleet;
   cfg.plan.steal = spec.steal;
   if (spec.faults != nullptr) {
@@ -71,202 +59,7 @@ std::vector<uint8_t> PlanBlob(DriverId id, const PlanSpec& spec, uint64_t max_wo
   return s.SaveCheckpoint();
 }
 
-// ---- RDP1 wire protocol units ----
-
-TEST(Rdp1Wire, EncodeDecodeRoundTrip) {
-  std::vector<uint8_t> payload = {1, 2, 3, 0xFF, 0, 42};
-  std::vector<uint8_t> bytes = dist::EncodeFrame(dist::FrameType::kWork, payload);
-  EXPECT_EQ(bytes.size(),
-            dist::kFrameHeaderBytes + payload.size() + dist::kFrameChecksumBytes);
-  dist::Frame frame;
-  size_t consumed = 0;
-  std::string error;
-  EXPECT_EQ(dist::DecodeFrame(bytes.data(), bytes.size(), &frame, &consumed, &error),
-            dist::DecodeStatus::kOk)
-      << error;
-  EXPECT_EQ(consumed, bytes.size());
-  EXPECT_EQ(frame.type, dist::FrameType::kWork);
-  EXPECT_EQ(frame.payload, payload);
-}
-
-TEST(Rdp1Wire, EmptyPayloadAndAllTypes) {
-  for (dist::FrameType type :
-       {dist::FrameType::kHello, dist::FrameType::kWork, dist::FrameType::kResult,
-        dist::FrameType::kError, dist::FrameType::kShutdown}) {
-    std::vector<uint8_t> bytes = dist::EncodeFrame(type, {});
-    dist::Frame frame;
-    size_t consumed = 0;
-    std::string error;
-    ASSERT_EQ(dist::DecodeFrame(bytes.data(), bytes.size(), &frame, &consumed, &error),
-              dist::DecodeStatus::kOk)
-        << error;
-    EXPECT_EQ(frame.type, type);
-    EXPECT_TRUE(frame.payload.empty());
-  }
-}
-
-TEST(Rdp1Wire, SocketpairWriteReadRoundTrip) {
-  int sv[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  std::vector<uint8_t> payload(100'000);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<uint8_t>(i * 131);
-  }
-  // Large frame: the writer fills the socket buffer, so it must run
-  // concurrently with the reader.
-  std::string write_err;
-  bool write_ok = false;
-  std::thread writer([&] {
-    write_ok = dist::WriteFrame(sv[0], dist::FrameType::kResult, payload, &write_err);
-  });
-  dist::Frame frame;
-  std::string read_err;
-  ASSERT_TRUE(dist::ReadFrame(sv[1], &frame, /*timeout_ms=*/10'000, &read_err)) << read_err;
-  writer.join();
-  EXPECT_TRUE(write_ok) << write_err;
-  EXPECT_EQ(frame.type, dist::FrameType::kResult);
-  EXPECT_EQ(frame.payload, payload);
-  close(sv[0]);
-  close(sv[1]);
-}
-
-TEST(Rdp1Wire, ReadTimesOutOnSilence) {
-  int sv[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  dist::Frame frame;
-  std::string error;
-  EXPECT_FALSE(dist::ReadFrame(sv[1], &frame, /*timeout_ms=*/50, &error));
-  EXPECT_NE(error.find("timed out"), std::string::npos) << error;
-  close(sv[0]);
-  close(sv[1]);
-}
-
-// The worker-side context cache and the coordinator's sizes-only mirror run
-// the same FIFO policy on the same ship sequence, so after every ship they
-// agree on what is resident without any eviction traffic. A small budget
-// (100 bytes) reaches eviction within six ships.
-TEST(ContextCache, ChildAndMirrorEvictTheSameKeysInShipOrder) {
-  dist::ContextCache child(100);
-  dist::ContextCache mirror(100);
-  struct Ship {
-    std::string key;
-    size_t size;
-    std::vector<std::string> resident;  // expected afterwards, oldest first
-  };
-  const std::vector<Ship> ships = {
-      {"a", 40, {"a"}},
-      {"b", 40, {"a", "b"}},
-      {"c", 40, {"b", "c"}},  // a is the oldest: evicted first
-      {"d", 30, {"c", "d"}},
-      {"a", 40, {"d", "a"}},  // an evicted key ships again, as the newest
-      {"e", 40, {"a", "e"}},  // so d, not a, is the next victim
-  };
-  const std::vector<std::string> keys = {"a", "b", "c", "d", "e"};
-  const std::map<std::string, size_t> sizes = {
-      {"a", 40}, {"b", 40}, {"c", 40}, {"d", 30}, {"e", 40}};
-  for (const Ship& ship : ships) {
-    child.Install(ship.key, std::vector<uint8_t>(ship.size, static_cast<uint8_t>(ship.key[0])));
-    mirror.InstallMirror(ship.key, ship.size);
-    size_t expected_bytes = 0;
-    for (const std::string& key : ship.resident) {
-      expected_bytes += sizes.at(key);  // a re-shipped key counts once
-    }
-    EXPECT_EQ(child.bytes(), expected_bytes) << "after " << ship.key;
-    EXPECT_EQ(mirror.bytes(), expected_bytes) << "after " << ship.key;
-    for (const std::string& key : keys) {
-      const bool want = std::find(ship.resident.begin(), ship.resident.end(), key) !=
-                        ship.resident.end();
-      EXPECT_EQ(child.Contains(key), want) << key << " after " << ship.key;
-      EXPECT_EQ(mirror.Contains(key), want) << key << " after " << ship.key;
-      const std::vector<uint8_t>* found = child.Find(key);
-      if (want) {
-        ASSERT_NE(found, nullptr) << key;
-        EXPECT_EQ(*found, std::vector<uint8_t>(sizes.at(key), static_cast<uint8_t>(key[0])));
-      } else {
-        EXPECT_EQ(found, nullptr) << key << " after " << ship.key;
-      }
-    }
-  }
-}
-
-TEST(FanoutPayloads, WorkRoundTrip) {
-  core::FanoutTask task{7, 3, 4};
-  std::vector<uint8_t> bytes;
-  core::SerializeFanoutWorkInto(1, task, "j1/s7", &bytes);
-  uint32_t job = 0;
-  core::FanoutTask out_task;
-  std::string key;
-  std::string error;
-  ASSERT_TRUE(core::DeserializeFanoutWork(bytes, &job, &out_task, &key, &error)) << error;
-  EXPECT_EQ(job, 1u);
-  EXPECT_EQ(out_task.step, 7u);
-  EXPECT_EQ(out_task.sub_shard, 3u);
-  EXPECT_EQ(out_task.sub_shards, 4u);
-  EXPECT_EQ(key, "j1/s7");
-  // A truncated work payload must fail cleanly.
-  std::vector<uint8_t> truncated(bytes.begin(), bytes.end() - 1);
-  EXPECT_FALSE(core::DeserializeFanoutWork(truncated, &job, &out_task, &key, &error));
-  // The snapshot only travels by context key: an item without one is
-  // malformed.
-  core::SerializeFanoutWorkInto(1, task, "", &truncated);
-  EXPECT_FALSE(core::DeserializeFanoutWork(truncated, &job, &out_task, &key, &error));
-  EXPECT_EQ(error, "fanout work: empty context key");
-  // An FWK2 payload (the retired inline-snapshot layout) fails closed on its
-  // magic instead of misparsing.
-  std::vector<uint8_t> fwk2 = bytes;
-  fwk2[3] = '2';
-  EXPECT_FALSE(core::DeserializeFanoutWork(fwk2, &job, &out_task, &key, &error));
-  EXPECT_EQ(error, "fanout work: bad magic");
-}
-
-TEST(FanoutPayloads, ResultRoundTripCarriesCountersAndSlots) {
-  core::FanoutTaskResult r;
-  r.root_count = 5;
-  r.task_work = 1234;
-  r.enum_work = 44;
-  r.restore_failures = 1;
-  core::FanoutSlot empty_slot;
-  empty_slot.ordinal = 2;
-  empty_slot.begun = false;
-  r.slots.push_back(std::move(empty_slot));
-  std::vector<uint8_t> bytes = core::SerializeFanoutResult(r);
-  core::FanoutTaskResult out;
-  std::string error;
-  ASSERT_TRUE(core::DeserializeFanoutResult(bytes, &out, &error)) << error;
-  EXPECT_EQ(out.root_count, 5u);
-  EXPECT_EQ(out.task_work, 1234u);
-  EXPECT_EQ(out.enum_work, 44u);
-  EXPECT_EQ(out.restore_failures, 1u);
-  ASSERT_EQ(out.slots.size(), 1u);
-  EXPECT_EQ(out.slots[0].ordinal, 2u);
-  EXPECT_FALSE(out.slots[0].begun);
-  bytes.push_back(0);  // trailing garbage must be rejected
-  EXPECT_FALSE(core::DeserializeFanoutResult(bytes, &out, &error));
-}
-
-TEST(FanoutPayloads, WorkV2CarriesJobAndContextKeyAndReusesBuffer) {
-  core::FanoutTask task{9, 1, 2};
-  std::vector<uint8_t> buf;
-  core::SerializeFanoutWorkInto(3, task, "j3/s9", &buf);
-  uint32_t job = 0;
-  core::FanoutTask out_task;
-  std::string key;
-  std::string error;
-  ASSERT_TRUE(core::DeserializeFanoutWork(buf, &job, &out_task, &key, &error)) << error;
-  EXPECT_EQ(job, 3u);
-  EXPECT_EQ(out_task.step, 9u);
-  EXPECT_EQ(out_task.sub_shard, 1u);
-  EXPECT_EQ(key, "j3/s9");
-  // The satellite contract: re-serializing into the same buffer reuses its
-  // storage (one serialization buffer per fleet worker, no per-task churn).
-  const uint8_t* storage = buf.data();
-  const size_t capacity = buf.capacity();
-  core::SerializeFanoutWorkInto(3, task, "j3/s9", &buf);
-  EXPECT_EQ(buf.data(), storage);
-  EXPECT_EQ(buf.capacity(), capacity);
-}
-
-// ---- the grid guarantee (in-process) ----
+// ---- the grid guarantee ----
 
 TEST(DistExercise, SubShardGridByteIdentical) {
   // One baseline, every other {threads, sub-shards} cell must match
@@ -287,8 +80,8 @@ TEST(DistExercise, SubShardGridByteIdentical) {
 TEST(DistExercise, FourDriversCleanAndFaultedAgreeAcrossTheGrid) {
   for (DriverId id : drivers::kAllDrivers) {
     for (const char* faults : {(const char*)nullptr, "1729:all=0.05"}) {
-      PlanSpec a{2, 2, 0, faults};
-      PlanSpec b{4, 4, 0, faults};
+      PlanSpec a{2, 2, faults};
+      PlanSpec b{4, 4, faults};
       std::vector<uint8_t> blob_a = PlanBlob(id, a, 40'000);
       ASSERT_FALSE(blob_a.empty()) << drivers::DriverName(id);
       EXPECT_EQ(blob_a, PlanBlob(id, b, 40'000))
@@ -318,38 +111,6 @@ TEST(DistExercise, SubShardCheckpointLoadsAndResumesDownstream) {
   EXPECT_EQ(resumed->emitted().at(os::TargetOs::kWindows), s.emitted().at(os::TargetOs::kWindows));
 }
 
-// ---- multi-process mode ----
-
-TEST(DistExercise, MultiProcessMatchesInProcess) {
-  // Same plan, worker processes on vs off: byte-identical checkpoints, for
-  // both fan-out architectures and under faults.
-  for (const PlanSpec& in_proc :
-       {PlanSpec{2, 2}, PlanSpec{2, 0}, PlanSpec{2, 2, 0, "1729:all=0.05"}}) {
-    PlanSpec multi = in_proc;
-    multi.workers = 2;
-    core::ParallelExerciseStats stats;
-    std::vector<uint8_t> local = PlanBlob(DriverId::kRtl8029, in_proc, 40'000);
-    std::vector<uint8_t> dist = PlanBlob(DriverId::kRtl8029, multi, 40'000, &stats);
-    ASSERT_FALSE(local.empty());
-    EXPECT_EQ(local, dist);
-    EXPECT_EQ(stats.worker_processes, 2u);
-    EXPECT_EQ(stats.failovers, 0u);
-  }
-}
-
-TEST(DistExercise, WorkerCrashFailsOverToIdenticalBytes) {
-  // The first worker dies on its first work item (deterministic crash hook);
-  // its tasks fail over in-process and the merged bytes are unchanged.
-  std::vector<uint8_t> healthy = PlanBlob(DriverId::kRtl8029, {2, 2}, 40'000);
-  setenv("REVNIC_DIST_KILL_FIRST_WORKER", "1", 1);
-  core::ParallelExerciseStats stats;
-  std::vector<uint8_t> crashed = PlanBlob(DriverId::kRtl8029, {2, 2, 2}, 40'000, &stats);
-  unsetenv("REVNIC_DIST_KILL_FIRST_WORKER");
-  ASSERT_FALSE(healthy.empty());
-  EXPECT_EQ(healthy, crashed);
-  EXPECT_GE(stats.failovers, 1u);
-}
-
 // ---- the fleet scheduler (PR 10) ----
 
 // Every FleetBatchStats field except real_steals, which depends on the
@@ -361,7 +122,6 @@ void ExpectSameFleetStats(const core::FleetBatchStats& a, const core::FleetBatch
   EXPECT_EQ(a.total_task_work, b.total_task_work);
   EXPECT_EQ(a.max_spine_work, b.max_spine_work);
   EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.failovers, b.failovers);
 }
 
 TEST(FleetScheduler, SyntheticJobsRunOnceAndReportTheLptModel) {
@@ -387,7 +147,7 @@ TEST(FleetScheduler, SyntheticJobsRunOnceAndReportTheLptModel) {
             core::FleetScheduler::Task t;
             t.step = i;
             t.estimate = 10 - i;  // deliberately not the true work
-            t.run = [&runs, &job_works, job, i](core::FleetScheduler::WorkerContext&) {
+            t.run = [&runs, &job_works, job, i] {
               ++runs[job][i];
               return job_works[job][i];
             };
@@ -411,7 +171,6 @@ TEST(FleetScheduler, SyntheticJobsRunOnceAndReportTheLptModel) {
         EXPECT_EQ(st.total_task_work, 38u);
         EXPECT_EQ(st.max_spine_work, 11u);
         EXPECT_EQ(st.makespan, makespan);
-        EXPECT_EQ(st.failovers, 0u);
         EXPECT_EQ(st.real_steals, fleet.JobRealSteals(0) + fleet.JobRealSteals(1));
         if (!steal || workers == 1) {
           EXPECT_EQ(st.real_steals, 0u);
@@ -437,50 +196,18 @@ TEST(DistExercise, FleetGridByteIdenticalAcrossAllDrivers) {
     std::vector<uint8_t> clean = PlanBlob(id, {2, 2}, 30'000);
     ASSERT_FALSE(clean.empty()) << drivers::DriverName(id);
     core::ParallelExerciseStats stats;
-    EXPECT_EQ(clean, PlanBlob(id, {2, 2, 0, nullptr, /*fleet=*/1}, 30'000))
+    EXPECT_EQ(clean, PlanBlob(id, {2, 2, nullptr, /*fleet=*/1}, 30'000))
         << drivers::DriverName(id) << " fleet=1";
-    EXPECT_EQ(clean, PlanBlob(id, {2, 2, 0, nullptr, /*fleet=*/2}, 30'000, &stats))
+    EXPECT_EQ(clean, PlanBlob(id, {2, 2, nullptr, /*fleet=*/2}, 30'000, &stats))
         << drivers::DriverName(id) << " fleet=2";
     EXPECT_EQ(stats.fleet_workers, 2u) << drivers::DriverName(id);
-    EXPECT_EQ(clean, PlanBlob(id, {2, 2, 0, nullptr, /*fleet=*/4, /*steal=*/false}, 30'000))
+    EXPECT_EQ(clean, PlanBlob(id, {2, 2, nullptr, /*fleet=*/4, /*steal=*/false}, 30'000))
         << drivers::DriverName(id) << " fleet=4 no-steal";
-    std::vector<uint8_t> faulted = PlanBlob(id, {2, 2, 0, "1729:all=0.05"}, 30'000);
+    std::vector<uint8_t> faulted = PlanBlob(id, {2, 2, "1729:all=0.05"}, 30'000);
     ASSERT_FALSE(faulted.empty()) << drivers::DriverName(id);
-    EXPECT_EQ(faulted, PlanBlob(id, {2, 2, 0, "1729:all=0.05", /*fleet=*/2}, 30'000))
+    EXPECT_EQ(faulted, PlanBlob(id, {2, 2, "1729:all=0.05", /*fleet=*/2}, 30'000))
         << drivers::DriverName(id) << " fleet=2 faulted";
   }
-}
-
-TEST(DistExercise, FleetMultiProcessMatchesInProcess) {
-  // Fleet lanes dispatching to forked RDP1 workers (snapshots handed off via
-  // the kContext cache) produce the same bytes as the all-in-process fleet.
-  std::vector<uint8_t> in_proc =
-      PlanBlob(DriverId::kRtl8029, {2, 2, 0, nullptr, /*fleet=*/2}, 30'000);
-  ASSERT_FALSE(in_proc.empty());
-  core::ParallelExerciseStats stats;
-  std::vector<uint8_t> dist = PlanBlob(
-      DriverId::kRtl8029, {2, 2, /*workers=*/2, nullptr, /*fleet=*/2}, 30'000, &stats);
-  EXPECT_EQ(in_proc, dist);
-  EXPECT_EQ(stats.worker_processes, 2u);
-  // The snapshot handoff rides the context cache: each (step) blob ships to
-  // a given worker at most once, later tasks reference it by key.
-  EXPECT_GT(stats.snapshot_bytes_shipped + stats.snapshot_bytes_reused, 0u);
-}
-
-TEST(DistExercise, FleetWorkerKilledMidStealFailsOverToIdenticalBytes) {
-  // A dist worker dies on its first stolen work item (after its kContext
-  // ship); the fleet lane fails the task over in-process and the merged
-  // bytes are unchanged.
-  std::vector<uint8_t> healthy =
-      PlanBlob(DriverId::kRtl8029, {2, 2, 0, nullptr, /*fleet=*/2}, 30'000);
-  setenv("REVNIC_DIST_KILL_FIRST_WORKER", "1", 1);
-  core::ParallelExerciseStats stats;
-  std::vector<uint8_t> crashed = PlanBlob(
-      DriverId::kRtl8029, {2, 2, /*workers=*/2, nullptr, /*fleet=*/2}, 30'000, &stats);
-  unsetenv("REVNIC_DIST_KILL_FIRST_WORKER");
-  ASSERT_FALSE(healthy.empty());
-  EXPECT_EQ(healthy, crashed);
-  EXPECT_GE(stats.failovers, 1u);
 }
 
 TEST(DistExercise, FleetBatchMakespanDeterministicAcrossRuns) {

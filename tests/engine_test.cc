@@ -225,12 +225,6 @@ TEST_F(EngineTest, PollingLoopStatesKilled) {
   EXPECT_GT(r.stats.states_killed_polling, 0u);
 }
 
-TEST_F(EngineTest, IrqInjectionCanBeDisabled) {
-  config_.inject_irqs = false;
-  EngineResult r = Engine(image_, config_).Run();
-  EXPECT_EQ(r.stats.irqs_injected, 0u);
-}
-
 TEST_F(EngineTest, WorkBudgetRespected) {
   config_.max_work = 500;
   EngineResult r = Engine(image_, config_).Run();

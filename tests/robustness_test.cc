@@ -12,15 +12,12 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/fanout.h"
 #include "core/session.h"
-#include "dist/wire.h"
 #include "drivers/drivers.h"
 #include "hw/faults.h"
 #include "isa/image.h"
 #include "symex/snapshot.h"
 #include "symex/solver.h"
-#include "util/bits.h"
 #include "util/rng.h"
 
 namespace revnic {
@@ -358,6 +355,31 @@ TEST_P(CheckpointFuzzTest, BitFlippedCheckpointsLoadOrFailCleanly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckpointFuzzTest, ::testing::Range<uint64_t>(1, 9));
 
+TEST(CheckpointRobustness, EveryPrefixOfASmallCheckpointRejected) {
+  // Cuts a real RCP1 checkpoint at every length, so every field of the
+  // EngineResult codec (core/result_codec.h) is reached by some cut. A tiny
+  // budget keeps the blob small while every record stream and table is
+  // non-empty; without the final-state snapshot the codec body is the
+  // whole blob past the header.
+  core::EngineConfig cfg;
+  cfg.pci = drivers::DriverPci(drivers::DriverId::kRtl8029);
+  cfg.max_work = 20;
+  cfg.capture_final_snapshot = false;
+  core::Session session(drivers::DriverImage(drivers::DriverId::kRtl8029), cfg);
+  ASSERT_TRUE(session.Exercise());
+  ASSERT_FALSE(session.engine().bundle.block_records.empty());
+  const std::vector<uint8_t> blob = session.SaveCheckpoint();
+  std::string error;
+  ASSERT_NE(core::Session::LoadCheckpoint(blob, &error), nullptr) << error;
+  for (size_t len = 0; len < blob.size(); ++len) {
+    error.clear();
+    EXPECT_EQ(core::Session::LoadCheckpoint({blob.begin(), blob.begin() + len}, &error),
+              nullptr)
+        << "len " << len;
+    EXPECT_FALSE(error.empty()) << "len " << len;
+  }
+}
+
 TEST(CheckpointRobustness, WrongVersionRejected) {
   std::vector<uint8_t> blob = TinySession().SaveCheckpoint();
   ASSERT_GE(blob.size(), 8u);
@@ -365,153 +387,6 @@ TEST(CheckpointRobustness, WrongVersionRejected) {
   std::string error;
   EXPECT_EQ(core::Session::LoadCheckpoint(blob, &error), nullptr);
   EXPECT_EQ(error, "unsupported checkpoint version");
-}
-
-// ---- "RDP1" wire-frame corruption sweeps ----
-
-std::vector<uint8_t> Rdp1Frame() {
-  std::vector<uint8_t> payload(300);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<uint8_t>(i * 37);
-  }
-  return dist::EncodeFrame(dist::FrameType::kWork, payload);
-}
-
-dist::DecodeStatus TryDecodeFrame(const std::vector<uint8_t>& bytes) {
-  dist::Frame frame;
-  size_t consumed = 0;
-  std::string error;
-  dist::DecodeStatus status =
-      dist::DecodeFrame(bytes.data(), bytes.size(), &frame, &consumed, &error);
-  if (status == dist::DecodeStatus::kBad) {
-    EXPECT_FALSE(error.empty());
-  }
-  return status;
-}
-
-TEST(Rdp1Robustness, TruncatedFramesNeverDecode) {
-  std::vector<uint8_t> frame = Rdp1Frame();
-  ASSERT_EQ(TryDecodeFrame(frame), dist::DecodeStatus::kOk);
-  // Every strict prefix is incomplete (kNeedMore: the coordinator keeps
-  // reading) or detectably corrupt (kBad) -- never kOk, never a crash.
-  for (size_t denom = 1; denom <= 257; denom += 4) {
-    size_t len = frame.size() * denom / 258;
-    EXPECT_NE(TryDecodeFrame({frame.begin(), frame.begin() + len}),
-              dist::DecodeStatus::kOk)
-        << "len " << len;
-  }
-  EXPECT_EQ(TryDecodeFrame({}), dist::DecodeStatus::kNeedMore);
-}
-
-class Rdp1FuzzTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(Rdp1FuzzTest, BitFlippedFramesNeverDecode) {
-  std::vector<uint8_t> frame = Rdp1Frame();
-  Rng rng(GetParam() * 48611);
-  // The trailing FNV-1a checksum covers header + payload, so ANY single-bit
-  // flip must be caught: a payload/checksum flip mismatches the checksum, a
-  // header flip fails the magic/version/type check or (for a longer length)
-  // leaves the frame incomplete. Never kOk.
-  for (int m = 0; m < 64; ++m) {
-    std::vector<uint8_t> corrupt = frame;
-    corrupt[rng.Below(static_cast<uint32_t>(corrupt.size()))] ^=
-        static_cast<uint8_t>(1u << rng.Below(8));
-    EXPECT_NE(TryDecodeFrame(corrupt), dist::DecodeStatus::kOk);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, Rdp1FuzzTest, ::testing::Range<uint64_t>(1, 9));
-
-TEST(Rdp1Robustness, WrongMagicVersionTypeAndOversizedLengthRejected) {
-  // Frame layout: u32 magic, u16 version, u16 type, u64 payload length.
-  std::vector<uint8_t> bad_magic = Rdp1Frame();
-  bad_magic[0] ^= 0xFF;
-  // A bad magic is rejected even from a short prefix (a desynced stream
-  // fails fast instead of waiting forever for "more" bytes).
-  EXPECT_EQ(TryDecodeFrame({bad_magic.begin(), bad_magic.begin() + 5}),
-            dist::DecodeStatus::kBad);
-  EXPECT_EQ(TryDecodeFrame(bad_magic), dist::DecodeStatus::kBad);
-
-  std::vector<uint8_t> bad_version = Rdp1Frame();
-  bad_version[4] += 1;
-  EXPECT_EQ(TryDecodeFrame(bad_version), dist::DecodeStatus::kBad);
-
-  std::vector<uint8_t> bad_type = Rdp1Frame();
-  bad_type[6] = 0x77;
-  EXPECT_EQ(TryDecodeFrame(bad_type), dist::DecodeStatus::kBad);
-
-  // An oversized length prefix must be rejected up front (kBad), not
-  // treated as kNeedMore -- a malicious or corrupt peer must not make the
-  // coordinator buffer gigabytes.
-  std::vector<uint8_t> oversized = Rdp1Frame();
-  oversized[8] = 0xFF;
-  oversized[9] = 0xFF;
-  oversized[10] = 0xFF;
-  oversized[11] = 0xFF;
-  oversized[12] = 0xFF;
-  EXPECT_EQ(TryDecodeFrame(oversized), dist::DecodeStatus::kBad);
-}
-
-TEST(Rdp1Robustness, FanoutPayloadsTruncateCleanly) {
-  // The fanout work/result payload decoders sit behind the frame checksum
-  // but must still reject truncation on their own (a handler bug or a
-  // mixed-up payload must not read out of bounds).
-  std::vector<uint8_t> work;
-  core::SerializeFanoutWorkInto(2, {3, 1, 4}, "j2/s3", &work);
-  for (size_t len = 0; len < work.size(); ++len) {
-    uint32_t job;
-    core::FanoutTask task;
-    std::string key;
-    std::string error;
-    EXPECT_FALSE(core::DeserializeFanoutWork({work.begin(), work.begin() + len}, &job, &task,
-                                             &key, &error))
-        << "len " << len;
-    EXPECT_FALSE(error.empty());
-  }
-  // The result sweep cuts at every length of a payload whose begun slot
-  // carries a real (small-budget) exercise segment, so every field of the
-  // EngineResult codec is reached.
-  core::EngineConfig cfg;
-  cfg.pci = hw::Rtl8029Config();
-  cfg.max_work = 20;  // ~18 kB: every record stream and table non-empty
-  cfg.capture_final_snapshot = false;
-  core::FanoutTaskResult result;
-  result.root_count = 2;
-  result.slots.resize(2);
-  result.slots[1].ordinal = 1;
-  result.slots[1].begun = true;
-  result.slots[1].result =
-      core::Engine(drivers::DriverImage(drivers::DriverId::kRtl8029), cfg).Run();
-  ASSERT_FALSE(result.slots[1].result.bundle.block_records.empty());
-  std::vector<uint8_t> reply = core::SerializeFanoutResult(result);
-  {
-    core::FanoutTaskResult out;
-    std::string error;
-    ASSERT_TRUE(core::DeserializeFanoutResult(reply, &out, &error)) << error;
-    ASSERT_EQ(out.slots.size(), 2u);
-    EXPECT_EQ(out.slots[1].result.stats.work, result.slots[1].result.stats.work);
-    EXPECT_EQ(out.slots[1].result.covered_blocks, result.slots[1].result.covered_blocks);
-  }
-  for (size_t len = 0; len < reply.size(); ++len) {
-    core::FanoutTaskResult out;
-    std::string error;
-    EXPECT_FALSE(
-        core::DeserializeFanoutResult({reply.begin(), reply.begin() + len}, &out, &error))
-        << "len " << len;
-    EXPECT_FALSE(error.empty()) << "len " << len;
-  }
-}
-
-TEST(Rdp1Robustness, FanoutResultWithOldMagicRejected) {
-  // An FWR2 payload (the pre-codec slot layout, without static_blocks) must
-  // fail closed rather than misparse.
-  std::vector<uint8_t> reply = core::SerializeFanoutResult(core::FanoutTaskResult());
-  ASSERT_GE(reply.size(), 4u);
-  StoreLE(reply.data(), 0x32525746u, 4);  // "FWR2"
-  core::FanoutTaskResult out;
-  std::string error;
-  EXPECT_FALSE(core::DeserializeFanoutResult(reply, &out, &error));
-  EXPECT_EQ(error, "fanout result: bad magic");
 }
 
 // ---- Fault-plan spec parsing: hostile input fails cleanly ----

@@ -5,9 +5,8 @@
 cmake_minimum_required(VERSION 3.16)
 
 set(allowed
-    REVNIC_NATIVE_CC               # host C compiler for the native tier
-    REVNIC_PARALLEL_STATS          # stderr block of fan-out counters
-    REVNIC_DIST_KILL_FIRST_WORKER) # failover test hook (dist_test)
+    REVNIC_NATIVE_CC        # host C compiler for the native tier
+    REVNIC_PARALLEL_STATS)  # stderr block of fan-out counters
 
 file(GLOB_RECURSE sources ${SRC_DIR}/*.cc ${SRC_DIR}/*.h)
 if(NOT sources)
