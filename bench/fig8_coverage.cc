@@ -7,7 +7,9 @@
 // All registered drivers run concurrently through core::RunBatch (each job
 // owns its symbolic substrate, so the curves are identical to standalone
 // runs); the timeline comes back per job. Parallel runs share one batch
-// fleet: every driver's fan-out tasks go to the same lanes.
+// fleet: every driver's fan-out tasks go to the same lanes, and a
+// "Fan-out (per driver)" section reports each driver's spine work, tasks,
+// critical path and steals.
 //
 // Flags (assembled into one core::ExercisePlan per job):
 //   --exercise-threads=N   intra-driver parallel exercising (the PR 3
@@ -177,6 +179,15 @@ int main(int argc, char** argv) {
     printf("  %s=%.1f%%", names[i].c_str(), curves[i].back());
   }
   printf("\n(paper: most drivers reach over 80%% in under twenty minutes)\n");
+  if (batch.fleet_used) {
+    printf("\nFan-out (per driver):\n");
+    for (const core::BatchJobResult& job : batch.jobs) {
+      const core::ParallelExerciseStats& p = job.result.engine.parallel;
+      printf("  %-10s spine=%llu tasks=%u critical-path=%llu steals=%u\n", job.name.c_str(),
+             static_cast<unsigned long long>(p.spine_work), p.tasks,
+             static_cast<unsigned long long>(p.critical_path), p.fleet_steals);
+    }
+  }
   if (plan.faults.Enabled()) {
     printf("\nFault injection (per driver):\n");
     for (const core::BatchJobResult& job : batch.jobs) {

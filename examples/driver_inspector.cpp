@@ -247,6 +247,13 @@ int main(int argc, char** argv) {
          engine.CoveragePercent(), static_cast<unsigned long long>(engine.executor_stats.forks),
          static_cast<unsigned long long>(engine.stats.api_calls));
   printf("substrate caches: %s\n", perf::FormatSubstrateCounters(engine.substrate).c_str());
+  if (engine.parallel.tasks != 0) {
+    const core::ParallelExerciseStats& p = engine.parallel;
+    printf("fan-out: spine=%llu tasks=%u critical-path=%llu enum=%llu lanes=%u steals=%u\n",
+           static_cast<unsigned long long>(p.spine_work), p.tasks,
+           static_cast<unsigned long long>(p.critical_path),
+           static_cast<unsigned long long>(p.enum_work), p.fleet_workers, p.fleet_steals);
+  }
   if (engine.fault_stats.decisions > 0) {
     printf("%s\n", hw::FormatFaultStats(engine.fault_stats).c_str());
   }
@@ -348,7 +355,7 @@ int main(int argc, char** argv) {
       fprintf(stderr, "native run failed: %s\n", race.error.c_str());
       return 1;
     }
-    printf("  compiled .so:        %s\n", race.so_path.c_str());
+    printf("  compiled .so:        ok (scratch copy, removed at exit)\n");
     printf("  I/O-trace parity:    %s%s%s\n", race.parity_ok ? "ok" : "DIVERGED",
            race.parity_ok ? "" : " -- ", race.parity_ok ? "" : race.parity_detail.c_str());
     printf("  native:  %9.0f frames/s  (%.0f ns/frame, %.0f cycles/frame)\n",

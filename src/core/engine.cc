@@ -9,7 +9,6 @@
 #include "core/fanout.h"
 #include "core/fleet.h"
 #include "isa/isa.h"
-#include "symex/coverage.h"
 #include "symex/executor.h"
 #include "symex/snapshot.h"
 #include "util/log.h"
@@ -185,18 +184,12 @@ struct Engine::Impl {
     sink.OnEvent(ev);
   }
 
-  // Returns true when the block contributed new coverage. Fresh blocks are
-  // also published to the shared map when a parallel exercise is running, so
-  // live progress streams the merged picture across every worker.
+  // Returns true when the block contributed new coverage.
   bool UpdateCoverage(const ir::Block& block) {
     bool fresh = false;
     auto it = static_bbs.lower_bound(block.guest_pc);
     while (it != static_bbs.end() && *it < block.guest_pc + block.guest_size) {
-      bool inserted = covered.insert(*it).second;
-      fresh |= inserted;
-      if (inserted && live_coverage != nullptr) {
-        live_coverage->Mark(*it);
-      }
+      fresh |= covered.insert(*it).second;
       ++it;
     }
     return fresh;
@@ -205,13 +198,6 @@ struct Engine::Impl {
   void SampleTimeline() {
     if (stats.work % config.sample_every == 0) {
       timeline.push_back({stats.work, covered.size(), faults.stats().TotalInjected()});
-      if (global_faults != nullptr) {
-        // Publish the delta since the last sample into the run-wide counter
-        // (monitoring-only, like the shared coverage map).
-        uint64_t total = faults.stats().TotalInjected();
-        global_faults->fetch_add(total - faults_published, std::memory_order_relaxed);
-        faults_published = total;
-      }
       if (config.on_coverage) {
         config.on_coverage(timeline.back());
       }
@@ -454,9 +440,6 @@ struct Engine::Impl {
       symex::StepResult result = executor.Step(cur.get(), *block, &sink);
       ++stats.work;
       ++step_work;
-      if (global_work != nullptr) {
-        global_work->fetch_add(1, std::memory_order_relaxed);
-      }
       if (block->term == ir::Term::kCall) {
         ++call_counts[block->target];
         // §3.2 function models: skip the modeled callee entirely -- pop the
@@ -952,9 +935,6 @@ struct Engine::Impl {
     }
     faults.set_cursor(fault_cursor);
     faults.set_stats(fs);
-    // The restored counters are prefix totals this replica never published;
-    // start live-sample publication from here, not from zero.
-    faults_published = fs.TotalInjected();
     if (e.remaining() != 0) {
       return fail("trailing bytes in engine section");
     }
@@ -1118,14 +1098,10 @@ struct Engine::Impl {
   // builds the replica substrate(s), restores the step's RSS1 snapshot into
   // each, explores, and returns the sliced segment slot(s). This is the
   // ONE task body every fleet lane runs, whichever lane (home or stolen)
-  // picks the task up. `live`/`gwork`/`gfaults` are the run's monitoring
-  // hooks (null under Engine::ExecuteFanoutTask).
+  // picks the task up.
   static FanoutTaskResult RunFanoutTask(const isa::Image& image, const EngineConfig& cfg,
                                         const FanoutTask& task,
-                                        const std::vector<uint8_t>& snapshot,
-                                        symex::SharedCoverageMap* live,
-                                        std::atomic<uint64_t>* gwork,
-                                        std::atomic<uint64_t>* gfaults) {
+                                        const std::vector<uint8_t>& snapshot) {
     const StepKnobs full_knobs = FanoutFullKnobs(cfg, task.sub_shards);
     FanoutTaskResult out;
 
@@ -1135,9 +1111,6 @@ struct Engine::Impl {
     // its pre-segment share is the enumeration re-run.
     auto run_replica = [&](SubShardMode* sub, EngineResult* result, bool* begun) {
       Impl replica(image, cfg);
-      replica.live_coverage = live;
-      replica.global_work = gwork;
-      replica.global_faults = gfaults;
       std::string snap_error;
       std::unique_ptr<ExecutionState> state = replica.RestoreChainSnapshot(snapshot, &snap_error);
       if (state == nullptr) {
@@ -1289,12 +1262,7 @@ struct Engine::Impl {
   // spine pass in place, so the driver load + static analysis its ctor paid
   // are not wasted; only the fan-out replicas build fresh substrates.
   static EngineResult RunParallel(Impl& spine) {
-    struct Shared {
-      std::atomic<bool> cancel{false};
-      std::atomic<uint64_t> work{0};
-      std::atomic<uint64_t> faults{0};
-      std::mutex observer_mu;
-    } shared;
+    std::atomic<bool> cancelled{false};
 
     const isa::Image& image = spine.image;
     const EngineConfig config = spine.config;  // pre-wrap copy for the knobs
@@ -1304,30 +1272,16 @@ struct Engine::Impl {
     // drains (workers finish their current task fast -- each step's inner
     // loop polls -- then join).
     std::function<bool()> user_cancel = config.cancel;
-    cfg.cancel = [&shared, user_cancel]() {
-      if (shared.cancel.load(std::memory_order_relaxed)) {
+    cfg.cancel = [&cancelled, user_cancel]() {
+      if (cancelled.load(std::memory_order_relaxed)) {
         return true;
       }
       if (user_cancel && user_cancel()) {
-        shared.cancel.store(true, std::memory_order_relaxed);
+        cancelled.store(true, std::memory_order_relaxed);
         return true;
       }
       return false;
     };
-    // Live coverage streaming reports the merged picture: total work across
-    // every replica and the shared map's covered count. Mid-run samples are
-    // monitoring only (their timing depends on scheduling); the final sample
-    // and the result timeline are canonical and deterministic.
-    symex::SharedCoverageMap live(spine.static_bbs);
-    std::function<void(const CoverageSample&)> user_cov = config.on_coverage;
-    if (user_cov) {
-      cfg.on_coverage = [&shared, &live, user_cov](const CoverageSample&) {
-        CoverageSample merged{shared.work.load(std::memory_order_relaxed), live.CoveredCount(),
-                              shared.faults.load(std::memory_order_relaxed)};
-        std::lock_guard<std::mutex> lock(shared.observer_mu);
-        user_cov(merged);
-      };
-    }
 
     // The effective plan was resolved by the Engine ctor; every replica
     // derives its knobs (FanoutFullKnobs) from the same config.
@@ -1335,10 +1289,12 @@ struct Engine::Impl {
     const uint32_t sub_shards = plan.sub_shards;
     StepKnobs spine_knobs = SpineStepKnobs(config);
 
-    spine.config = cfg;  // wrapped cancel + coverage hooks for the spine run
-    spine.live_coverage = &live;
-    spine.global_work = &shared.work;
-    spine.global_faults = &shared.faults;
+    // One thread reports the run: the spine runs on the caller's thread and
+    // keeps the caller's coverage hook -- its samples are the head of the
+    // merged timeline -- while the replicas run silent, and the merge below
+    // replays the rest of the merged timeline through the same hook.
+    spine.config = cfg;  // wrapped cancel hook for the spine run
+    cfg.on_coverage = nullptr;
     // Snapshot handoff: the spine pass serializes the chain state before
     // each step, and each fan-out task *restores* its start snapshot -- the
     // spine runs once, so total spine work is O(S). The restored substrate
@@ -1355,6 +1311,7 @@ struct Engine::Impl {
     };
     EngineResult merged = spine.RunScript(spine_knobs);
     spine.before_step = nullptr;
+    const size_t spine_samples = merged.timeline.size();  // already reported
     const size_t steps_total = snapshots.size();
     boundary_work.push_back(merged.stats.work);
 
@@ -1409,7 +1366,7 @@ struct Engine::Impl {
           snapshot = &local_snapshot;
         }
         FanoutTaskResult r = RunFanoutTask(image, cfg, FanoutTask{step, shard, sub_shards},
-                                           *snapshot, &live, &shared.work, &shared.faults);
+                                           *snapshot);
         const uint64_t executed = r.task_work;
         std::lock_guard<std::mutex> lock(results_mu);
         root_counts[step] = std::max(root_counts[step], r.root_count);
@@ -1489,8 +1446,6 @@ struct Engine::Impl {
     }
     uint64_t position = 0;
     uint64_t sum_seg = 0;
-    uint64_t max_seg = 0;
-    uint32_t begun_slots = 0;
     for (size_t k = 0; k < steps_total; ++k) {
       const uint64_t slot_count = sub_shards == 0 ? 1 : 1 + root_counts[k];
       size_t next = 0;
@@ -1567,8 +1522,6 @@ struct Engine::Impl {
       cum_work += seg.stats.work;
       cum_faults += seg.fault_stats.TotalInjected();
       sum_seg += seg.stats.work;
-      max_seg = std::max(max_seg, seg.stats.work);
-      ++begun_slots;
       }
     }
     merged.entries = std::move(entry_union);
@@ -1576,7 +1529,7 @@ struct Engine::Impl {
     // A cancel can land before a task begins its segment, in which case the
     // loop above never sees a seg.cancelled -- the sticky shared flag is the
     // authoritative answer.
-    if (shared.cancel.load(std::memory_order_relaxed)) {
+    if (cancelled.load(std::memory_order_relaxed)) {
       merged.cancelled = true;
     }
     merged.snapshot_restore_failures = restore_failures;
@@ -1586,53 +1539,30 @@ struct Engine::Impl {
                                first_failed_step, steps[first_failed_step].name.c_str());
     }
 
-    // The wrapped hooks capture this frame's Shared/live map; put the
-    // caller's originals back so nothing in the long-lived Impl dangles
-    // once this frame unwinds.
+    // The wrapped cancel hook captures this frame's flag; put the
+    // caller's original back so nothing in the long-lived Impl dangles once
+    // this frame unwinds.
     spine.config = config;
-    spine.live_coverage = nullptr;
-    spine.global_work = nullptr;
-    spine.global_faults = nullptr;
 
     merged.timeline.push_back({cum_work, merged.covered_blocks.size(), cum_faults});
-    if (user_cov) {
-      std::lock_guard<std::mutex> lock(shared.observer_mu);
-      user_cov(merged.timeline.back());
+    if (config.on_coverage) {
+      for (size_t i = spine_samples; i < merged.timeline.size(); ++i) {
+        config.on_coverage(merged.timeline[i]);
+      }
     }
     // Scaling diagnostics: the per-task work distribution is what bounds
     // parallel scaling (wall ~ spine + max task chain on enough cores).
-    // `spine` is the O(S) shared pass; `enum-overhead` is the per-task
+    // `spine_work` is the O(S) shared pass; `enum_work` is the per-task
     // re-run of the bounded enumeration phase when sub-sharding. A task's
     // chain is everything it executed (enumeration + owned segments), so
     // the critical path is exact for both fan-out architectures.
-    {
-      uint64_t spine_work = merged.stats.work - sum_seg;
-      uint64_t critical = spine_work + max_chain;
-      merged.parallel.spine_work = spine_work;
-      merged.parallel.max_task_chain = max_chain;
-      merged.parallel.critical_path = critical;
-      merged.parallel.enum_work = sum_enum;
-      merged.parallel.tasks = static_cast<uint32_t>(total_tasks);
-      merged.parallel.fleet_workers = fleet_workers;
-      merged.parallel.fleet_steals = fleet_steals;
-      // A shared fleet's owner (RunBatch) prints one batch-level block.
-      if (config.fleet == nullptr && getenv("REVNIC_PARALLEL_STATS") != nullptr) {
-        fprintf(stderr,
-                "[parallel-exercise] sub-shards=%u "
-                "fleet=%u steals=%u spine=%llu work, "
-                "enum-overhead=%llu, %u segments (sum=%llu max=%llu), tasks=%zu, "
-                "critical path=%llu (%.2fx vs serial merge)\n",
-                sub_shards, fleet_workers, fleet_steals,
-                (unsigned long long)spine_work, (unsigned long long)sum_enum, begun_slots,
-                (unsigned long long)sum_seg, (unsigned long long)max_seg, total_tasks,
-                (unsigned long long)critical,
-                critical == 0 ? 1.0 : (double)merged.stats.work / (double)critical);
-        if (config.plan.faults.Enabled()) {
-          fprintf(stderr, "[parallel-exercise] %s\n",
-                  hw::FormatFaultStats(merged.fault_stats).c_str());
-        }
-      }
-    }
+    merged.parallel.spine_work = merged.stats.work - sum_seg;
+    merged.parallel.max_task_chain = max_chain;
+    merged.parallel.critical_path = merged.parallel.spine_work + max_chain;
+    merged.parallel.enum_work = sum_enum;
+    merged.parallel.tasks = static_cast<uint32_t>(total_tasks);
+    merged.parallel.fleet_workers = fleet_workers;
+    merged.parallel.fleet_steals = fleet_steals;
     return merged;
   }
 
@@ -1667,14 +1597,6 @@ struct Engine::Impl {
   bool cancel_requested = false;
 
   // ---- parallel-exercise plumbing ----
-  // Shared coverage map to publish fresh blocks into (merged live progress).
-  symex::SharedCoverageMap* live_coverage = nullptr;
-  // Cross-replica work counter behind the live coverage stream.
-  std::atomic<uint64_t>* global_work = nullptr;
-  // Cross-replica injected-fault counter (monitoring-only, like the shared
-  // coverage map) and this replica's already-published total.
-  std::atomic<uint64_t>* global_faults = nullptr;
-  uint64_t faults_published = 0;
   // When set, RunScript calls this with the chain state right before each
   // executed step: the spine captures its handoff snapshots here, the
   // lockstep oracle its restore points.
@@ -1715,7 +1637,7 @@ EngineResult Engine::Run() {
 FanoutTaskResult Engine::ExecuteFanoutTask(const isa::Image& image, const EngineConfig& config,
                                            const FanoutTask& task,
                                            const std::vector<uint8_t>& snapshot) {
-  return Impl::RunFanoutTask(image, config, task, snapshot, nullptr, nullptr, nullptr);
+  return Impl::RunFanoutTask(image, config, task, snapshot);
 }
 
 bool Engine::VerifyRestoreLockstep(const isa::Image& image, const EngineConfig& config,

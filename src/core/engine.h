@@ -88,13 +88,12 @@ struct EngineConfig {
   bool capture_final_snapshot = true;
   // Coverage timeline sampling period (work units).
   uint64_t sample_every = 2048;
-  // Streaming observation: invoked at every timeline sample point while the
-  // exerciser runs (core::Session wires its observer through here). Under
-  // parallel exercising the samples carry the merged picture (total work,
-  // shared-map coverage) and invocations are serialized by an internal
-  // mutex, but they originate from worker threads -- mid-run sample timing
-  // is monitoring-only; the final sample and the result timeline are
-  // deterministic.
+  // Streaming observation (core::Session wires its observer through here):
+  // invoked on the thread that called Engine::Run, once per
+  // EngineResult::timeline sample, element for element and in order, under
+  // every plan. The sequential exerciser reports each sample as it is
+  // taken; a parallel-class run reports the spine's samples as the spine
+  // takes them and the rest of the merged timeline after the merge.
   std::function<void(const CoverageSample&)> on_coverage;
   // Cooperative cancellation: polled between translated blocks. Returning
   // true stops the run early; the wiretap output gathered so far is returned
@@ -106,9 +105,7 @@ struct EngineConfig {
   // fleet_job). RunBatch injects its shared batch fleet here; when null the
   // engine builds a private single-job fleet with FleetLanes(plan) lanes.
   // Placement only -- never part of the checkpoint config fingerprint,
-  // results stay byte-identical either way. The engine prints its own
-  // REVNIC_PARALLEL_STATS block only on a private fleet; a shared fleet's
-  // owner (RunBatch) prints one batch-level aggregation instead.
+  // results stay byte-identical either way.
   FleetScheduler* fleet = nullptr;
   uint32_t fleet_job = 0;
 };
@@ -138,10 +135,10 @@ static_assert(FieldListCovers<EngineStats>());
 
 // Parallel exercising diagnostics, populated whenever the staged
 // parallel architecture runs (ParallelClass(plan)). All figures are
-// deterministic work units, not wall-clock; REVNIC_PARALLEL_STATS=1 prints
-// them to stderr. Runtime diagnostic -- not serialized into checkpoints
-// (merged checkpoint bytes stay plan-shape independent within the guarantee
-// grid).
+// deterministic work units, not wall-clock; fig8_coverage and
+// driver_inspector print them. Runtime diagnostic -- not serialized into
+// checkpoints (merged checkpoint bytes stay plan-shape independent within
+// the guarantee grid).
 struct ParallelExerciseStats {
   uint64_t spine_work = 0;          // sequential spine pass, merged units
   uint64_t max_task_chain = 0;      // heaviest fan-out task (all its replicas)

@@ -40,7 +40,7 @@ struct FanoutTaskResult {
   // slot layout). 0 when sub_shards == 0.
   uint64_t root_count = 0;
   // Executed work on this task's chain, across all its replicas -- the
-  // critical-path unit REVNIC_PARALLEL_STATS reports.
+  // critical-path unit ParallelExerciseStats reports.
   uint64_t task_work = 0;
   // The portion of task_work that re-ran the sub-shard enumeration.
   uint64_t enum_work = 0;

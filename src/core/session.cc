@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -306,36 +305,6 @@ std::unique_ptr<Session> Session::LoadCheckpointFile(const std::string& path,
 
 // ---- batch ----
 
-namespace {
-
-// One aggregated REVNIC_PARALLEL_STATS block for the whole batch (an engine
-// on the shared fleet skips its own per-job print): one row per
-// fleet job in input order, then fleet totals with the makespan model
-// (core/fleet.h). An all-sequential batch prints nothing.
-void PrintBatchParallelStats(const BatchResult& batch) {
-  if (!batch.fleet_used) {
-    return;
-  }
-  for (const BatchJobResult& j : batch.jobs) {
-    const ParallelExerciseStats& p = j.result.engine.parallel;
-    if (p.tasks == 0) {
-      continue;  // a sequential job, off the fleet
-    }
-    fprintf(stderr,
-            "[batch-parallel] job=%s spine=%llu tasks=%u critical=%llu steals=%u\n",
-            j.name.c_str(), (unsigned long long)p.spine_work, p.tasks,
-            (unsigned long long)p.critical_path, p.fleet_steals);
-  }
-  const FleetBatchStats& f = batch.fleet;
-  fprintf(stderr,
-          "[batch-parallel] fleet workers=%u steal=%s tasks=%u steals=%u "
-          "makespan-model=%llu spine-floor=%llu\n",
-          f.workers, f.steal ? "on" : "off", f.tasks, f.real_steals,
-          (unsigned long long)f.makespan, (unsigned long long)f.max_spine_work);
-}
-
-}  // namespace
-
 BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& options) {
   BatchResult batch;
   batch.jobs.resize(jobs.size());
@@ -440,9 +409,6 @@ BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& opti
     batch.fleet_used = true;
     batch.fleet = fleet->ComputeStats();
   }
-  if (getenv("REVNIC_PARALLEL_STATS") != nullptr) {
-    PrintBatchParallelStats(batch);
-  }
   return batch;
 }
 
@@ -497,10 +463,9 @@ std::string ConfigFingerprint(const EngineConfig& c) {
   mix(c.capture_final_snapshot ? 1 : 0);
   // The fault plan reshapes the explored tree; rates are mixed as raw
   // IEEE-754 bits -- any representational change is a schedule change.
-  // threads is NOT mixed beyond the parallel class, and neither are
-  // plan.fleet / plan.steal (placement-only; pinned byte-identical by
-  // tests/dist_test.cc) -- but sub_shards changes the merged slot layout,
-  // so its exact value is output-relevant.
+  // threads, plan.fleet and plan.steal are placement only and sub_shards
+  // counts >= 1 all merge to the same bytes (pinned by tests/dist_test.cc),
+  // so only the output class is mixed, below.
   const ExercisePlan& plan = c.plan;
   mix(plan.faults.seed);
   for (double rate : plan.faults.rates) {
@@ -509,12 +474,10 @@ std::string ConfigFingerprint(const EngineConfig& c) {
     std::memcpy(&bits, &rate, sizeof(bits));
     mix(bits);
   }
-  mix(plan.sub_shards);
-  // Parallel exercising changes the explored tree, so the architecture is
-  // output-relevant -- but every lane count produces byte-identical
-  // results, so the key only distinguishes the sequential engine from the
-  // parallel one, through the same predicate Engine::Run uses.
-  mix(ParallelClass(plan) ? 2 : 1);
+  // The output class (core/exercise_plan.h) changes the explored tree and
+  // the merged slot layout: sequential, whole-step parallel or sub-sharded,
+  // told apart through the same predicate Engine::Run uses.
+  mix(!ParallelClass(plan) ? 1 : plan.sub_shards == 0 ? 2 : 3);
   // Container sizes are mixed before their elements so adjacent
   // variable-length fields cannot alias each other's streams.
   mix(c.skip_apis.size());

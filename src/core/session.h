@@ -59,7 +59,8 @@ struct SessionObserver {
   // A stage just completed.
   std::function<void(Stage completed)> on_stage;
   // Coverage sample from inside Exercise() (one per EngineConfig::sample_every
-  // work units, plus a final one).
+  // work units, plus a final one): under every plan the calls replay
+  // EngineResult::timeline, element for element and in order.
   std::function<void(const CoverageSample&)> on_coverage;
   // Polled during Exercise(); return true to stop exercising early. The
   // session still completes with whatever the wiretap gathered.
@@ -217,9 +218,8 @@ struct BatchOptions {
   // ONE shared FleetScheduler: the largest FleetLanes() and the common
   // stealing mode of those jobs' effective plans. Scheduling is
   // placement-only -- merged bytes equal standalone runs' across fleet
-  // sizes and stealing on/off -- and RunBatch prints one
-  // aggregated REVNIC_PARALLEL_STATS block for the whole batch instead of
-  // one per job.
+  // sizes and stealing on/off. Per-job fan-out figures come back in each
+  // job's EngineResult::parallel, the fleet's in BatchResult::fleet.
   std::optional<ExercisePlan> plan;
   // Invoked once per finished job, serialized by an internal mutex.
   std::function<void(const BatchJobResult&)> on_job_done;
@@ -232,9 +232,10 @@ struct BatchOptions {
 BatchResult RunBatch(const std::vector<BatchJob>& jobs, const BatchOptions& options = {});
 
 // An on_coverage callback that streams every sample as one JSONL object --
-// {"driver":<label>,"work":N,"covered":N} -- into `sink` (which the caller
-// keeps alive for the run). Safe to share one sink across RunBatch jobs and
-// parallel-exercise workers: JsonlWriter serializes internally. Wire it into
+// {"driver":<label>,"work":N,"covered":N,"faults":N} -- into `sink` (which
+// the caller keeps alive for the run). A job's lines are its result timeline
+// in order, under every plan. Safe to share one sink across RunBatch jobs:
+// JsonlWriter serializes internally. Wire it into
 // SessionObserver::on_coverage or EngineConfig::on_coverage; fig8_coverage
 // --coverage-log builds its CI-archived coverage trail with this.
 std::function<void(const CoverageSample&)> MakeCoverageJsonlLogger(JsonlWriter* sink,

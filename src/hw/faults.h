@@ -116,7 +116,7 @@ struct FaultStats {
 };
 static_assert(FieldListCovers<FaultStats>());
 
-// One-line human-readable rendering (CLI reports, REVNIC_PARALLEL_STATS).
+// One-line human-readable rendering (CLI reports).
 std::string FormatFaultStats(const FaultStats& stats);
 
 enum class IrqFault : uint8_t { kNone = 0, kDrop, kDup, kDelay };

@@ -34,7 +34,8 @@ struct RaceOptions {
   // Non-empty: also check trace parity under this seeded fault plan
   // (hw::ParseFaultPlan grammar).
   std::string fault_plan;
-  std::string workdir;  // where .c/.so land; DefaultWorkDir() when empty
+  // Where .c/.so land and stay; empty = DefaultWorkDir(), removed at exit.
+  std::string workdir;
   bool measure = true;  // false: parity only (tests)
 };
 

@@ -67,7 +67,8 @@ std::string HostCompiler() {
 }
 
 std::string DefaultWorkDir() {
-  static const std::string dir = [] {
+  // Never destroyed: the exit hook reads it after static destructors ran.
+  static const std::string& dir = *[] {
     std::error_code ec;
     fs::path base = fs::temp_directory_path(ec);
     if (ec) {
@@ -79,7 +80,11 @@ std::string DefaultWorkDir() {
     fs::path d = base / "revnic_native";
 #endif
     fs::create_directories(d, ec);
-    return d.string();
+    std::atexit([] {
+      std::error_code ignored;
+      fs::remove_all(DefaultWorkDir(), ignored);
+    });
+    return new std::string(d.string());
   }();
   return dir;
 }

@@ -22,7 +22,9 @@ std::string HostCompiler();
 bool ToolchainAvailable(std::string* why = nullptr);
 
 // A process-unique scratch directory for compile artifacts; created lazily
-// under the system temp dir and reused for the life of the process.
+// under the system temp dir, reused for the life of the process and removed
+// with everything in it when the process exits. Artifacts meant to outlive
+// the process go to a caller-given directory (RaceOptions::workdir).
 std::string DefaultWorkDir();
 
 // Compiles `source` (C11) into a shared object at `so_path` (intermediate

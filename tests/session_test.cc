@@ -283,8 +283,8 @@ TEST(Session, AutoThreadsIsTheParallelClassOnEveryHost) {
   // plan.threads = 0 ("size for the hardware") selects the parallel output
   // class regardless of the host's core count: its checkpoint bytes equal
   // an explicit two-lane run's, and the checkpoint store keys both to one
-  // entry (a second Resume adds no entry), while the sequential class gets
-  // its own.
+  // entry (a second Resume adds no entry), while the sequential and the
+  // sub-sharded class get their own.
   const isa::Image& image = drivers::DriverImage(DriverId::kRtl8029);
   core::EngineConfig auto_cfg = SmallConfig(DriverId::kRtl8029, 30'000);
   auto_cfg.plan.threads = 0;
@@ -310,6 +310,20 @@ TEST(Session, AutoThreadsIsTheParallelClassOnEveryHost) {
   EXPECT_EQ(from_two->SaveCheckpoint(), from_auto->SaveCheckpoint());
   ASSERT_NE(store.Resume("session_test/auto", image, seq_cfg, "", &error), nullptr) << error;
   EXPECT_EQ(store.size(), 2u);
+
+  // Sub-shard counts >= 1 merge to the same bytes (dist_test), so K=2 and
+  // K=4 share one entry -- the sub-sharded class's own, apart from the
+  // whole-step class's.
+  core::EngineConfig k2_cfg = two_cfg;
+  k2_cfg.plan.sub_shards = 2;
+  core::EngineConfig k4_cfg = two_cfg;
+  k4_cfg.plan.sub_shards = 4;
+  auto from_k2 = store.Resume("session_test/auto", image, k2_cfg, "", &error);
+  ASSERT_NE(from_k2, nullptr) << error;
+  EXPECT_EQ(store.size(), 3u);
+  auto from_k4 = store.Resume("session_test/auto", image, k4_cfg, "", &error);
+  ASSERT_NE(from_k4, nullptr) << error;
+  EXPECT_EQ(store.size(), 3u);
 }
 
 // ---- batch ----

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/fanout.h"
@@ -240,36 +242,57 @@ TEST(SnapshotHandoff, DisablingCaptureYieldsSnapshotFreeCheckpoint) {
   EXPECT_TRUE(resumed->engine().final_snapshot.empty());
 }
 
-// ---- mid-run coverage samples are monitoring-only ----
+// ---- the coverage stream is the result timeline ----
 
-TEST(SnapshotHandoff, AssertOnlyOnFinalMergedCoverage) {
-  // Regression guard: under parallel exercising, mid-run on_coverage sample
-  // *timing* is schedule-dependent (workers race to the sampling points;
-  // values come from atomic reads of the shared map). Only the final sample
-  // and the result timeline are canonical -- see ROADMAP.md "PR 3
-  // follow-ups" -- so tests must never compare mid-run samples across runs.
-  // This test intentionally asserts on the final sample alone.
-  core::EngineConfig cfg = SmallConfig(DriverId::kRtl8029);
-  cfg.plan.threads = 4;
-  cfg.sample_every = 512;
-  core::Session s(drivers::DriverImage(DriverId::kRtl8029), cfg);
-  std::vector<core::CoverageSample> samples;
-  core::SessionObserver obs;
-  obs.on_coverage = [&samples](const core::CoverageSample& sample) {
-    samples.push_back(sample);
+TEST(SnapshotHandoff, CoverageStreamEqualsResultTimeline) {
+  // One thread reports a run: under every plan the observer's on_coverage
+  // calls come from the thread that called Exercise() and replay
+  // EngineResult::timeline element for element, in order -- so two runs of
+  // one plan stream identical samples.
+  using Sample = std::tuple<uint64_t, size_t, uint64_t>;
+  auto flatten = [](const std::vector<core::CoverageSample>& samples) {
+    std::vector<Sample> out;
+    for (const core::CoverageSample& s : samples) {
+      out.emplace_back(s.work, s.covered_blocks, s.faults);
+    }
+    return out;
   };
-  s.set_observer(obs);
-  ASSERT_TRUE(s.Exercise());
-  EXPECT_EQ(s.engine().snapshot_restore_failures, 0u);
-  ASSERT_FALSE(samples.empty());
-  // The final sample is canonical: it reports the fully merged picture.
-  EXPECT_EQ(samples.back().covered_blocks, s.engine().covered_blocks.size());
-  EXPECT_EQ(samples.back().work, s.engine().stats.work);
-  // The result timeline (not the streamed samples) is the deterministic
-  // record; its tail agrees with the merged result by construction.
-  const auto& tl = s.engine().timeline;
-  ASSERT_FALSE(tl.empty());
-  EXPECT_EQ(tl.back().covered_blocks, s.engine().covered_blocks.size());
+  struct Shape {
+    unsigned threads, sub_shards, fleet;
+  };
+  for (const Shape& shape : {Shape{4, 0, 0}, Shape{4, 4, 0}, Shape{0, 0, 2}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << shape.threads
+                                    << " sub_shards=" << shape.sub_shards
+                                    << " fleet=" << shape.fleet);
+    core::EngineConfig cfg = SmallConfig(DriverId::kRtl8029);
+    cfg.plan.threads = shape.threads;
+    cfg.plan.sub_shards = shape.sub_shards;
+    cfg.plan.fleet = shape.fleet;
+    cfg.sample_every = 512;
+    std::vector<std::vector<Sample>> streams;
+    for (int run = 0; run < 2; ++run) {
+      core::Session s(drivers::DriverImage(DriverId::kRtl8029), cfg);
+      std::vector<core::CoverageSample> samples;
+      const std::thread::id caller = std::this_thread::get_id();
+      bool off_caller = false;
+      core::SessionObserver obs;
+      obs.on_coverage = [&](const core::CoverageSample& sample) {
+        off_caller = off_caller || std::this_thread::get_id() != caller;
+        samples.push_back(sample);
+      };
+      s.set_observer(obs);
+      ASSERT_TRUE(s.Exercise());
+      EXPECT_EQ(s.engine().snapshot_restore_failures, 0u);
+      EXPECT_GT(s.engine().parallel.tasks, 0u);
+      EXPECT_FALSE(off_caller);
+      ASSERT_GT(samples.size(), 1u);
+      EXPECT_EQ(flatten(samples), flatten(s.engine().timeline));
+      EXPECT_EQ(samples.back().covered_blocks, s.engine().covered_blocks.size());
+      EXPECT_EQ(samples.back().work, s.engine().stats.work);
+      streams.push_back(flatten(samples));
+    }
+    EXPECT_EQ(streams[0], streams[1]);
+  }
 }
 
 }  // namespace

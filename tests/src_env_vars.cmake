@@ -5,8 +5,7 @@
 cmake_minimum_required(VERSION 3.16)
 
 set(allowed
-    REVNIC_NATIVE_CC        # host C compiler for the native tier
-    REVNIC_PARALLEL_STATS)  # stderr block of fan-out counters
+    REVNIC_NATIVE_CC)  # host C compiler for the native tier
 
 file(GLOB_RECURSE sources ${SRC_DIR}/*.cc ${SRC_DIR}/*.h)
 if(NOT sources)
