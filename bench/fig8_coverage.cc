@@ -8,8 +8,8 @@
 // owns its symbolic substrate, so the curves are identical to standalone
 // runs); the timeline comes back per job. Parallel runs share one batch
 // fleet: every driver's fan-out tasks go to the same lanes, and a
-// "Fan-out (per driver)" section reports each driver's spine work, tasks,
-// critical path and steals.
+// "Fan-out (per driver)" section reports each driver's spine work, tasks
+// and critical path.
 //
 // Flags (assembled into one core::ExercisePlan per job):
 //   --exercise-threads=N   intra-driver parallel exercising (the PR 3
@@ -122,9 +122,9 @@ int main(int argc, char** argv) {
          "wall %.1fs)\n",
          batch.jobs.size(), batch.concurrency, plan.threads, plan.sub_shards, wall_s);
   if (batch.fleet_used) {
-    printf("(fleet: workers=%u steal=%s tasks=%u real-steals=%u makespan-model=%llu)\n",
-           batch.fleet.workers, batch.fleet.steal ? "on" : "off", batch.fleet.tasks,
-           batch.fleet.real_steals, (unsigned long long)batch.fleet.makespan);
+    printf("(fleet: workers=%u steal=%s tasks=%u makespan-model=%llu)\n", batch.fleet.workers,
+           batch.fleet.steal ? "on" : "off", batch.fleet.tasks,
+           (unsigned long long)batch.fleet.makespan);
   }
   if (plan.faults.Enabled()) {
     printf("(fault plan: %s)\n", hw::FormatFaultPlan(plan.faults).c_str());
@@ -183,9 +183,9 @@ int main(int argc, char** argv) {
     printf("\nFan-out (per driver):\n");
     for (const core::BatchJobResult& job : batch.jobs) {
       const core::ParallelExerciseStats& p = job.result.engine.parallel;
-      printf("  %-10s spine=%llu tasks=%u critical-path=%llu steals=%u\n", job.name.c_str(),
+      printf("  %-10s spine=%llu tasks=%u critical-path=%llu\n", job.name.c_str(),
              static_cast<unsigned long long>(p.spine_work), p.tasks,
-             static_cast<unsigned long long>(p.critical_path), p.fleet_steals);
+             static_cast<unsigned long long>(p.critical_path));
     }
   }
   if (plan.faults.Enabled()) {

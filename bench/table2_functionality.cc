@@ -2,7 +2,11 @@
 //
 // Each feature is exercised on the *synthesized* driver running in a target
 // OS template against the real device model; a check mark means the feature
-// worked exactly as with the original driver.
+// worked exactly as with the original driver. Exits 1 when any cell reads
+// FAIL (the `table2_smoke` ctest entry).
+#include <algorithm>
+#include <iterator>
+
 #include "bench/bench_common.h"
 #include "os/recovered_host.h"
 #include "synth/emit.h"
@@ -114,10 +118,12 @@ int main() {
 
   printf("%-18s %10s %10s %12s %10s %10s\n", "Functionality", "PCNet", "RTL8139", "91C111",
          "RTL8029", "EL3");
+  long failed = 0;
   for (const FeatureRow& r : rows) {
     printf("%-18s %10s %10s %12s %10s %10s\n", r.name, r.result[0].c_str(),
            r.result[1].c_str(), r.result[2].c_str(), r.result[3].c_str(),
            r.result[4].c_str());
+    failed += std::count(std::begin(r.result), std::end(r.result), "FAIL");
   }
   printf("\n(X = functionality verified on the synthesized driver; matches Table 2.)\n");
 
@@ -140,5 +146,8 @@ int main() {
     }
     printf("\n");
   }
-  return 0;
+  if (failed != 0) {
+    printf("\n%ld functionality cell(s) read FAIL\n", failed);
+  }
+  return failed == 0 ? 0 : 1;
 }

@@ -249,10 +249,10 @@ int main(int argc, char** argv) {
   printf("substrate caches: %s\n", perf::FormatSubstrateCounters(engine.substrate).c_str());
   if (engine.parallel.tasks != 0) {
     const core::ParallelExerciseStats& p = engine.parallel;
-    printf("fan-out: spine=%llu tasks=%u critical-path=%llu enum=%llu lanes=%u steals=%u\n",
+    printf("fan-out: spine=%llu tasks=%u critical-path=%llu enum=%llu lanes=%u\n",
            static_cast<unsigned long long>(p.spine_work), p.tasks,
            static_cast<unsigned long long>(p.critical_path),
-           static_cast<unsigned long long>(p.enum_work), p.fleet_workers, p.fleet_steals);
+           static_cast<unsigned long long>(p.enum_work), p.fleet_workers);
   }
   if (engine.fault_stats.decisions > 0) {
     printf("%s\n", hw::FormatFaultStats(engine.fault_stats).c_str());

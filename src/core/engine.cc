@@ -9,6 +9,7 @@
 #include "core/fanout.h"
 #include "core/fleet.h"
 #include "isa/isa.h"
+#include "os/miniport_host.h"
 #include "symex/executor.h"
 #include "symex/snapshot.h"
 #include "util/log.h"
@@ -60,12 +61,6 @@ struct Step {
   // Optional extra state preparation (packet buffers etc.).
   std::function<void(symex::ExprContext*, ExecutionState*)> setup;
 };
-
-constexpr uint32_t kScratch = 0x00200000;     // packet struct + buffers
-constexpr uint32_t kPacketStruct = kScratch;
-constexpr uint32_t kPacketData = kScratch + 0x100;
-constexpr uint32_t kIoctlBuf = kScratch + 0x800;
-constexpr uint32_t kIoctlOut = kScratch + 0x7F0;
 
 // The per-step exploration limits RunStep honors. The sequential engine uses
 // the config's values for every step; the parallel engine drives its spine
@@ -565,11 +560,12 @@ struct Engine::Impl {
     // unload, with interrupt injection after entry points.
     std::vector<Step> script;
     Step drv{.name = "driver_entry", .is_driver_entry = true};
-    drv.args = {{false, 0x1000, "drvobj"}, {false, 0x1100, "regpath"}};
+    drv.args = {{false, os::kDriverObjectAddr, "drvobj"},
+                {false, os::kRegistryPathAddr, "regpath"}};
     script.push_back(drv);
 
     Step init{.name = "initialize", .role = EntryRole::kInitialize};
-    init.args = {{false, 0x2000, "handle"}};
+    init.args = {{false, os::kDriverHandle, "handle"}};
     script.push_back(init);
 
     script.push_back(MakeIrqStep("irq_after_init_isr", EntryRole::kIsr));
@@ -578,38 +574,40 @@ struct Engine::Impl {
     Step query{.name = "query_info", .role = EntryRole::kQueryInformation};
     query.args = {{false, kAdapterCtxPlaceholder, "ctx"},
                   {true, 0, "oid"},
-                  {false, kIoctlBuf, "buf"},
+                  {false, os::kOidBufAddr, "buf"},
                   {false, 64, "len"},
-                  {false, kIoctlOut, "written"}};
+                  {false, os::kOidLenAddr, "written"}};
     script.push_back(query);
 
     Step set{.name = "set_info", .role = EntryRole::kSetInformation};
     set.args = {{false, kAdapterCtxPlaceholder, "ctx"},
                 {true, 0, "oid"},
-                {false, kIoctlBuf, "buf"},
+                {false, os::kOidBufAddr, "buf"},
                 {false, 12, "len"},
-                {false, kIoctlOut, "read"}};
+                {false, os::kOidLenAddr, "read"}};
     set.setup = [](symex::ExprContext* ectx, ExecutionState* st) {
       // IOCTL input buffer: symbolic payload (filter bits, duplex value,
       // multicast addresses...).
       for (unsigned i = 0; i < 12; i += 4) {
-        st->mem().Write(ectx, kIoctlBuf + i, 4, ectx->Sym(StrFormat("ioctl_in_%u", i), 32));
+        st->mem().Write(ectx, os::kOidBufAddr + i, 4,
+                        ectx->Sym(StrFormat("ioctl_in_%u", i), 32));
       }
     };
     script.push_back(set);
 
     Step send{.name = "send", .role = EntryRole::kSend};
     send.args = {{false, kAdapterCtxPlaceholder, "ctx"},
-                 {false, kPacketStruct, "packet"},
+                 {false, os::kPacketAddr, "packet"},
                  {false, 0, "flags"}};
     send.setup = [](symex::ExprContext* ectx, ExecutionState* st) {
       // NDIS_PACKET with symbolic length and symbolic leading payload
       // (§3.2: "replaces the concrete data within the packet and the packet
       // length with symbolic values").
-      st->mem().Write(ectx, kPacketStruct, 4, ectx->Const(kPacketData));
-      st->mem().Write(ectx, kPacketStruct + 4, 4, ectx->Sym("send_len", 32));
+      st->mem().Write(ectx, os::kPacketAddr, 4, ectx->Const(os::kPacketDataAddr));
+      st->mem().Write(ectx, os::kPacketAddr + 4, 4, ectx->Sym("send_len", 32));
       for (unsigned i = 0; i < 64; i += 4) {
-        st->mem().Write(ectx, kPacketData + i, 4, ectx->Sym(StrFormat("pkt_%u", i), 32));
+        st->mem().Write(ectx, os::kPacketDataAddr + i, 4,
+                        ectx->Sym(StrFormat("pkt_%u", i), 32));
       }
     };
     script.push_back(send);
@@ -1328,7 +1326,6 @@ struct Engine::Impl {
     uint64_t restore_failures = 0;
     size_t first_failed_step = steps_total;
     uint32_t fleet_workers = 0;
-    uint32_t fleet_steals = 0;
     // A RunBatch-injected shared fleet wins; otherwise the run builds a
     // private single-job fleet (below) and is job 0 of it.
     FleetScheduler* fleet = config.fleet;
@@ -1403,7 +1400,6 @@ struct Engine::Impl {
       }
       fleet->RunJobTasks(job, std::move(ftasks));
       fleet_workers = fleet->workers();
-      fleet_steals = fleet->JobRealSteals(job);
       // own_fleet (if any) joins its workers here, before the merge.
     }
 
@@ -1562,7 +1558,6 @@ struct Engine::Impl {
     merged.parallel.enum_work = sum_enum;
     merged.parallel.tasks = static_cast<uint32_t>(total_tasks);
     merged.parallel.fleet_workers = fleet_workers;
-    merged.parallel.fleet_steals = fleet_steals;
     return merged;
   }
 

@@ -147,7 +147,6 @@ struct ParallelExerciseStats {
   uint32_t tasks = 0;               // fan-out tasks dispatched (steps x shards)
   // Fleet-scheduler figures.
   uint32_t fleet_workers = 0;       // lanes of the fleet the job's tasks used
-  uint32_t fleet_steals = 0;        // tasks this job ran off their home lane
 };
 
 struct EngineResult {

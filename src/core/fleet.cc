@@ -76,12 +76,6 @@ void FleetScheduler::RunJobTasks(uint32_t job, std::vector<Task> tasks) {
   });
 }
 
-uint32_t FleetScheduler::JobRealSteals(uint32_t job) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = real_steals_.find(job);
-  return it == real_steals_.end() ? 0 : it->second;
-}
-
 void FleetScheduler::WorkerLoop(unsigned lane) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -115,7 +109,7 @@ void FleetScheduler::WorkerLoop(unsigned lane) {
     Task task = std::move(it->second);
     lanes_[src].erase(it);
     if (src != lane) {
-      ++real_steals_[task.job];
+      ++real_steals_;
     }
     lock.unlock();
     const uint64_t work = task.run ? task.run() : 0;
@@ -136,9 +130,7 @@ FleetBatchStats FleetScheduler::ComputeStats() const {
   for (uint64_t w : works_) {
     st.total_task_work += w;
   }
-  for (const auto& [job, steals] : real_steals_) {
-    st.real_steals += steals;
-  }
+  st.real_steals = real_steals_;
   for (const auto& [job, spine] : spine_work_) {
     st.max_spine_work = std::max(st.max_spine_work, spine);
   }

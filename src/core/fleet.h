@@ -85,9 +85,6 @@ class FleetScheduler {
   // thread; the fleet interleaves all jobs' tasks across its workers.
   void RunJobTasks(uint32_t job, std::vector<Task> tasks);
 
-  // Live off-home executions charged to this job so far (monitoring only).
-  uint32_t JobRealSteals(uint32_t job) const;
-
   unsigned workers() const { return options_.workers; }
   bool steal() const { return options_.steal; }
 
@@ -127,7 +124,7 @@ class FleetScheduler {
   std::vector<uint64_t> committed_;          // estimate sum placed on each lane
   std::map<uint32_t, uint32_t> outstanding_; // job -> queued + running tasks
   std::map<uint32_t, uint64_t> spine_work_;
-  std::map<uint32_t, uint32_t> real_steals_;
+  uint32_t real_steals_ = 0;                 // off-home executions, all jobs
   std::vector<uint64_t> works_;              // executed work, one per task
   std::vector<std::thread> threads_;
 };

@@ -199,7 +199,7 @@ class FaultRamPort : public vm::RamPort {
 // Fault-injecting NicDevice proxy (the CountingIoProxy shape, lifted to the
 // full device interface). Wraps any model: register traffic, DMA, frames,
 // and the IRQ line all pass through the schedule; everything else forwards.
-// Hosts use it exactly like the inner device:
+// Hosts (any os::MiniportHost) use it exactly like the inner device:
 //
 //   auto dev = drivers::MakeDevice(id);
 //   hw::FaultInjector faulty(dev.get(), plan);

@@ -45,137 +45,39 @@ hw::Frame RxFrame(size_t payload, uint8_t tag) {
   return hw::BuildUdpFrame({3, 3, 3, 3, 3, 3}, bcast, payload, tag);
 }
 
-// The same 8-frame tx + broadcast rx workload tests/pipeline_test.cc uses
-// for the interpreted synthesized driver, now against the compiled one.
-bool CleanParity(DriverId id, const NativeModule& module,
-                 const synth::RecoveredModule& recovered, std::string* detail) {
+// Boots the original binary and the compiled driver on fresh devices, each
+// behind a hw::FaultInjector over `plan` when one is given, and runs the
+// matching parity workload over them.
+bool RunParity(DriverId id, const NativeModule& module, const synth::RecoveredModule& recovered,
+               const hw::FaultPlan* plan, std::string* detail) {
+  const std::string under = plan != nullptr ? " under faults" : "";
   auto dev_orig = drivers::MakeDevice(id);
-  os::ConcreteWinSimHost orig(drivers::DriverImage(id), dev_orig.get());
+  auto dev_nat = drivers::MakeDevice(id);
+  std::unique_ptr<hw::FaultInjector> faulty_orig, faulty_nat;
+  if (plan != nullptr) {
+    faulty_orig = std::make_unique<hw::FaultInjector>(dev_orig.get(), *plan);
+    faulty_nat = std::make_unique<hw::FaultInjector>(dev_nat.get(), *plan);
+  }
+  os::ConcreteWinSimHost orig(drivers::DriverImage(id),
+                              plan != nullptr ? faulty_orig.get() : dev_orig.get());
   if (!orig.Initialize()) {
-    *detail = "original driver failed to initialize";
+    *detail = "original driver failed to initialize" + under;
     return false;
   }
-  auto dev_nat = drivers::MakeDevice(id);
-  NativeKitosHost nat(&module, &recovered, dev_nat.get());
+  NativeKitosHost nat(&module, &recovered, plan != nullptr ? faulty_nat.get() : dev_nat.get());
   std::string err;
   if (!nat.Bind(&err)) {
     *detail = "bind: " + err;
     return false;
   }
   if (!nat.Initialize()) {
-    *detail = "compiled driver failed to initialize";
+    *detail = "compiled driver failed to initialize" + under;
     return false;
   }
-
-  std::vector<hw::Frame> wire_orig, wire_nat;
-  dev_orig->set_tx_hook([&](const hw::Frame& f) { wire_orig.push_back(f); });
-  dev_nat->set_tx_hook([&](const hw::Frame& f) { wire_nat.push_back(f); });
-  for (int i = 0; i < 8; ++i) {
-    hw::Frame f = TxFrame(64 + (i * 173) % 1300, static_cast<uint8_t>(i));
-    auto st_orig = orig.SendFrame(f);
-    auto st_nat = nat.SendFrame(f);
-    if (!st_orig.has_value() || !st_nat.has_value() || *st_orig != *st_nat) {
-      *detail = "send status diverges at frame " + std::to_string(i);
-      return false;
-    }
+  if (plan == nullptr) {
+    return CleanParity(orig, nat, detail);
   }
-  hw::Frame rx = RxFrame(200, 0x7E);
-  bool in_orig = dev_orig->InjectReceive(rx);
-  bool in_nat = dev_nat->InjectReceive(rx);
-  orig.DeliverInterrupts();
-  nat.DeliverInterrupts();
-
-  if (wire_orig != wire_nat) {
-    *detail = "clean hardware I/O traces diverge (" + std::to_string(wire_orig.size()) +
-              " vs " + std::to_string(wire_nat.size()) + " wire frames)";
-    return false;
-  }
-  if (in_orig != in_nat || orig.os().rx_delivered() != nat.rx_delivered()) {
-    *detail = "receive-path delivery diverges";
-    return false;
-  }
-  if (dev_orig->mac() != dev_nat->mac() ||
-      dev_orig->promiscuous() != dev_nat->promiscuous() ||
-      dev_orig->rx_enabled() != dev_nat->rx_enabled()) {
-    *detail = "device end state diverges";
-    return false;
-  }
-  return true;
-}
-
-// tests/fault_test.cc's faulted-equivalence workload, native vs. original:
-// identical seeded misbehavior on both sides must produce identical wire
-// traces, upward deliveries, and fault-decision cursors.
-bool FaultedParity(DriverId id, const NativeModule& module,
-                   const synth::RecoveredModule& recovered, const std::string& plan_spec,
-                   std::string* detail) {
-  hw::FaultPlan plan;
-  std::string err;
-  if (!hw::ParseFaultPlan(plan_spec, &plan, &err)) {
-    *detail = "bad fault plan: " + err;
-    return false;
-  }
-  auto dev_orig = drivers::MakeDevice(id);
-  hw::FaultInjector faulty_orig(dev_orig.get(), plan);
-  os::ConcreteWinSimHost orig(drivers::DriverImage(id), &faulty_orig);
-  if (!orig.Initialize()) {
-    *detail = "original driver failed to initialize under faults";
-    return false;
-  }
-  auto dev_nat = drivers::MakeDevice(id);
-  hw::FaultInjector faulty_nat(dev_nat.get(), plan);
-  NativeKitosHost nat(&module, &recovered, &faulty_nat);
-  if (!nat.Bind(&err)) {
-    *detail = "bind: " + err;
-    return false;
-  }
-  if (!nat.Initialize()) {
-    *detail = "compiled driver failed to initialize under faults";
-    return false;
-  }
-
-  // Align both schedules at the workload boundary; the hosts' init
-  // boilerplate differs by design (that is the porting point).
-  faulty_orig.schedule().set_cursor(0);
-  faulty_orig.schedule().set_stats({});
-  faulty_nat.schedule().set_cursor(0);
-  faulty_nat.schedule().set_stats({});
-
-  std::vector<hw::Frame> wire_orig, wire_nat;
-  faulty_orig.set_tx_hook([&](const hw::Frame& f) { wire_orig.push_back(f); });
-  faulty_nat.set_tx_hook([&](const hw::Frame& f) { wire_nat.push_back(f); });
-  for (int i = 0; i < 6; ++i) {
-    hw::Frame tx = TxFrame(64 + (i * 173) % 1300, static_cast<uint8_t>(i));
-    auto st_orig = orig.SendFrame(tx);
-    auto st_nat = nat.SendFrame(tx);
-    if (!st_orig.has_value() || !st_nat.has_value() || *st_orig != *st_nat) {
-      *detail = "faulted send status diverges at frame " + std::to_string(i);
-      return false;
-    }
-    hw::Frame rx = RxFrame(80 + (i * 211) % 1200, static_cast<uint8_t>(0x40 + i));
-    if (faulty_orig.InjectReceive(rx) != faulty_nat.InjectReceive(rx)) {
-      *detail = "faulted rx acceptance diverges at frame " + std::to_string(i);
-      return false;
-    }
-    orig.DeliverInterrupts();
-    nat.DeliverInterrupts();
-  }
-
-  if (wire_orig != wire_nat) {
-    *detail = "faulted hardware I/O traces diverge";
-    return false;
-  }
-  if (orig.os().rx_delivered() != nat.rx_delivered()) {
-    *detail = "faulted receive-path delivery diverges";
-    return false;
-  }
-  if (faulty_orig.schedule().cursor() != faulty_nat.schedule().cursor()) {
-    *detail = "fault decision streams diverge (cursor " +
-              std::to_string(faulty_orig.schedule().cursor()) + " vs " +
-              std::to_string(faulty_nat.schedule().cursor()) + ")";
-    return false;
-  }
-  return true;
+  return FaultedParity(orig, faulty_orig->schedule(), nat, faulty_nat->schedule(), detail);
 }
 
 void FinishSide(RaceSideStats* out, double wall_ns, uint64_t cycles) {
@@ -186,6 +88,40 @@ void FinishSide(RaceSideStats* out, double wall_ns, uint64_t cycles) {
     out->host_cycles_per_frame =
         static_cast<double>(cycles) / static_cast<double>(out->frames);
   }
+}
+
+// The measured frame loop, either side: a send on every frame, plus a
+// broadcast receive and interrupt delivery on every fourth. Fills the
+// frame, tx, rx and timing fields of `out`.
+void RunFrames(os::MiniportHost& host, uint64_t frames, size_t payload, RaceSideStats* out) {
+  hw::Frame tx = TxFrame(payload, 0x5C);
+  hw::Frame rx = RxFrame(payload, 0x7E);
+  auto t0 = steady_clock::now();
+  uint64_t c0 = HostCycles();
+  for (uint64_t i = 0; i < frames; ++i) {
+    auto st = host.SendFrame(tx);
+    if (st.has_value() && *st == os::kStatusSuccess) {
+      ++out->tx_ok;
+    }
+    if ((i & 3u) == 3u) {
+      host.device()->InjectReceive(rx);
+      host.DeliverInterrupts();
+      out->rx_delivered += host.rx_delivered().size();
+      host.rx_delivered().clear();  // don't let a million-frame run hoard RAM
+    }
+  }
+  uint64_t c1 = HostCycles();
+  auto t1 = steady_clock::now();
+  out->frames = frames;
+  out->rx_delivered += host.rx_delivered().size();
+  host.rx_delivered().clear();
+  FinishSide(out, ElapsedNs(t0, t1), c1 - c0);
+}
+
+// OS memcpy traffic plus device DMA bytes.
+uint64_t BytesCopied(os::MiniportHost& host) {
+  const hw::NicStats& s = host.device()->stats();
+  return host.api_service().counters().bytes_moved + s.tx_bytes + s.rx_bytes;
 }
 
 bool MeasureNative(DriverId id, const NativeModule& module,
@@ -200,31 +136,9 @@ bool MeasureNative(DriverId id, const NativeModule& module,
     *error = "compiled driver failed to initialize for measurement";
     return false;
   }
-  hw::Frame tx = TxFrame(opts.payload, 0x5C);
-  hw::Frame rx = RxFrame(opts.payload, 0x7E);
-  auto t0 = steady_clock::now();
-  uint64_t c0 = HostCycles();
-  for (uint64_t i = 0; i < opts.native_frames; ++i) {
-    auto st = host.SendFrame(tx);
-    if (st.has_value() && *st == os::kStatusSuccess) {
-      ++out->tx_ok;
-    }
-    if ((i & 3u) == 3u) {
-      dev->InjectReceive(rx);
-      host.DeliverInterrupts();
-      out->rx_delivered += host.rx_delivered().size();
-      host.rx_delivered().clear();  // don't let a million-frame run hoard RAM
-    }
-  }
-  uint64_t c1 = HostCycles();
-  auto t1 = steady_clock::now();
-  out->frames = opts.native_frames;
-  out->rx_delivered += host.rx_delivered().size();
-  host.rx_delivered().clear();
+  RunFrames(host, opts.native_frames, opts.payload, out);
   out->io_accesses = host.counters().io_total();
-  out->bytes_copied = host.api_service().counters().bytes_moved + dev->stats().tx_bytes +
-                      dev->stats().rx_bytes;
-  FinishSide(out, ElapsedNs(t0, t1), c1 - c0);
+  out->bytes_copied = BytesCopied(host);
   return true;
 }
 
@@ -237,37 +151,96 @@ bool MeasureDbt(DriverId id, const RaceOptions& opts, RaceSideStats* out,
     *error = "original driver failed to initialize for measurement";
     return false;
   }
-  hw::Frame tx = TxFrame(opts.payload, 0x5C);
-  hw::Frame rx = RxFrame(opts.payload, 0x7E);
   uint64_t instrs0 = host.guest_instrs();
-  auto t0 = steady_clock::now();
-  uint64_t c0 = HostCycles();
-  for (uint64_t i = 0; i < opts.dbt_frames; ++i) {
-    auto st = host.SendFrame(tx);
-    if (st.has_value() && *st == os::kStatusSuccess) {
-      ++out->tx_ok;
-    }
-    if ((i & 3u) == 3u) {
-      dev->InjectReceive(rx);
-      host.DeliverInterrupts();
-      out->rx_delivered += host.os().rx_delivered().size();
-      host.os().rx_delivered().clear();
-    }
-  }
-  uint64_t c1 = HostCycles();
-  auto t1 = steady_clock::now();
-  out->frames = opts.dbt_frames;
-  out->rx_delivered += host.os().rx_delivered().size();
-  host.os().rx_delivered().clear();
+  RunFrames(host, opts.dbt_frames, opts.payload, out);
   out->io_accesses = io.total();
-  out->bytes_copied = host.os().counters().bytes_moved + dev->stats().tx_bytes +
-                      dev->stats().rx_bytes;
+  out->bytes_copied = BytesCopied(host);
   out->guest_instrs = host.guest_instrs() - instrs0;
-  FinishSide(out, ElapsedNs(t0, t1), c1 - c0);
   return true;
 }
 
 }  // namespace
+
+bool CleanParity(os::MiniportHost& orig, os::MiniportHost& port, std::string* detail) {
+  std::vector<hw::Frame> wire_orig, wire_port;
+  orig.device()->set_tx_hook([&](const hw::Frame& f) { wire_orig.push_back(f); });
+  port.device()->set_tx_hook([&](const hw::Frame& f) { wire_port.push_back(f); });
+  for (int i = 0; i < 8; ++i) {
+    hw::Frame f = TxFrame(64 + (i * 173) % 1300, static_cast<uint8_t>(i));
+    auto st_orig = orig.SendFrame(f);
+    auto st_port = port.SendFrame(f);
+    if (!st_orig.has_value() || !st_port.has_value() || *st_orig != *st_port) {
+      *detail = "send status diverges at frame " + std::to_string(i);
+      return false;
+    }
+  }
+  hw::Frame rx = RxFrame(200, 0x7E);
+  bool in_orig = orig.device()->InjectReceive(rx);
+  bool in_port = port.device()->InjectReceive(rx);
+  orig.DeliverInterrupts();
+  port.DeliverInterrupts();
+
+  if (wire_orig != wire_port) {
+    *detail = "clean hardware I/O traces diverge (" + std::to_string(wire_orig.size()) +
+              " vs " + std::to_string(wire_port.size()) + " wire frames)";
+    return false;
+  }
+  if (in_orig != in_port || orig.rx_delivered() != port.rx_delivered()) {
+    *detail = "receive-path delivery diverges";
+    return false;
+  }
+  const hw::NicDevice& dev_orig = *orig.device();
+  const hw::NicDevice& dev_port = *port.device();
+  if (dev_orig.mac() != dev_port.mac() || dev_orig.promiscuous() != dev_port.promiscuous() ||
+      dev_orig.rx_enabled() != dev_port.rx_enabled()) {
+    *detail = "device end state diverges";
+    return false;
+  }
+  return true;
+}
+
+bool FaultedParity(os::MiniportHost& orig, hw::FaultSchedule& orig_faults,
+                   os::MiniportHost& port, hw::FaultSchedule& port_faults, std::string* detail) {
+  orig_faults.set_cursor(0);
+  orig_faults.set_stats({});
+  port_faults.set_cursor(0);
+  port_faults.set_stats({});
+
+  std::vector<hw::Frame> wire_orig, wire_port;
+  orig.device()->set_tx_hook([&](const hw::Frame& f) { wire_orig.push_back(f); });
+  port.device()->set_tx_hook([&](const hw::Frame& f) { wire_port.push_back(f); });
+  for (int i = 0; i < 6; ++i) {
+    hw::Frame tx = TxFrame(64 + (i * 173) % 1300, static_cast<uint8_t>(i));
+    auto st_orig = orig.SendFrame(tx);
+    auto st_port = port.SendFrame(tx);
+    if (!st_orig.has_value() || !st_port.has_value() || *st_orig != *st_port) {
+      *detail = "faulted send status diverges at frame " + std::to_string(i);
+      return false;
+    }
+    hw::Frame rx = RxFrame(80 + (i * 211) % 1200, static_cast<uint8_t>(0x40 + i));
+    if (orig.device()->InjectReceive(rx) != port.device()->InjectReceive(rx)) {
+      *detail = "faulted rx acceptance diverges at frame " + std::to_string(i);
+      return false;
+    }
+    orig.DeliverInterrupts();
+    port.DeliverInterrupts();
+  }
+
+  if (wire_orig != wire_port) {
+    *detail = "faulted hardware I/O traces diverge";
+    return false;
+  }
+  if (orig.rx_delivered() != port.rx_delivered()) {
+    *detail = "faulted receive-path delivery diverges";
+    return false;
+  }
+  if (orig_faults.cursor() != port_faults.cursor()) {
+    *detail = "fault decision streams diverge (cursor " + std::to_string(orig_faults.cursor()) +
+              " vs " + std::to_string(port_faults.cursor()) + ")";
+    return false;
+  }
+  return true;
+}
 
 RaceResult RunRace(DriverId id, const std::string& kitos_source,
                    const synth::RecoveredModule& recovered, const RaceOptions& opts) {
@@ -289,9 +262,16 @@ RaceResult RunRace(DriverId id, const std::string& kitos_source,
   }
 
   res.parity_checked = true;
-  res.parity_ok = CleanParity(id, module, recovered, &res.parity_detail);
+  res.parity_ok = RunParity(id, module, recovered, nullptr, &res.parity_detail);
   if (res.parity_ok && !opts.fault_plan.empty()) {
-    res.parity_ok = FaultedParity(id, module, recovered, opts.fault_plan, &res.parity_detail);
+    hw::FaultPlan plan;
+    std::string err;
+    if (!hw::ParseFaultPlan(opts.fault_plan, &plan, &err)) {
+      res.parity_ok = false;
+      res.parity_detail = "bad fault plan: " + err;
+    } else {
+      res.parity_ok = RunParity(id, module, recovered, &plan, &res.parity_detail);
+    }
   }
 
   if (opts.measure) {

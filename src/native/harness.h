@@ -10,6 +10,8 @@
 #include <string>
 
 #include "drivers/drivers.h"
+#include "hw/faults.h"
+#include "os/miniport_host.h"
 #include "synth/module.h"
 
 namespace revnic::native {
@@ -55,6 +57,25 @@ struct RaceResult {
   RaceSideStats dbt;
   double speedup = 0;  // native fps / DBT fps
 };
+
+// The parity workloads RunRace checks, over any two initialized hosts of
+// the same driver on fresh device models: `orig` runs the reference (the
+// original binary), `port` the driver under test. Both return false at the
+// first divergence, described in `detail`.
+//
+// Clean: 8 sends of varied length, then one broadcast receive. Compares
+// each send status, the wire frames, receive acceptance, upward deliveries
+// and the device end state (MAC, promiscuous, rx enabled).
+bool CleanParity(os::MiniportHost& orig, os::MiniportHost& port, std::string* detail);
+
+// Faulted: each host's device is a hw::FaultInjector over the same plan,
+// whose schedule is passed alongside. Both schedules restart at cursor 0
+// here, because the hosts' init boilerplate differs by design. Then 6
+// rounds of one send and one broadcast receive. Compares each send status
+// and receive acceptance, the wire frames, upward deliveries and the fault
+// decision cursors.
+bool FaultedParity(os::MiniportHost& orig, hw::FaultSchedule& orig_faults,
+                   os::MiniportHost& port, hw::FaultSchedule& port_faults, std::string* detail);
 
 // Compiles `kitos_source` (the emitted kKitos translation unit for
 // `recovered`), races it against the original driver binary for `id`, and

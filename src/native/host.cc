@@ -8,51 +8,13 @@
 
 namespace revnic::native {
 
-// ---- SoRam: MemoryMap's RAM semantics over the .so's flat array ----
-
-uint32_t NativeKitosHost::SoRam::ReadRam(uint32_t addr, unsigned size) const {
-  if (base_ == nullptr || addr + size > size_ || addr + size < addr) {
-    return 0;
-  }
-  return LoadLE(base_ + addr, size);
-}
-
-void NativeKitosHost::SoRam::WriteRam(uint32_t addr, unsigned size, uint32_t value) {
-  if (base_ == nullptr || addr + size > size_ || addr + size < addr) {
-    return;
-  }
-  StoreLE(base_ + addr, value, size);
-}
-
-void NativeKitosHost::SoRam::WriteRamBytes(uint32_t addr, const uint8_t* data, size_t len) {
-  if (base_ == nullptr || len == 0 || addr + len > size_ || addr + len < addr) {
-    return;
-  }
-  std::memcpy(base_ + addr, data, len);
-}
-
-void NativeKitosHost::SoRam::ReadRamBytes(uint32_t addr, uint8_t* out, size_t len) const {
-  if (len == 0) {
-    return;
-  }
-  if (base_ == nullptr || addr + len > size_ || addr + len < addr) {
-    std::memset(out, 0, len);
-    return;
-  }
-  std::memcpy(out, base_ + addr, len);
-}
-
-// ---- host ----
-
 NativeKitosHost::NativeKitosHost(const NativeModule* module,
                                  const synth::RecoveredModule* recovered,
                                  hw::NicDevice* device, vm::IoHandler* io_override)
-    : module_(module),
+    : MiniportHost(device, /*ram_size=*/0),  // RAM is the .so's array once bound
+      module_(module),
       recovered_(recovered),
-      device_(device),
-      io_(io_override != nullptr ? io_override : device),
-      mem_(&ram_),
-      api_(device->pci()) {}
+      io_(io_override != nullptr ? io_override : device) {}
 
 NativeKitosHost::~NativeKitosHost() {
   if (bound_ && module_ != nullptr && module_->loaded()) {
@@ -78,7 +40,7 @@ bool NativeKitosHost::Bind(std::string* error) {
   // Fresh boot: the .so's RAM is process-static, so a rebinding host must
   // not inherit a previous run's guest memory.
   std::memset(ram, 0, ram_size);
-  ram_.Attach(ram, ram_size);
+  mm_.UseExternalRam(ram, ram_size);
 
   ops_.ctx = this;
   ops_.io_read = &NativeKitosHost::IoReadThunk;
@@ -88,9 +50,6 @@ bool NativeKitosHost::Bind(std::string* error) {
   ops_.trace_halt = &NativeKitosHost::HaltThunk;
   const hw::PciConfig& pci = device_->pci();
   module_->BindHost(&ops_, pci.mmio_base, pci.mmio_size);
-
-  device_->AttachRam(&ram_);
-  device_->set_irq_hook([this](bool level) { irq_pending_ = level; });
   bound_ = true;
   return true;
 }
@@ -153,25 +112,14 @@ uint32_t NativeKitosHost::HandleOsCall(uint32_t api_id, RevnicCpu* cpu) {
   std::vector<uint32_t> args(sig.argc);
   uint32_t sp = cpu->r[12];
   for (unsigned i = 0; i < sig.argc; ++i) {
-    args[i] = ram_.ReadRam(sp + 4 * i, 4);
+    args[i] = mm_.ReadRam(sp + 4 * i, 4);
   }
   cpu->r[12] = sp + 4 * sig.argc;
 
-  ++counters_.os_calls;
-  // Template-stripped source-OS workarounds, as in RecoveredDriverHost.
-  if (api_id == os::kNdisStallExecution || api_id == os::kNdisMSleep) {
-    counters_.stripped_stalls_us += args.empty() ? 0 : args[0];
-    return os::kStatusSuccess;
-  }
-  os::ApiOutcome outcome = api_.HandleApi(api_id, args, mem_);
-  if (outcome.effect == os::ApiEffect::kCallGuestFunction) {
-    auto nested = CallAt(outcome.callback_pc, cpu->r[12], {outcome.callback_arg});
-    return nested.value_or(os::kStatusFailure);
-  }
-  if (api_id == os::kNdisMSetAttributes && !args.empty()) {
-    adapter_ctx_ = args[0];
-  }
-  return outcome.ret;
+  return os::TemplateOsCall(api_, guest_mem_, &counters_, api_id, args,
+                            [this, cpu](uint32_t pc, uint32_t arg) {
+                              return CallAt(pc, cpu->r[12], {arg});
+                            });
 }
 
 std::optional<uint32_t> NativeKitosHost::CallAt(uint32_t pc, uint32_t sp,
@@ -194,105 +142,6 @@ std::optional<uint32_t> NativeKitosHost::CallRole(os::EntryRole role,
     return std::nullopt;
   }
   return CallAt(pc, os::kStackTop, args);
-}
-
-bool NativeKitosHost::Initialize() {
-  auto status = CallRole(os::EntryRole::kInitialize, {/*driver_handle=*/0x2000});
-  if (!status || *status != os::kStatusSuccess) {
-    RLOG_WARN("native host: compiled initialize failed");
-    return false;
-  }
-  adapter_ctx_ = api_.adapter_context();
-  initialized_ = true;
-  DeliverInterrupts();
-  return true;
-}
-
-std::optional<uint32_t> NativeKitosHost::SendFrame(const hw::Frame& frame) {
-  if (!initialized_) {
-    return std::nullopt;
-  }
-  uint32_t pkt = kScratchBase;
-  uint32_t buf = kScratchBase + 0x100;
-  ram_.WriteRamBytes(buf, frame.data(), frame.size());
-  ram_.WriteRam(pkt + 0, 4, buf);
-  ram_.WriteRam(pkt + 4, 4, static_cast<uint32_t>(frame.size()));
-  auto status = CallRole(os::EntryRole::kSend, {adapter_ctx_, pkt, 0});
-  DeliverInterrupts();
-  return status;
-}
-
-void NativeKitosHost::DeliverInterrupts() {
-  if (recovered_->EntryPc(os::EntryRole::kIsr) == 0) {
-    return;
-  }
-  for (int guard = 0; irq_pending_ && guard < 8; ++guard) {
-    auto recognized = CallRole(os::EntryRole::kIsr, {adapter_ctx_});
-    if (!recognized || *recognized == 0) {
-      break;
-    }
-    CallRole(os::EntryRole::kHandleInterrupt, {adapter_ctx_});
-  }
-}
-
-std::optional<uint32_t> NativeKitosHost::Query(uint32_t oid, uint8_t* buf, uint32_t len) {
-  uint32_t gbuf = kScratchBase + 0x800;
-  uint32_t written = kScratchBase + 0x7F0;
-  ram_.WriteRam(written, 4, 0);
-  auto status =
-      CallRole(os::EntryRole::kQueryInformation, {adapter_ctx_, oid, gbuf, len, written});
-  if (status && *status == os::kStatusSuccess && buf != nullptr) {
-    ram_.ReadRamBytes(gbuf, buf, len);
-  }
-  return status;
-}
-
-bool NativeKitosHost::Set(uint32_t oid, const uint8_t* buf, uint32_t len) {
-  uint32_t gbuf = kScratchBase + 0x800;
-  uint32_t read = kScratchBase + 0x7F0;
-  if (buf != nullptr) {
-    ram_.WriteRamBytes(gbuf, buf, len);
-  }
-  ram_.WriteRam(read, 4, 0);
-  auto status = CallRole(os::EntryRole::kSetInformation, {adapter_ctx_, oid, gbuf, len, read});
-  return status && *status == os::kStatusSuccess;
-}
-
-bool NativeKitosHost::SetPacketFilter(uint32_t filter_bits) {
-  uint8_t buf[4];
-  std::memcpy(buf, &filter_bits, 4);
-  return Set(os::kOidGenCurrentPacketFilter, buf, 4);
-}
-
-bool NativeKitosHost::SetMulticastList(const std::vector<hw::MacAddr>& list) {
-  std::vector<uint8_t> buf;
-  for (const hw::MacAddr& m : list) {
-    buf.insert(buf.end(), m.begin(), m.end());
-  }
-  return Set(os::kOid8023MulticastList, buf.data(), static_cast<uint32_t>(buf.size()));
-}
-
-std::optional<hw::MacAddr> NativeKitosHost::QueryMac() {
-  uint8_t buf[6] = {};
-  auto status = Query(os::kOid8023CurrentAddress, buf, 6);
-  if (!status || *status != os::kStatusSuccess) {
-    return std::nullopt;
-  }
-  hw::MacAddr mac;
-  std::memcpy(mac.data(), buf, 6);
-  return mac;
-}
-
-bool NativeKitosHost::Reset() {
-  auto status = CallRole(os::EntryRole::kReset, {adapter_ctx_});
-  return status && *status == os::kStatusSuccess;
-}
-
-void NativeKitosHost::Halt() {
-  if (initialized_) {
-    CallRole(os::EntryRole::kHalt, {adapter_ctx_});
-    initialized_ = false;
-  }
 }
 
 }  // namespace revnic::native

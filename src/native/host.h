@@ -1,17 +1,20 @@
 // NativeKitosHost: the kitos "template" run for real -- the host side of a
 // dlopen'd, natively-compiled synthesized driver.
 //
-// It plays the exact role os::RecoveredDriverHost plays for the in-process
-// interpreted module, over the same device models and the same WinSim kernel
-// API semantics, with the same workload staging addresses. That mirroring is
-// the trace-parity argument (src/native/README.md): the only thing that
-// changes between the two execution modes is *who executes the state
-// machine* (host cc output vs. the IR interpreter), so an identical
-// hardware I/O trace means the emitted C is faithful.
+// It derives from os::MiniportHost, the workload body the original binary
+// (os::ConcreteWinSimHost) and the interpreted module
+// (os::RecoveredDriverHost) run on too, and services kernel calls through
+// the same os::TemplateOsCall as the interpreted module. What is its own:
+// entry roles run through revnic_call_pc_at, and guest RAM is the shared
+// object's array. That is the trace-parity argument (src/native/README.md):
+// the only thing that changes between the execution modes is *who executes
+// the state machine* (host cc output vs. the IR interpreter vs. the DBT),
+// so an identical hardware I/O trace means the emitted C is faithful.
 //
 // The host owns no RAM: guest memory lives inside the shared object
-// (revnic_ram_base), and both the device models' DMA path (vm::RamPort) and
-// WinSim's GuestMem are views over that one array.
+// (revnic_ram_base), and a vm::MemoryMap over that one array serves the
+// device models' DMA path, WinSim's GuestMem and the workload's staging,
+// with the same out-of-range semantics as the other hosts' RAM.
 #ifndef REVNIC_NATIVE_HOST_H_
 #define REVNIC_NATIVE_HOST_H_
 
@@ -20,89 +23,40 @@
 
 #include "hw/nic.h"
 #include "native/loader.h"
-#include "os/winsim.h"
+#include "os/miniport_host.h"
 #include "synth/module.h"
 
 namespace revnic::native {
 
-struct NativeHostCounters {
+struct NativeHostCounters : os::TemplateCounters {
   uint64_t io_reads = 0;   // device register reads by the compiled driver
   uint64_t io_writes = 0;
-  uint64_t os_calls = 0;
-  uint64_t stripped_stalls_us = 0;  // vendor stalls dropped by the template
   uint64_t unexplored_hits = 0;     // coverage-hole traps (should stay 0)
   uint64_t halts = 0;
 
   uint64_t io_total() const { return io_reads + io_writes; }
 };
 
-class NativeKitosHost {
+class NativeKitosHost : public os::MiniportHost {
  public:
   // `module`, `recovered`, and `device` must outlive the host. `recovered`
   // supplies the entry-role pc table (the host dispatches roles by guest pc
-  // through revnic_call_pc_at, exactly as RecoveredDriverHost's CallRole
-  // resolves them). `io_override` interposes on register traffic (e.g. a
-  // hw::CountingIoProxy), as in the other hosts.
+  // through revnic_call_pc_at). `io_override` interposes on register
+  // traffic (e.g. a hw::CountingIoProxy), as in the other hosts.
   NativeKitosHost(const NativeModule* module, const synth::RecoveredModule* recovered,
                   hw::NicDevice* device, vm::IoHandler* io_override = nullptr);
-  ~NativeKitosHost();
-
-  NativeKitosHost(const NativeKitosHost&) = delete;
-  NativeKitosHost& operator=(const NativeKitosHost&) = delete;
+  ~NativeKitosHost() override;
 
   // Binds the host hooks into the shared object and zeroes its RAM; must be
   // called (once) before Initialize. False with `error` set on ABI trouble.
   bool Bind(std::string* error);
 
-  // Same driver-facing surface as os::RecoveredDriverHost.
-  bool Initialize();
-  std::optional<uint32_t> SendFrame(const hw::Frame& frame);
-  void DeliverInterrupts();
-  std::optional<uint32_t> Query(uint32_t oid, uint8_t* buf, uint32_t len);
-  bool Set(uint32_t oid, const uint8_t* buf, uint32_t len);
-  bool SetPacketFilter(uint32_t filter_bits);
-  bool SetMulticastList(const std::vector<hw::MacAddr>& list);
-  std::optional<hw::MacAddr> QueryMac();
-  bool Reset();
-  void Halt();
-
-  os::WinSim& api_service() { return api_; }
   const NativeHostCounters& counters() const { return counters_; }
-  bool irq_pending() const { return irq_pending_; }
-  std::vector<hw::Frame>& rx_delivered() { return api_.rx_delivered(); }
+
+ protected:
+  std::optional<uint32_t> CallRole(os::EntryRole role, const std::vector<uint32_t>& args) override;
 
  private:
-  // vm::RamPort view over the shared object's flat RAM with MemoryMap's
-  // exact out-of-range semantics (reads 0, writes dropped) so DMA behaves
-  // identically in both execution modes.
-  class SoRam : public vm::RamPort {
-   public:
-    void Attach(uint8_t* base, uint32_t size) {
-      base_ = base;
-      size_ = size;
-    }
-    uint32_t ReadRam(uint32_t addr, unsigned size) const override;
-    void WriteRam(uint32_t addr, unsigned size, uint32_t value) override;
-    void WriteRamBytes(uint32_t addr, const uint8_t* data, size_t len) override;
-    void ReadRamBytes(uint32_t addr, uint8_t* out, size_t len) const override;
-
-   private:
-    uint8_t* base_ = nullptr;
-    uint32_t size_ = 0;
-  };
-
-  class SoMem : public os::GuestMem {
-   public:
-    explicit SoMem(SoRam* ram) : ram_(ram) {}
-    uint32_t Read(uint32_t addr, unsigned size) override { return ram_->ReadRam(addr, size); }
-    void Write(uint32_t addr, unsigned size, uint32_t value) override {
-      ram_->WriteRam(addr, size, value);
-    }
-
-   private:
-    SoRam* ram_;
-  };
-
   // Hook trampolines installed through revnic_bind_host.
   static uint32_t IoReadThunk(void* ctx, uint32_t addr, unsigned size);
   static void IoWriteThunk(void* ctx, uint32_t addr, unsigned size, uint32_t value);
@@ -115,25 +69,15 @@ class NativeKitosHost {
   uint32_t HandleOsCall(uint32_t api_id, RevnicCpu* cpu);
 
   bool InDeviceWindow(uint32_t addr) const;
-  std::optional<uint32_t> CallRole(os::EntryRole role, const std::vector<uint32_t>& args);
   std::optional<uint32_t> CallAt(uint32_t pc, uint32_t sp, const std::vector<uint32_t>& args);
-
-  static constexpr uint32_t kScratchBase = 0x00200000;
 
   const NativeModule* module_;
   const synth::RecoveredModule* recovered_;
-  hw::NicDevice* device_;
   vm::IoHandler* io_;
-  SoRam ram_;
-  SoMem mem_;
-  os::WinSim api_;
   RevnicHostOps ops_{};
   NativeHostCounters counters_;
   bool bound_ = false;
-  bool irq_pending_ = false;
-  bool initialized_ = false;
   bool escaped_ = false;  // an unexplored/halt trap fired inside the current call
-  uint32_t adapter_ctx_ = 0;
 };
 
 }  // namespace revnic::native

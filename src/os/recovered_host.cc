@@ -1,51 +1,19 @@
 #include "os/recovered_host.h"
 
-#include <cstring>
-
-#include "util/log.h"
-
 namespace revnic::os {
 
 RecoveredDriverHost::RecoveredDriverHost(const synth::RecoveredModule* module,
                                          hw::NicDevice* device, TargetOs os,
                                          vm::IoHandler* io_override)
-    : module_(module),
-      device_(device),
-      os_(os),
-      mm_(kGuestRamSize),
-      api_(device->pci()),
-      host_mem_(&mm_) {
-  const hw::PciConfig& pci = device->pci();
-  vm::IoHandler* io = io_override != nullptr ? io_override : device;
-  if (pci.io_size != 0) {
-    mm_.AddPorts(pci.io_base, pci.io_size, io);
-  }
-  if (pci.mmio_size != 0) {
-    mm_.AddMmio(pci.mmio_base, pci.mmio_size, io);
-  }
-  device_->AttachRam(&mm_);
-  device_->set_irq_hook([this](bool level) { irq_pending_ = level; });
+    : MiniportHost(device, kGuestRamSize), module_(module), os_(os) {
+  MapDevice(io_override);
   runner_ = std::make_unique<synth::RecoveredRunner>(module_, &mm_, this);
   runner_->set_reg(isa::kRegSp, kStackTop);
 }
 
 uint32_t RecoveredDriverHost::OsCall(uint32_t api_id, const std::vector<uint32_t>& args) {
-  ++counters_.os_calls;
-  // Template-stripped source-OS workarounds (§4.2: the developer removes
-  // OS-specific locks and quirk code; the template provides its own).
-  if (api_id == kNdisStallExecution || api_id == kNdisMSleep) {
-    counters_.stripped_stalls_us += args.empty() ? 0 : args[0];
-    return kStatusSuccess;
-  }
-  ApiOutcome outcome = api_.HandleApi(api_id, args, host_mem_);
-  if (outcome.effect == ApiEffect::kCallGuestFunction) {
-    auto nested = runner_->Call(outcome.callback_pc, {outcome.callback_arg});
-    return nested.value_or(kStatusFailure);
-  }
-  if (api_id == kNdisMSetAttributes && !args.empty()) {
-    adapter_ctx_ = args[0];
-  }
-  return outcome.ret;
+  return TemplateOsCall(api_, guest_mem_, &counters_, api_id, args,
+                        [this](uint32_t pc, uint32_t arg) { return runner_->Call(pc, {arg}); });
 }
 
 std::optional<uint32_t> RecoveredDriverHost::CallRole(EntryRole role,
@@ -56,106 +24,6 @@ std::optional<uint32_t> RecoveredDriverHost::CallRole(EntryRole role,
   }
   ++counters_.lock_acquisitions;  // the template's single entry lock
   return runner_->Call(pc, args);
-}
-
-bool RecoveredDriverHost::Initialize() {
-  // The template's init placeholder (paper Listing 2): resources come from
-  // the boilerplate; the synthesized init brings up the hardware.
-  auto status = CallRole(EntryRole::kInitialize, {/*driver_handle=*/0x2000});
-  if (!status || *status != kStatusSuccess) {
-    RLOG_WARN("recovered driver: synthesized initialize failed on %s", TargetOsName(os_));
-    return false;
-  }
-  adapter_ctx_ = api_.adapter_context();
-  initialized_ = true;
-  DeliverInterrupts();
-  return true;
-}
-
-std::optional<uint32_t> RecoveredDriverHost::SendFrame(const hw::Frame& frame) {
-  if (!initialized_) {
-    return std::nullopt;
-  }
-  uint32_t pkt = kScratchBase;
-  uint32_t buf = kScratchBase + 0x100;
-  mm_.WriteRamBytes(buf, frame.data(), frame.size());
-  mm_.WriteRam(pkt + 0, 4, buf);
-  mm_.WriteRam(pkt + 4, 4, static_cast<uint32_t>(frame.size()));
-  auto status = CallRole(EntryRole::kSend, {adapter_ctx_, pkt, 0});
-  DeliverInterrupts();
-  return status;
-}
-
-void RecoveredDriverHost::DeliverInterrupts() {
-  if (module_->EntryPc(EntryRole::kIsr) == 0) {
-    return;
-  }
-  for (int guard = 0; irq_pending_ && guard < 8; ++guard) {
-    auto recognized = CallRole(EntryRole::kIsr, {adapter_ctx_});
-    if (!recognized || *recognized == 0) {
-      break;
-    }
-    CallRole(EntryRole::kHandleInterrupt, {adapter_ctx_});
-  }
-}
-
-std::optional<uint32_t> RecoveredDriverHost::Query(uint32_t oid, uint8_t* buf, uint32_t len) {
-  uint32_t gbuf = kScratchBase + 0x800;
-  uint32_t written = kScratchBase + 0x7F0;
-  mm_.WriteRam(written, 4, 0);
-  auto status = CallRole(EntryRole::kQueryInformation, {adapter_ctx_, oid, gbuf, len, written});
-  if (status && *status == kStatusSuccess && buf != nullptr) {
-    mm_.ReadRamBytes(gbuf, buf, len);
-  }
-  return status;
-}
-
-bool RecoveredDriverHost::Set(uint32_t oid, const uint8_t* buf, uint32_t len) {
-  uint32_t gbuf = kScratchBase + 0x800;
-  uint32_t read = kScratchBase + 0x7F0;
-  if (buf != nullptr) {
-    mm_.WriteRamBytes(gbuf, buf, len);
-  }
-  mm_.WriteRam(read, 4, 0);
-  auto status = CallRole(EntryRole::kSetInformation, {adapter_ctx_, oid, gbuf, len, read});
-  return status && *status == kStatusSuccess;
-}
-
-bool RecoveredDriverHost::SetPacketFilter(uint32_t filter_bits) {
-  uint8_t buf[4];
-  std::memcpy(buf, &filter_bits, 4);
-  return Set(kOidGenCurrentPacketFilter, buf, 4);
-}
-
-bool RecoveredDriverHost::SetMulticastList(const std::vector<hw::MacAddr>& list) {
-  std::vector<uint8_t> buf;
-  for (const hw::MacAddr& m : list) {
-    buf.insert(buf.end(), m.begin(), m.end());
-  }
-  return Set(kOid8023MulticastList, buf.data(), static_cast<uint32_t>(buf.size()));
-}
-
-std::optional<hw::MacAddr> RecoveredDriverHost::QueryMac() {
-  uint8_t buf[6] = {};
-  auto status = Query(kOid8023CurrentAddress, buf, 6);
-  if (!status || *status != kStatusSuccess) {
-    return std::nullopt;
-  }
-  hw::MacAddr mac;
-  std::memcpy(mac.data(), buf, 6);
-  return mac;
-}
-
-bool RecoveredDriverHost::Reset() {
-  auto status = CallRole(EntryRole::kReset, {adapter_ctx_});
-  return status && *status == kStatusSuccess;
-}
-
-void RecoveredDriverHost::Halt() {
-  if (initialized_) {
-    CallRole(EntryRole::kHalt, {adapter_ctx_});
-    initialized_ = false;
-  }
 }
 
 }  // namespace revnic::os

@@ -10,9 +10,10 @@
 //     role metadata captured at registration time (standing in for the
 //     developer's paste step);
 //   * holds the single template lock the paper describes (counted);
-//   * strips source-OS-specific workarounds: NdisStallExecution becomes a
-//     no-op, which is why the synthesized RTL8139 driver does not inherit
-//     the original Windows driver's >1 KiB stall quirk (Figure 2).
+//   * strips source-OS-specific workarounds (os::TemplateOsCall, shared
+//     with the compiled kitos host).
+// The workload itself (packet and OID staging, interrupt delivery) is the
+// shared os::MiniportHost body, the same one the original binary runs on.
 // KitOS is the degenerate template: no OS services beyond memory, which is
 // the paper's "driver talks to hardware directly" mode.
 #ifndef REVNIC_OS_RECOVERED_HOST_H_
@@ -22,84 +23,36 @@
 #include <optional>
 
 #include "hw/nic.h"
+#include "os/miniport_host.h"
 #include "os/target.h"
-#include "os/winsim.h"
 #include "synth/module.h"
 #include "synth/runner.h"
 
 namespace revnic::os {
 
-struct TemplateCounters {
-  uint64_t lock_acquisitions = 0;  // the template's single entry lock
-  uint64_t stripped_stalls_us = 0; // vendor stalls dropped by the template
-  uint64_t os_calls = 0;
-};
-
-class RecoveredDriverHost : public synth::OsBridge {
+class RecoveredDriverHost : public MiniportHost, public synth::OsBridge {
  public:
   // `module` and `device` must outlive the host.
   RecoveredDriverHost(const synth::RecoveredModule* module, hw::NicDevice* device, TargetOs os,
                       vm::IoHandler* io_override = nullptr);
 
-  // Template init placeholder: brings the synthesized driver up
-  // (check-presence + initialize roles).
-  bool Initialize();
-
-  // Template send placeholder.
-  std::optional<uint32_t> SendFrame(const hw::Frame& frame);
-
-  // Interrupt boilerplate: isr + handle_interrupt while the line is raised.
-  void DeliverInterrupts();
-
-  std::optional<uint32_t> Query(uint32_t oid, uint8_t* buf, uint32_t len);
-  bool Set(uint32_t oid, const uint8_t* buf, uint32_t len);
-  bool SetPacketFilter(uint32_t filter_bits);
-  bool SetMulticastList(const std::vector<hw::MacAddr>& list);
-  std::optional<hw::MacAddr> QueryMac();
-  bool Reset();
-  void Halt();
-
   // synth::OsBridge: kernel API service for the synthesized code.
   uint32_t OsCall(uint32_t api_id, const std::vector<uint32_t>& args) override;
 
   TargetOs target() const { return os_; }
-  WinSim& api_service() { return api_; }
   const TemplateCounters& counters() const { return counters_; }
-  synth::RecoveredRunner& runner() { return *runner_; }
-  vm::MemoryMap& mem() { return mm_; }
   uint64_t guest_instrs() const { return runner_->instr_count(); }
-  bool irq_pending() const { return irq_pending_; }
-  // Frames the synthesized driver delivered upward (netif_rx analog).
-  std::vector<hw::Frame>& rx_delivered() { return api_.rx_delivered(); }
+
+ protected:
+  // Resolves `role` through the role metadata captured at registration
+  // time, under the template's single entry lock.
+  std::optional<uint32_t> CallRole(EntryRole role, const std::vector<uint32_t>& args) override;
 
  private:
-  class HostMem : public GuestMem {
-   public:
-    explicit HostMem(vm::MemoryMap* mm) : mm_(mm) {}
-    uint32_t Read(uint32_t addr, unsigned size) override { return mm_->ReadRam(addr, size); }
-    void Write(uint32_t addr, unsigned size, uint32_t value) override {
-      mm_->WriteRam(addr, size, value);
-    }
-
-   private:
-    vm::MemoryMap* mm_;
-  };
-
-  std::optional<uint32_t> CallRole(EntryRole role, const std::vector<uint32_t>& args);
-
-  static constexpr uint32_t kScratchBase = 0x00200000;
-
   const synth::RecoveredModule* module_;
-  hw::NicDevice* device_;
   TargetOs os_;
-  vm::MemoryMap mm_;
-  WinSim api_;  // kernel API semantics shared across target OS profiles
-  HostMem host_mem_;
   std::unique_ptr<synth::RecoveredRunner> runner_;
   TemplateCounters counters_;
-  bool irq_pending_ = false;
-  bool initialized_ = false;
-  uint32_t adapter_ctx_ = 0;
 };
 
 }  // namespace revnic::os

@@ -38,6 +38,21 @@ class GuestMem {
   virtual void Write(uint32_t addr, unsigned size, uint32_t value) = 0;
 };
 
+// GuestMem over a host's concrete RAM. NdisMoveMemory/NdisZeroMemory go
+// through GuestMem one byte at a time; MemoryMap is final, so its accessors
+// are called directly, with no second indirect call per access.
+class RamGuestMem final : public GuestMem {
+ public:
+  explicit RamGuestMem(vm::MemoryMap* ram) : ram_(ram) {}
+  uint32_t Read(uint32_t addr, unsigned size) override { return ram_->ReadRam(addr, size); }
+  void Write(uint32_t addr, unsigned size, uint32_t value) override {
+    ram_->WriteRam(addr, size, value);
+  }
+
+ private:
+  vm::MemoryMap* ram_;
+};
+
 // Guest memory layout constants.
 inline constexpr uint32_t kGuestRamSize = 16u << 20;
 inline constexpr uint32_t kStackTop = 0x00100000;      // grows down

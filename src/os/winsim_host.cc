@@ -1,7 +1,5 @@
 #include "os/winsim_host.h"
 
-#include <cstring>
-
 #include "isa/isa.h"
 #include "util/log.h"
 
@@ -9,24 +7,10 @@ namespace revnic::os {
 
 ConcreteWinSimHost::ConcreteWinSimHost(const isa::Image& image, hw::NicDevice* device,
                                        vm::IoHandler* io_override)
-    : image_(image),
-      device_(device),
-      mm_(kGuestRamSize),
-      machine_(&mm_),
-      winsim_(device->pci()),
-      guest_mem_(&mm_) {
-  const hw::PciConfig& pci = device->pci();
-  vm::IoHandler* io = io_override != nullptr ? io_override : device;
-  if (pci.io_size != 0) {
-    mm_.AddPorts(pci.io_base, pci.io_size, io);
-  }
-  if (pci.mmio_size != 0) {
-    mm_.AddMmio(pci.mmio_base, pci.mmio_size, io);
-  }
-  device_->AttachRam(&mm_);
-  device_->set_irq_hook([this](bool level) { irq_pending_ = level; });
+    : MiniportHost(device, kGuestRamSize), image_(image), machine_(&mm_) {
+  MapDevice(io_override);
   machine_.set_stop_pc(kStopPc);
-  winsim_.LoadDriver(image_, &mm_);
+  api_.LoadDriver(image_, &mm_);
 }
 
 std::optional<uint32_t> ConcreteWinSimHost::CallGuest(uint32_t pc,
@@ -57,7 +41,7 @@ std::optional<uint32_t> ConcreteWinSimHost::CallGuest(uint32_t pc,
         for (unsigned i = 0; i < sig.argc; ++i) {
           sys_args[i] = machine_.PopArg(i);
         }
-        ApiOutcome outcome = winsim_.HandleApi(r.api_id, sys_args, guest_mem_);
+        ApiOutcome outcome = api_.HandleApi(r.api_id, sys_args, guest_mem_);
         machine_.DropArgs(sig.argc);
         if (outcome.effect == ApiEffect::kCallGuestFunction) {
           auto nested = CallGuest(outcome.callback_pc, {outcome.callback_arg});
@@ -79,133 +63,33 @@ std::optional<uint32_t> ConcreteWinSimHost::CallGuest(uint32_t pc,
   }
 }
 
+std::optional<uint32_t> ConcreteWinSimHost::CallRole(EntryRole role,
+                                                     const std::vector<uint32_t>& args) {
+  uint32_t pc = api_.EntryPc(role);
+  if (pc == 0) {
+    return std::nullopt;
+  }
+  return CallGuest(pc, args);
+}
+
 bool ConcreteWinSimHost::Initialize() {
   machine_.set_reg(isa::kRegSp, kStackTop);
-  auto status = CallGuest(image_.entry, {/*driver_object=*/0x1000, /*registry_path=*/0x1100});
-  if (!status || *status != kStatusSuccess || !winsim_.registered()) {
+  auto status = CallGuest(image_.entry, {kDriverObjectAddr, kRegistryPathAddr});
+  if (!status || *status != kStatusSuccess || !api_.registered()) {
     RLOG_WARN("DriverEntry failed");
     return false;
   }
-  uint32_t init_pc = winsim_.EntryPc(EntryRole::kInitialize);
-  if (init_pc == 0) {
-    return false;
-  }
-  status = CallGuest(init_pc, {/*driver_handle=*/0x2000});
-  if (!status || *status != kStatusSuccess) {
-    RLOG_WARN("miniport initialize failed");
-    return false;
-  }
-  initialized_ = true;
-  DeliverInterrupts();
-  return true;
-}
-
-std::optional<uint32_t> ConcreteWinSimHost::SendFrame(const hw::Frame& frame) {
-  if (!initialized_) {
-    return std::nullopt;
-  }
-  uint32_t pkt = kScratchBase;
-  uint32_t buf = kScratchBase + 0x100;
-  mm_.WriteRamBytes(buf, frame.data(), frame.size());
-  mm_.WriteRam(pkt + 0, 4, buf);
-  mm_.WriteRam(pkt + 4, 4, static_cast<uint32_t>(frame.size()));
-  auto status = CallGuest(winsim_.EntryPc(EntryRole::kSend),
-                          {winsim_.adapter_context(), pkt, /*flags=*/0});
-  DeliverInterrupts();
-  return status;
-}
-
-void ConcreteWinSimHost::DeliverInterrupts() {
-  uint32_t isr_pc = winsim_.EntryPc(EntryRole::kIsr);
-  uint32_t dpc_pc = winsim_.EntryPc(EntryRole::kHandleInterrupt);
-  if (isr_pc == 0) {
-    return;
-  }
-  for (int guard = 0; irq_pending_ && guard < 8; ++guard) {
-    auto recognized = CallGuest(isr_pc, {winsim_.adapter_context()});
-    if (!recognized || *recognized == 0) {
-      break;
-    }
-    if (dpc_pc != 0) {
-      CallGuest(dpc_pc, {winsim_.adapter_context()});
-    }
-  }
+  return MiniportHost::Initialize();
 }
 
 void ConcreteWinSimHost::FireTimers() {
-  for (Timer& t : winsim_.timers()) {
+  for (Timer& t : api_.timers()) {
     if (t.pending) {
       t.pending = false;
       CallGuest(t.handler_pc, {t.context});
     }
   }
   DeliverInterrupts();
-}
-
-std::optional<uint32_t> ConcreteWinSimHost::Query(uint32_t oid, uint8_t* buf, uint32_t len) {
-  uint32_t gbuf = kScratchBase + 0x800;
-  uint32_t written_addr = kScratchBase + 0x7F0;
-  mm_.WriteRam(written_addr, 4, 0);
-  auto status = CallGuest(winsim_.EntryPc(EntryRole::kQueryInformation),
-                          {winsim_.adapter_context(), oid, gbuf, len, written_addr});
-  if (status && *status == kStatusSuccess && buf != nullptr) {
-    mm_.ReadRamBytes(gbuf, buf, len);
-  }
-  return status;
-}
-
-bool ConcreteWinSimHost::Set(uint32_t oid, const uint8_t* buf, uint32_t len) {
-  uint32_t gbuf = kScratchBase + 0x800;
-  uint32_t read_addr = kScratchBase + 0x7F0;
-  if (buf != nullptr) {
-    mm_.WriteRamBytes(gbuf, buf, len);
-  }
-  mm_.WriteRam(read_addr, 4, 0);
-  auto status = CallGuest(winsim_.EntryPc(EntryRole::kSetInformation),
-                          {winsim_.adapter_context(), oid, gbuf, len, read_addr});
-  return status && *status == kStatusSuccess;
-}
-
-bool ConcreteWinSimHost::SetPacketFilter(uint32_t filter_bits) {
-  uint8_t buf[4];
-  std::memcpy(buf, &filter_bits, 4);
-  return Set(kOidGenCurrentPacketFilter, buf, 4);
-}
-
-bool ConcreteWinSimHost::SetMulticastList(const std::vector<hw::MacAddr>& list) {
-  std::vector<uint8_t> buf;
-  for (const hw::MacAddr& m : list) {
-    buf.insert(buf.end(), m.begin(), m.end());
-  }
-  return Set(kOid8023MulticastList, buf.data(), static_cast<uint32_t>(buf.size()));
-}
-
-std::optional<hw::MacAddr> ConcreteWinSimHost::QueryMac() {
-  uint8_t buf[6] = {};
-  auto status = Query(kOid8023CurrentAddress, buf, 6);
-  if (!status || *status != kStatusSuccess) {
-    return std::nullopt;
-  }
-  hw::MacAddr mac;
-  std::memcpy(mac.data(), buf, 6);
-  return mac;
-}
-
-bool ConcreteWinSimHost::Reset() {
-  uint32_t pc = winsim_.EntryPc(EntryRole::kReset);
-  if (pc == 0) {
-    return false;
-  }
-  auto status = CallGuest(pc, {winsim_.adapter_context()});
-  return status && *status == kStatusSuccess;
-}
-
-void ConcreteWinSimHost::Halt() {
-  uint32_t pc = winsim_.EntryPc(EntryRole::kHalt);
-  if (pc != 0 && initialized_) {
-    CallGuest(pc, {winsim_.adapter_context()});
-  }
-  initialized_ = false;
 }
 
 }  // namespace revnic::os

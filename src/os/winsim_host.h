@@ -2,33 +2,29 @@
 // device model, concretely.
 //
 // This is the environment an end user's machine provides: it loads the
-// driver, lets it register its miniport entry points, and then drives those
-// entry points the way the NDIS stack would (init, IOCTLs, send, interrupt
-// delivery, halt). Used to validate reverse-engineered drivers against the
-// originals by I/O-trace comparison (§5.2) and as the "Windows original"
-// configuration of the performance experiments (§5.3).
+// driver, runs DriverEntry so the driver registers its miniport entry
+// points, and then drives those entry points through the shared miniport
+// workload (os/miniport_host.h). Used to validate reverse-engineered
+// drivers against the originals by I/O-trace comparison (§5.2) and as the
+// "Windows original" configuration of the performance experiments (§5.3).
 //
-// Entry-point signatures (stdcall; status/r0 conventions in api.h):
+// Entry points beyond the miniport workload's (stdcall):
 //   DriverEntry(driver_object, registry_path) -> status
-//   initialize(driver_handle) -> status          isr(ctx) -> recognized
-//   handle_interrupt(ctx)                        send(ctx, packet, flags) -> status
-//   query_info(ctx, oid, buf, len, written_addr) -> status
-//   set_info(ctx, oid, buf, len, read_addr) -> status
-//   reset(ctx) -> status    halt(ctx)    shutdown(ctx)    timer(ctx)
+//   shutdown(ctx)    timer(ctx)
 #ifndef REVNIC_OS_WINSIM_HOST_H_
 #define REVNIC_OS_WINSIM_HOST_H_
 
-#include <memory>
 #include <optional>
 
 #include "hw/nic.h"
 #include "isa/image.h"
+#include "os/miniport_host.h"
 #include "os/winsim.h"
 #include "vm/machine.h"
 
 namespace revnic::os {
 
-class ConcreteWinSimHost {
+class ConcreteWinSimHost : public MiniportHost {
  public:
   // `device` must outlive the host. Its I/O windows are mapped, its IRQ line
   // connected, and (for bus masters) guest RAM attached.
@@ -37,64 +33,27 @@ class ConcreteWinSimHost {
   ConcreteWinSimHost(const isa::Image& image, hw::NicDevice* device,
                      vm::IoHandler* io_override = nullptr);
 
-  // Runs DriverEntry and the miniport initialize entry. False on any failure.
-  bool Initialize();
-
-  // Sends one frame through the driver's send entry (builds the guest-side
-  // NDIS_PACKET). Returns the entry's status, or nullopt on machine error.
-  std::optional<uint32_t> SendFrame(const hw::Frame& frame);
-
-  // Delivers pending level-triggered interrupts: isr + handle_interrupt
-  // until the device deasserts (bounded).
-  void DeliverInterrupts();
+  // Runs DriverEntry, then the miniport initialize entry. False on any
+  // failure.
+  bool Initialize() override;
 
   // Fires any pending timers (drivers use these for link polling).
   void FireTimers();
 
-  // Standard IOCTL wrappers.
-  std::optional<uint32_t> Query(uint32_t oid, uint8_t* buf, uint32_t len);
-  bool Set(uint32_t oid, const uint8_t* buf, uint32_t len);
-  bool SetPacketFilter(uint32_t filter_bits);
-  bool SetMulticastList(const std::vector<hw::MacAddr>& list);
-  std::optional<hw::MacAddr> QueryMac();
-
-  bool Reset();
-  void Halt();
-
-  WinSim& os() { return winsim_; }
-  vm::ConcreteMachine& machine() { return machine_; }
-  vm::MemoryMap& mem() { return mm_; }
-  hw::NicDevice* device() { return device_; }
+  WinSim& os() { return api_; }
   uint64_t guest_instrs() const { return machine_.instr_count(); }
-  bool irq_pending() const { return irq_pending_; }
 
   // Calls an arbitrary guest function with stdcall args; exposed for tests.
   std::optional<uint32_t> CallGuest(uint32_t pc, const std::vector<uint32_t>& args);
 
+ protected:
+  std::optional<uint32_t> CallRole(EntryRole role, const std::vector<uint32_t>& args) override;
+
  private:
-  class MachineMem : public GuestMem {
-   public:
-    explicit MachineMem(vm::MemoryMap* mm) : mm_(mm) {}
-    uint32_t Read(uint32_t addr, unsigned size) override { return mm_->ReadRam(addr, size); }
-    void Write(uint32_t addr, unsigned size, uint32_t value) override {
-      mm_->WriteRam(addr, size, value);
-    }
-
-   private:
-    vm::MemoryMap* mm_;
-  };
-
-  static constexpr uint32_t kScratchBase = 0x00200000;
   static constexpr uint64_t kCallBudget = 2'000'000;  // guest instrs per entry call
 
   isa::Image image_;
-  hw::NicDevice* device_;
-  vm::MemoryMap mm_;
   vm::ConcreteMachine machine_;
-  WinSim winsim_;
-  MachineMem guest_mem_;
-  bool irq_pending_ = false;
-  bool initialized_ = false;
 };
 
 }  // namespace revnic::os

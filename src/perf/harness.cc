@@ -1,8 +1,12 @@
 #include "perf/harness.h"
 
+#include <chrono>
+
 #include "drivers/native.h"
 #include "hw/counting.h"
+#include "native/host.h"
 #include "os/winsim_host.h"
+#include "perf/native.h"
 #include "util/log.h"
 
 namespace revnic::perf {
@@ -14,6 +18,7 @@ struct PacketLedger {
   double bytes_copied = 0;
   double guest_instrs = 0;
   double stall_us = 0;
+  double host_ns = 0;  // measured wall time (compiled drivers only)
   bool ok = false;
 };
 
@@ -25,68 +30,46 @@ class Bench {
   virtual PacketLedger SendOne(const hw::Frame& frame) = 0;
 };
 
-class OriginalBench : public Bench {
+// A driver on one of the miniport hosts: the original binary on WinSim or
+// the synthesized module in a target-OS template. Stalls are charged as the
+// driver issued them; a template strips them before they reach WinSim
+// (§4.2), so synthesized drivers are charged none.
+template <typename Host>
+class HostBench : public Bench {
  public:
-  explicit OriginalBench(drivers::DriverId id)
+  // `make_host(device, io)` builds the host over the bench's device and
+  // counting proxy. `template_instrs` is the per-packet glue charged on top
+  // of the host's own instruction count.
+  template <typename MakeHost>
+  HostBench(drivers::DriverId id, double template_instrs, MakeHost make_host)
       : device_(drivers::MakeDevice(id)),
         proxy_(device_.get()),
-        host_(drivers::DriverImage(id), device_.get(), &proxy_) {}
+        host_(make_host(device_.get(), &proxy_)),
+        template_instrs_(template_instrs) {}
 
-  bool Up() override { return host_.Initialize(); }
+  bool Up() override { return host_->Initialize(); }
 
   PacketLedger SendOne(const hw::Frame& frame) override {
     PacketLedger ledger;
+    const os::WinSimCounters& api = host_->api_service().counters();
     uint64_t io0 = proxy_.total();
-    uint64_t in0 = host_.guest_instrs();
-    uint64_t st0 = host_.os().counters().stall_micros;
-    uint64_t bm0 = host_.os().counters().bytes_moved;
-    auto status = host_.SendFrame(frame);
+    uint64_t in0 = host_->guest_instrs();
+    uint64_t st0 = api.stall_micros;
+    uint64_t bm0 = api.bytes_moved;
+    auto status = host_->SendFrame(frame);
     ledger.ok = status.has_value() && *status == os::kStatusSuccess;
     ledger.io_accesses = static_cast<double>(proxy_.total() - io0);
-    ledger.guest_instrs = static_cast<double>(host_.guest_instrs() - in0);
-    ledger.stall_us = static_cast<double>(host_.os().counters().stall_micros - st0);
-    ledger.bytes_copied = static_cast<double>(host_.os().counters().bytes_moved - bm0);
+    ledger.guest_instrs = static_cast<double>(host_->guest_instrs() - in0) + template_instrs_;
+    ledger.stall_us = static_cast<double>(api.stall_micros - st0);
+    ledger.bytes_copied = static_cast<double>(api.bytes_moved - bm0);
     return ledger;
   }
 
  private:
   std::unique_ptr<hw::NicDevice> device_;
   hw::CountingIoProxy proxy_;
-  os::ConcreteWinSimHost host_;
-};
-
-class SynthesizedBench : public Bench {
- public:
-  SynthesizedBench(drivers::DriverId id, const synth::RecoveredModule* module,
-                   os::TargetOs target)
-      : device_(drivers::MakeDevice(id)),
-        proxy_(device_.get()),
-        host_(module, device_.get(), target, &proxy_) {}
-
-  bool Up() override { return host_.Initialize(); }
-
-  PacketLedger SendOne(const hw::Frame& frame) override {
-    PacketLedger ledger;
-    uint64_t io0 = proxy_.total();
-    uint64_t in0 = host_.guest_instrs();
-    uint64_t bm0 = host_.api_service().counters().bytes_moved;
-    auto status = host_.SendFrame(frame);
-    ledger.ok = status.has_value() && *status == os::kStatusSuccess;
-    ledger.io_accesses = static_cast<double>(proxy_.total() - io0);
-    // +kTemplateInstrs: the generic template's entry lock and glue (§4.2) --
-    // the "slightly higher CPU utilization" of synthesized drivers (§5.3).
-    ledger.guest_instrs = static_cast<double>(host_.guest_instrs() - in0) + 700;
-    ledger.bytes_copied =
-        static_cast<double>(host_.api_service().counters().bytes_moved - bm0);
-    // Vendor stalls were stripped by the template -- no stall charge (§4.2).
-    ledger.stall_us = 0;
-    return ledger;
-  }
-
- private:
-  std::unique_ptr<hw::NicDevice> device_;
-  hw::CountingIoProxy proxy_;
-  os::RecoveredDriverHost host_;
+  std::unique_ptr<Host> host_;
+  double template_instrs_;
 };
 
 class NativeBench : public Bench {
@@ -135,12 +118,60 @@ class NativeBench : public Bench {
   bool irq_ = false;
 };
 
+// The compiled kitos driver on native::NativeKitosHost: the ledger comes
+// from executing it, plus host wall time per send. Compiled code has no
+// interpreted-instruction term, and its template strips stalls.
+class CompiledBench : public Bench {
+ public:
+  explicit CompiledBench(const NativeSweepInputs& inputs)
+      : device_(drivers::MakeDevice(inputs.driver)),
+        host_(inputs.module, inputs.recovered, device_.get()) {}
+
+  bool Up() override {
+    std::string error;
+    if (!host_.Bind(&error)) {
+      RLOG_WARN("native sweep: %s", error.c_str());
+      return false;
+    }
+    return host_.Initialize();
+  }
+
+  PacketLedger SendOne(const hw::Frame& frame) override {
+    PacketLedger ledger;
+    uint64_t io0 = host_.counters().io_total();
+    uint64_t bm0 = host_.api_service().counters().bytes_moved;
+    auto t0 = std::chrono::steady_clock::now();
+    auto status = host_.SendFrame(frame);
+    auto t1 = std::chrono::steady_clock::now();
+    ledger.ok = status.has_value() && *status == os::kStatusSuccess;
+    ledger.io_accesses = static_cast<double>(host_.counters().io_total() - io0);
+    ledger.bytes_copied = static_cast<double>(host_.api_service().counters().bytes_moved - bm0);
+    ledger.host_ns = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+    return ledger;
+  }
+
+ private:
+  std::unique_ptr<hw::NicDevice> device_;
+  native::NativeKitosHost host_;
+};
+
 std::unique_ptr<Bench> MakeBench(const SweepConfig& config) {
   switch (config.kind) {
     case DriverKind::kOriginalBinary:
-      return std::make_unique<OriginalBench>(config.driver);
+      return std::make_unique<HostBench<os::ConcreteWinSimHost>>(
+          config.driver, 0, [&](hw::NicDevice* device, vm::IoHandler* io) {
+            return std::make_unique<os::ConcreteWinSimHost>(drivers::DriverImage(config.driver),
+                                                            device, io);
+          });
     case DriverKind::kSynthesized:
-      return std::make_unique<SynthesizedBench>(config.driver, config.module, config.target);
+      // +700 instrs: the generic template's entry lock and glue (§4.2) --
+      // the "slightly higher CPU utilization" of synthesized drivers (§5.3).
+      return std::make_unique<HostBench<os::RecoveredDriverHost>>(
+          config.driver, 700, [&](hw::NicDevice* device, vm::IoHandler* io) {
+            return std::make_unique<os::RecoveredDriverHost>(config.module, device,
+                                                             config.target, io);
+          });
     case DriverKind::kNativeReference:
       return std::make_unique<NativeBench>(config.driver);
   }
@@ -153,24 +184,26 @@ std::vector<size_t> DefaultPayloadSizes() {
   return {64, 128, 256, 384, 512, 640, 768, 896, 1024, 1152, 1280, 1408, 1472};
 }
 
-SweepResult RunSweep(const SweepConfig& config, const PlatformProfile& profile,
-                     const std::vector<size_t>& sizes) {
+namespace {
+
+// Brings `bench` up and runs the size sweep on it; `os_profile` selects the
+// OS per-packet cost of the cycle model.
+SweepResult Sweep(Bench* bench, const std::string& label, os::TargetOs os_profile,
+                  unsigned packets_per_size, const PlatformProfile& profile,
+                  const std::vector<size_t>& sizes) {
   SweepResult result;
-  result.label = config.label;
-  std::unique_ptr<Bench> bench = MakeBench(config);
-  if (!bench || !bench->Up()) {
-    RLOG_WARN("perf sweep '%s': bring-up failed", config.label.c_str());
+  result.label = label;
+  if (bench == nullptr || !bench->Up()) {
+    RLOG_WARN("perf sweep '%s': bring-up failed", label.c_str());
     return result;
   }
-  os::TargetOs os_profile =
-      config.kind == DriverKind::kOriginalBinary ? os::TargetOs::kWindows : config.target;
 
   for (size_t payload : sizes) {
     hw::Frame frame =
         hw::BuildUdpFrame({0x52, 0x54, 0, 0, 0, 1}, {0x52, 0x54, 0, 0, 0, 2}, payload, 0xA5);
     PacketLedger sum;
     unsigned ok_count = 0;
-    for (unsigned i = 0; i < config.packets_per_size; ++i) {
+    for (unsigned i = 0; i < packets_per_size; ++i) {
       PacketLedger one = bench->SendOne(frame);
       if (!one.ok) {
         continue;
@@ -180,10 +213,10 @@ SweepResult RunSweep(const SweepConfig& config, const PlatformProfile& profile,
       sum.bytes_copied += one.bytes_copied;
       sum.guest_instrs += one.guest_instrs;
       sum.stall_us += one.stall_us;
+      sum.host_ns += one.host_ns;
     }
     if (ok_count == 0) {
-      RLOG_WARN("perf sweep '%s': all sends failed at payload %zu", config.label.c_str(),
-                payload);
+      RLOG_WARN("perf sweep '%s': all sends failed at payload %zu", label.c_str(), payload);
       return result;
     }
     double n = ok_count;
@@ -193,6 +226,7 @@ SweepResult RunSweep(const SweepConfig& config, const PlatformProfile& profile,
     point.bytes_copied = sum.bytes_copied / n;
     point.guest_instrs = sum.guest_instrs / n;
     point.stall_us = sum.stall_us / n;
+    point.host_ns = sum.host_ns / n;
 
     double driver_cycles = point.io_accesses * profile.cycles_per_io +
                            point.bytes_copied * profile.cycles_per_byte +
@@ -213,6 +247,26 @@ SweepResult RunSweep(const SweepConfig& config, const PlatformProfile& profile,
   }
   result.ok = true;
   return result;
+}
+
+}  // namespace
+
+SweepResult RunSweep(const SweepConfig& config, const PlatformProfile& profile,
+                     const std::vector<size_t>& sizes) {
+  os::TargetOs os_profile =
+      config.kind == DriverKind::kOriginalBinary ? os::TargetOs::kWindows : config.target;
+  return Sweep(MakeBench(config).get(), config.label, os_profile, config.packets_per_size,
+               profile, sizes);
+}
+
+SweepResult RunNativeMeasuredSweep(const NativeSweepInputs& inputs,
+                                   const PlatformProfile& profile,
+                                   const std::vector<size_t>& sizes) {
+  // Bind fails on a missing or unloaded module; without the recovered
+  // module there is no role table to call through.
+  CompiledBench bench(inputs);
+  return Sweep(inputs.recovered != nullptr ? &bench : nullptr, inputs.label,
+               os::TargetOs::kKitos, inputs.packets_per_size, profile, sizes);
 }
 
 }  // namespace revnic::perf

@@ -5,6 +5,7 @@
 // model so the series is directly comparable with the modeled curves in
 // figs 2/3/6/7 -- with the guest-instruction term dropped (compiled code
 // runs at host speed; its real cost is reported as PerfPoint::host_ns).
+// Defined in perf/harness.cc, on RunSweep's loop.
 #ifndef REVNIC_PERF_NATIVE_H_
 #define REVNIC_PERF_NATIVE_H_
 

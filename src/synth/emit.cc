@@ -7,7 +7,8 @@ namespace revnic::synth {
 namespace {
 
 // Entry-point roles and the stack-argument counts their template slots pass
-// (mirrors os::RecoveredDriverHost's CallRole call sites).
+// (mirrors the os::MiniportHost workload's role calls, src/os/miniport_host.h,
+// plus the exerciser script's shutdown and timer steps, core/engine.cc).
 struct RoleSpec {
   os::EntryRole role;
   unsigned argc;

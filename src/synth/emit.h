@@ -10,7 +10,8 @@
 // roles into the target's placeholder slots. Every backend's output
 // compiles with a host C compiler (pinned by tests/synth_passes_test.cc);
 // each pairs with the matching os::RecoveredDriverHost profile for
-// in-process execution.
+// in-process execution, whose workload (os::MiniportHost) is the one the
+// original binary and the compiled kitos driver run too.
 #ifndef REVNIC_SYNTH_EMIT_H_
 #define REVNIC_SYNTH_EMIT_H_
 

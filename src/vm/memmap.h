@@ -43,14 +43,24 @@ class RamPort {
   virtual void ReadRamBytes(uint32_t addr, uint8_t* out, size_t len) const = 0;
 };
 
-class MemoryMap : public RamPort {
+class MemoryMap final : public RamPort {
  public:
   // RAM occupies [0, ram_size). MMIO windows must lie outside RAM.
   explicit MemoryMap(uint32_t ram_size);
+  MemoryMap(const MemoryMap&) = delete;
+  MemoryMap& operator=(const MemoryMap&) = delete;
 
-  uint32_t ram_size() const { return static_cast<uint32_t>(ram_.size()); }
-  const uint8_t* ram() const { return ram_.data(); }
-  uint8_t* mutable_ram() { return ram_.data(); }
+  // From now on RAM is the `size` bytes at `base`, which the caller owns
+  // and keeps alive (a compiled driver's static array, native/host.h).
+  void UseExternalRam(uint8_t* base, uint32_t size) {
+    owned_ram_ = std::vector<uint8_t>();
+    ram_ = base;
+    ram_size_ = size;
+  }
+
+  uint32_t ram_size() const { return ram_size_; }
+  const uint8_t* ram() const { return ram_; }
+  uint8_t* mutable_ram() { return ram_; }
 
   // Registers an MMIO window / port range. Ranges must not overlap existing
   // ones; both assert on misuse (programming error, not guest-controlled).
@@ -61,7 +71,7 @@ class MemoryMap : public RamPort {
   const IoRange* FindMmio(uint32_t addr) const;
   const IoRange* FindPort(uint32_t port) const;
   bool IsRam(uint32_t addr, unsigned size) const {
-    return addr + size <= ram_.size() && addr + size >= addr;
+    return addr + size <= ram_size_ && addr + size >= addr;
   }
 
   // Direct RAM accessors (used to load images, build stacks, and implement
@@ -72,7 +82,9 @@ class MemoryMap : public RamPort {
   void ReadRamBytes(uint32_t addr, uint8_t* out, size_t len) const override;
 
  private:
-  std::vector<uint8_t> ram_;
+  std::vector<uint8_t> owned_ram_;
+  uint8_t* ram_;
+  uint32_t ram_size_;
   std::vector<IoRange> mmio_;
   std::vector<IoRange> ports_;
 };

@@ -15,6 +15,7 @@
 #include "drivers/drivers.h"
 #include "drivers/native.h"
 #include "hw/faults.h"
+#include "native/harness.h"
 #include "os/recovered_host.h"
 #include "os/winsim_host.h"
 
@@ -328,30 +329,20 @@ TEST(FaultInjector, EmptyPlanIsTransparent) {
   // identical wire traces, device state, and delivered frames -- the proxy
   // costs nothing when off. rtl8139 is a bus master, so the interposed
   // FaultRamPort forwards DMA too.
+  // The workload is native::RunRace's clean parity one.
   const DriverId id = DriverId::kRtl8139;
-  auto run = [&](bool wrapped) {
-    auto dev = drivers::MakeDevice(id);
-    hw::FaultInjector faulty(dev.get(), hw::FaultPlan{});
-    hw::NicDevice* front = wrapped ? static_cast<hw::NicDevice*>(&faulty) : dev.get();
-    os::ConcreteWinSimHost host(drivers::DriverImage(id), front);
-    EXPECT_TRUE(host.Initialize());
-    std::vector<hw::Frame> wire;
-    front->set_tx_hook([&wire](const hw::Frame& f) { wire.push_back(f); });
-    for (int i = 0; i < 4; ++i) {
-      hw::Frame f = hw::BuildUdpFrame({1, 2, 3, 4, 5, 6}, {2, 2, 2, 2, 2, 2},
-                                      80 + i * 190, static_cast<uint8_t>(i));
-      EXPECT_TRUE(host.SendFrame(f).has_value());
-    }
-    hw::MacAddr bcast = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
-    front->InjectReceive(hw::BuildUdpFrame({3, 3, 3, 3, 3, 3}, bcast, 200, 0x7E));
-    host.DeliverInterrupts();
-    if (wrapped) {
-      EXPECT_EQ(faulty.fault_stats().decisions, 0u);
-    }
-    return std::tuple{wire, dev->stats().tx_frames, dev->stats().rx_frames,
-                      host.os().rx_delivered()};
-  };
-  EXPECT_EQ(run(/*wrapped=*/true), run(/*wrapped=*/false));
+  auto dev_wrapped = drivers::MakeDevice(id);
+  auto dev_plain = drivers::MakeDevice(id);
+  hw::FaultInjector faulty(dev_wrapped.get(), hw::FaultPlan{});
+  os::ConcreteWinSimHost wrapped(drivers::DriverImage(id), &faulty);
+  os::ConcreteWinSimHost plain(drivers::DriverImage(id), dev_plain.get());
+  ASSERT_TRUE(wrapped.Initialize());
+  ASSERT_TRUE(plain.Initialize());
+  std::string detail;
+  EXPECT_TRUE(native::CleanParity(wrapped, plain, &detail)) << detail;
+  EXPECT_EQ(faulty.fault_stats().decisions, 0u);
+  EXPECT_EQ(dev_wrapped->stats().tx_frames, dev_plain->stats().tx_frames);
+  EXPECT_EQ(dev_wrapped->stats().rx_frames, dev_plain->stats().rx_frames);
 }
 
 TEST(FaultInjector, HostileRatesNeverCrashTheHost) {
@@ -429,40 +420,13 @@ TEST_P(FaultedPortedDriverTest, FaultyIoTracePreservedBySynthesizedDriver) {
   os::RecoveredDriverHost port(&r.module, &faulty_port, target);
   ASSERT_TRUE(port.Initialize());
 
-  // Align both schedules at the workload boundary: the two hosts' init
-  // boilerplate differs (that is the porting point), so the comparable
-  // decision stream starts here.
-  faulty_orig.schedule().set_cursor(0);
-  faulty_orig.schedule().set_stats({});
-  faulty_port.schedule().set_cursor(0);
-  faulty_port.schedule().set_stats({});
-
-  std::vector<hw::Frame> wire_orig, wire_port;
-  faulty_orig.set_tx_hook([&](const hw::Frame& f) { wire_orig.push_back(f); });
-  faulty_port.set_tx_hook([&](const hw::Frame& f) { wire_port.push_back(f); });
-
-  hw::MacAddr bcast = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
-  for (int i = 0; i < 6; ++i) {
-    hw::Frame tx = hw::BuildUdpFrame({1, 2, 3, 4, 5, 6}, {2, 2, 2, 2, 2, 2},
-                                     64 + (i * 173) % 1300, static_cast<uint8_t>(i));
-    auto st_orig = orig.SendFrame(tx);
-    auto st_port = port.SendFrame(tx);
-    ASSERT_TRUE(st_orig.has_value());
-    ASSERT_TRUE(st_port.has_value());
-    EXPECT_EQ(*st_orig, *st_port) << "send " << i;
-
-    hw::Frame rx = hw::BuildUdpFrame({3, 3, 3, 3, 3, 3}, bcast, 80 + (i * 211) % 1200,
-                                     static_cast<uint8_t>(0x40 + i));
-    EXPECT_EQ(faulty_orig.InjectReceive(rx), faulty_port.InjectReceive(rx)) << "rx " << i;
-    orig.DeliverInterrupts();
-    port.DeliverInterrupts();
-  }
-
-  // The decisive comparison: identical faults fired (same decision stream)
-  // and the wire + upward-delivery traces agree byte for byte.
-  EXPECT_EQ(wire_orig, wire_port) << "faulty hardware I/O traces diverge";
-  EXPECT_EQ(orig.os().rx_delivered(), port.rx_delivered());
-  EXPECT_EQ(faulty_orig.schedule().cursor(), faulty_port.schedule().cursor());
+  // native::RunRace's faulted workload. The decisive comparison: identical
+  // faults fired (same decision stream from the workload boundary on) and
+  // every send status, rx acceptance, wire frame and upward delivery agree.
+  std::string detail;
+  EXPECT_TRUE(
+      native::FaultedParity(orig, faulty_orig.schedule(), port, faulty_port.schedule(), &detail))
+      << detail;
   EXPECT_EQ(faulty_orig.fault_stats().TotalInjected(),
             faulty_port.fault_stats().TotalInjected());
   EXPECT_GT(faulty_orig.fault_stats().TotalInjected(), 0u);

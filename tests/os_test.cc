@@ -1,36 +1,22 @@
-// WinSim kernel-API semantics, independent of any driver.
+// WinSim kernel-API semantics, independent of any driver, and the
+// miniport workload protocol every driver host shares.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+
+#include "os/miniport_host.h"
 #include "os/winsim.h"
 
 namespace revnic::os {
 namespace {
 
-class VecMem : public GuestMem {
- public:
-  explicit VecMem(size_t size) : bytes_(size, 0) {}
-  uint32_t Read(uint32_t addr, unsigned size) override {
-    uint32_t v = 0;
-    for (unsigned i = 0; i < size && addr + i < bytes_.size(); ++i) {
-      v |= static_cast<uint32_t>(bytes_[addr + i]) << (8 * i);
-    }
-    return v;
-  }
-  void Write(uint32_t addr, unsigned size, uint32_t value) override {
-    for (unsigned i = 0; i < size && addr + i < bytes_.size(); ++i) {
-      bytes_[addr + i] = static_cast<uint8_t>(value >> (8 * i));
-    }
-  }
-
- private:
-  std::vector<uint8_t> bytes_;
-};
-
 class WinSimTest : public ::testing::Test {
  protected:
-  WinSimTest() : winsim_(hw::Rtl8139Config()), mem_(1 << 20) {}
+  WinSimTest() : winsim_(hw::Rtl8139Config()), ram_(1 << 20), mem_(&ram_) {}
   WinSim winsim_;
-  VecMem mem_;
+  vm::MemoryMap ram_;
+  RamGuestMem mem_;
 };
 
 TEST_F(WinSimTest, SignatureTableConsistent) {
@@ -173,6 +159,148 @@ TEST_F(WinSimTest, ResetRuntimeStateClearsEverything) {
   EXPECT_TRUE(winsim_.timers().empty());
   EXPECT_EQ(winsim_.dma().NumRegions(), 0u);
   EXPECT_EQ(winsim_.counters().stall_micros, 0u);
+}
+
+// ---- MiniportHost: the shared workload protocol ----
+
+// A device whose IRQ line the test drives; everything else is inert.
+class LineNic : public hw::NicDevice {
+ public:
+  uint32_t IoRead(uint32_t, unsigned) override { return 0; }
+  void IoWrite(uint32_t, unsigned, uint32_t) override {}
+  const hw::PciConfig& pci() const override { return pci_; }
+  const char* name() const override { return "line"; }
+  void Reset() override {}
+  bool InjectReceive(const hw::Frame&) override { return false; }
+  hw::MacAddr mac() const override { return {}; }
+  bool promiscuous() const override { return false; }
+  bool rx_enabled() const override { return false; }
+  bool tx_enabled() const override { return false; }
+  void Raise(bool level) { SetIrq(level); }
+
+ private:
+  hw::PciConfig pci_ = hw::Rtl8139Config();
+};
+
+using RoleCalls = std::vector<std::pair<EntryRole, std::vector<uint32_t>>>;
+
+// Records every role call. A role missing from `returns` is one the driver
+// did not register: CallRole gives nullopt for it.
+class RecordingHost : public MiniportHost {
+ public:
+  explicit RecordingHost(LineNic* nic) : MiniportHost(nic, kGuestRamSize) {}
+
+  vm::MemoryMap& ram = mm_;
+  GuestMem& mem = guest_mem_;
+  RoleCalls calls;
+  std::map<EntryRole, uint32_t> returns;
+  std::function<void(EntryRole)> on_call;  // the driver's side effects
+
+ protected:
+  std::optional<uint32_t> CallRole(EntryRole role, const std::vector<uint32_t>& args) override {
+    calls.emplace_back(role, args);
+    auto it = returns.find(role);
+    if (it == returns.end()) {
+      return std::nullopt;
+    }
+    if (on_call) {
+      on_call(role);
+    }
+    return it->second;
+  }
+};
+
+// The (role, args) sequence of each request, with the scratch addresses
+// written out: 0x200000 packet, 0x200100 frame bytes, 0x2007F0 OID length,
+// 0x200800 OID buffer, 0x2000 driver handle.
+TEST(MiniportHostTest, RoleCallsStageAtTheScratchLayout) {
+  LineNic nic;
+  RecordingHost host(&nic);
+  constexpr uint32_t kCtx = 0xC0FFEE;
+  for (EntryRole role : {EntryRole::kInitialize, EntryRole::kSend, EntryRole::kQueryInformation,
+                         EntryRole::kSetInformation, EntryRole::kReset, EntryRole::kHalt}) {
+    host.returns[role] = kStatusSuccess;
+  }
+  const hw::MacAddr mac = {0x02, 0x11, 0x22, 0x33, 0x44, 0x55};
+  host.on_call = [&](EntryRole role) {
+    if (role == EntryRole::kInitialize) {  // the context is WinSim's, as registered
+      host.api_service().HandleApi(kNdisMSetAttributes, {kCtx}, host.mem);
+    } else if (role == EntryRole::kQueryInformation) {
+      host.ram.WriteRamBytes(0x200800, mac.data(), mac.size());
+    }
+  };
+  ASSERT_TRUE(host.Initialize());
+  hw::Frame frame = hw::BuildUdpFrame({1, 2, 3, 4, 5, 6}, {2, 2, 2, 2, 2, 2}, 90, 7);
+  EXPECT_EQ(host.SendFrame(frame), kStatusSuccess);
+  EXPECT_EQ(host.ram.ReadRam(0x200000, 4), 0x200100u);
+  EXPECT_EQ(host.ram.ReadRam(0x200004, 4), frame.size());
+  hw::Frame staged(frame.size());
+  host.ram.ReadRamBytes(0x200100, staged.data(), staged.size());
+  EXPECT_EQ(staged, frame);
+  host.ram.WriteRam(0x2007F0, 4, 0xFFFFFFFF);
+  EXPECT_EQ(host.QueryMac(), mac);
+  EXPECT_EQ(host.ram.ReadRam(0x2007F0, 4), 0u);  // zeroed before the call
+  EXPECT_TRUE(host.SetPacketFilter(kFilterPromiscuous));
+  EXPECT_EQ(host.ram.ReadRam(0x200800, 4), kFilterPromiscuous);
+  EXPECT_TRUE(host.Reset());
+  host.Halt();
+  host.Halt();  // the driver is down: the second halt calls nothing
+  EXPECT_EQ(host.calls,
+            (RoleCalls{{EntryRole::kInitialize, {0x2000}},
+                       {EntryRole::kSend, {kCtx, 0x200000, 0}},
+                       {EntryRole::kQueryInformation,
+                        {kCtx, kOid8023CurrentAddress, 0x200800, 6, 0x2007F0}},
+                       {EntryRole::kSetInformation,
+                        {kCtx, kOidGenCurrentPacketFilter, 0x200800, 4, 0x2007F0}},
+                       {EntryRole::kReset, {kCtx}},
+                       {EntryRole::kHalt, {kCtx}}}));
+}
+
+TEST(MiniportHostTest, InterruptLoopStopsAtEightRoundsOrFirstUnrecognizedIsr) {
+  LineNic nic;
+  RecordingHost host(&nic);
+  host.returns = {{EntryRole::kInitialize, kStatusSuccess},
+                  {EntryRole::kIsr, 1},
+                  {EntryRole::kHandleInterrupt, 0}};
+  ASSERT_TRUE(host.Initialize());
+  EXPECT_EQ(host.calls.size(), 1u);  // line low: no delivery after init
+
+  nic.Raise(true);  // stays raised: kMaxInterruptDeliveries rounds
+  host.calls.clear();
+  host.DeliverInterrupts();
+  ASSERT_EQ(host.calls.size(), 2u * kMaxInterruptDeliveries);
+  for (size_t i = 0; i < host.calls.size(); ++i) {
+    EXPECT_EQ(host.calls[i],
+              (RoleCalls::value_type{i % 2 == 0 ? EntryRole::kIsr : EntryRole::kHandleInterrupt,
+                                     {0}}));
+  }
+
+  host.calls.clear();  // the DPC lowering the line ends the loop
+  host.on_call = [&](EntryRole role) { nic.Raise(role != EntryRole::kHandleInterrupt); };
+  host.DeliverInterrupts();
+  EXPECT_EQ(host.calls.size(), 2u);
+  EXPECT_FALSE(host.irq_pending());
+
+  nic.Raise(true);  // an unrecognizing isr ends it before the DPC
+  host.calls.clear();
+  host.returns[EntryRole::kIsr] = 0;
+  host.DeliverInterrupts();
+  EXPECT_EQ(host.calls, (RoleCalls{{EntryRole::kIsr, {0}}}));
+}
+
+TEST(MiniportHostTest, MissingRolesGiveNulloptAndHaltBeforeInitializeCallsNothing) {
+  LineNic nic;
+  RecordingHost host(&nic);  // registers no role at all
+  host.Halt();
+  EXPECT_FALSE(host.SendFrame(hw::Frame(60, 0)).has_value());
+  EXPECT_TRUE(host.calls.empty());
+  EXPECT_FALSE(host.Query(kOid8023CurrentAddress, nullptr, 6).has_value());
+  EXPECT_FALSE(host.Set(kOidGenCurrentPacketFilter, nullptr, 4));
+  EXPECT_FALSE(host.Reset());
+  nic.Raise(true);
+  host.DeliverInterrupts();  // a missing isr ends the loop at once
+  EXPECT_FALSE(host.Initialize());
+  EXPECT_EQ(host.calls.size(), 5u);
 }
 
 }  // namespace

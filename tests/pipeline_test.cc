@@ -9,6 +9,7 @@
 #include "core/session.h"
 #include "drivers/drivers.h"
 #include "drivers/native.h"
+#include "native/harness.h"
 #include "os/recovered_host.h"
 #include "os/winsim_host.h"
 
@@ -160,7 +161,8 @@ TEST_P(PortedDriverTest, SynthesizedDriverWorksOnTarget) {
 TEST_P(PortedDriverTest, IoTraceEquivalenceWithOriginal) {
   // §5.2's validation method: run original and synthesized drivers through
   // the same workload and compare the resulting hardware interaction at the
-  // device level (frames emitted, device end state).
+  // device level. The workload is native::RunRace's clean one: every send
+  // status and wire frame, a broadcast receive, and the device end state.
   auto [id, target] = GetParam();
   const core::PipelineResult& r = PipelineFor(id);
 
@@ -171,17 +173,8 @@ TEST_P(PortedDriverTest, IoTraceEquivalenceWithOriginal) {
   RecoveredDriverHost port(&r.module, dev_port.get(), target);
   ASSERT_TRUE(port.Initialize());
 
-  std::vector<hw::Frame> wire_orig, wire_port;
-  dev_orig->set_tx_hook([&](const hw::Frame& f) { wire_orig.push_back(f); });
-  dev_port->set_tx_hook([&](const hw::Frame& f) { wire_port.push_back(f); });
-
-  for (int i = 0; i < 8; ++i) {
-    hw::Frame f = hw::BuildUdpFrame({1, 2, 3, 4, 5, 6}, {2, 2, 2, 2, 2, 2},
-                                    64 + (i * 173) % 1300, static_cast<uint8_t>(i));
-    ASSERT_TRUE(orig.SendFrame(f).has_value());
-    ASSERT_TRUE(port.SendFrame(f).has_value());
-  }
-  EXPECT_EQ(wire_orig, wire_port) << "hardware I/O traces diverge";
+  std::string detail;
+  EXPECT_TRUE(native::CleanParity(orig, port, &detail)) << detail;
   EXPECT_EQ(dev_orig->mac(), dev_port->mac());
   EXPECT_EQ(dev_orig->promiscuous(), dev_port->promiscuous());
   EXPECT_EQ(dev_orig->rx_enabled(), dev_port->rx_enabled());
